@@ -447,4 +447,10 @@ void note_progress(Process& proc, const std::string& note) {
   }
 }
 
+void note_progress(Process& proc, const char* what, index_t id) {
+  if (auto* rp = dynamic_cast<ReliableBackend::ReliableProcess*>(&proc)) {
+    rp->set_note(std::string(what) + " " + std::to_string(id));
+  }
+}
+
 }  // namespace sparts::exec

@@ -153,4 +153,9 @@ class ReliableBackend final : public Comm {
 /// report can say *where* each rank was.
 void note_progress(Process& proc, const std::string& note);
 
+/// note_progress(proc, "<what> <id>"), e.g. ("fw supernode", 12), building
+/// the string only under the envelope: per-supernode loops call this on
+/// every rank and must not allocate on the plain backends.
+void note_progress(Process& proc, const char* what, index_t id);
+
 }  // namespace sparts::exec

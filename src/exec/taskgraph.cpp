@@ -76,39 +76,46 @@ std::vector<TaskId> TaskGraph::topo_schedule() const {
   return order;
 }
 
-GraphStats TaskGraph::analyze() const {
-  GraphStats st;
-  st.tasks = num_tasks();
-  st.edges = num_edges_;
-  const std::vector<TaskId> order = topo_schedule();
+void GraphStatsBuilder::add_task(TaskKind kind, double cost,
+                                 std::int64_t level, double path_cost) {
+  ++st_.tasks;
+  st_.total_cost += cost;
+  ++st_.kind_counts[static_cast<std::size_t>(kind)];
+  st_.critical_path_cost = std::max(st_.critical_path_cost, path_cost);
+  st_.depth = std::max(st_.depth, level + 1);
+  if (static_cast<std::int64_t>(width_.size()) <= level) {
+    width_.resize(static_cast<std::size_t>(level) + 1, 0);
+  }
+  ++width_[static_cast<std::size_t>(level)];
+}
 
+GraphStats GraphStatsBuilder::finish() const {
+  GraphStats st = st_;
+  for (const std::int64_t w : width_) st.max_width = std::max(st.max_width, w);
+  st.avg_parallelism = st.critical_path_cost > 0.0
+                           ? st.total_cost / st.critical_path_cost
+                           : 0.0;
+  return st;
+}
+
+GraphStats TaskGraph::analyze() const {
+  GraphStatsBuilder stats;
+  stats.add_edges(num_edges_);
   // Longest root-to-task chains, by cost and by task count, in one sweep.
   std::vector<double> path_cost(nodes_.size(), 0.0);
   std::vector<std::int64_t> level(nodes_.size(), 0);
-  std::vector<std::int64_t> width;
-  for (const TaskId id : order) {
+  for (const TaskId id : topo_schedule()) {
     const auto i = static_cast<std::size_t>(id);
     const TaskNode& nd = nodes_[i];
-    st.total_cost += nd.cost;
-    ++st.kind_counts[static_cast<std::size_t>(nd.kind)];
     path_cost[i] += nd.cost;
-    st.critical_path_cost = std::max(st.critical_path_cost, path_cost[i]);
-    st.depth = std::max(st.depth, level[i] + 1);
-    if (static_cast<std::int64_t>(width.size()) <= level[i]) {
-      width.resize(static_cast<std::size_t>(level[i]) + 1, 0);
-    }
-    ++width[static_cast<std::size_t>(level[i])];
+    stats.add_task(nd.kind, nd.cost, level[i], path_cost[i]);
     for (const TaskId s : succ_[i]) {
       const auto j = static_cast<std::size_t>(s);
       path_cost[j] = std::max(path_cost[j], path_cost[i]);
       level[j] = std::max(level[j], level[i] + 1);
     }
   }
-  for (const std::int64_t w : width) st.max_width = std::max(st.max_width, w);
-  st.avg_parallelism = st.critical_path_cost > 0.0
-                           ? st.total_cost / st.critical_path_cost
-                           : 0.0;
-  return st;
+  return stats.finish();
 }
 
 }  // namespace sparts::exec

@@ -7,13 +7,14 @@
 //   * TaskScheduler::run_graph executes the bodies on the work-stealing
 //     pool, releasing each task when its last predecessor completes
 //     (the shared-memory lowering of factorization / trisolve);
-//   * the SPMD lowerings in parfact/partrisolve walk topo_schedule() and
-//     execute the subset of tasks their rank owns, which keeps the
-//     message-passing code an explicit traversal of the same graph.
+//   * the SPMD lowerings in parfact/partrisolve walk the same graphs'
+//     topological order (ascending supernode id, see docs/taskdag.md)
+//     directly and execute the subset of tasks their rank owns; they
+//     report the graphs' stats through GraphStatsBuilder without
+//     materializing them.
 //
 // Bodies are optional: a structure-only graph (no bodies) still supports
-// topo_schedule() and analyze(), which is what the solver report uses to
-// print DAG statistics without running anything.
+// topo_schedule() and analyze().
 #pragma once
 
 #include <functional>
@@ -67,6 +68,26 @@ struct GraphStats {
     return kind_counts[static_cast<std::size_t>(kind)];
   }
   std::int64_t kind_counts[5] = {0, 0, 0, 0, 0};
+};
+
+/// Builds GraphStats one task at a time, in any topological order.  This
+/// is analyze()'s aggregation step, exposed so a lowering whose graph
+/// shape is implicit (the supernode DAGs: edges derived from the
+/// partition) can compute the same stats by a direct sweep without
+/// materializing a TaskGraph.
+class GraphStatsBuilder {
+ public:
+  /// One task: `level` is its longest chain from a source counted in
+  /// edges (0 for sources), `path_cost` its heaviest chain cost including
+  /// its own `cost`.  Every predecessor must have been added first.
+  void add_task(TaskKind kind, double cost, std::int64_t level,
+                double path_cost);
+  void add_edges(std::int64_t count) { st_.edges += count; }
+  GraphStats finish() const;
+
+ private:
+  GraphStats st_;
+  std::vector<std::int64_t> width_;  ///< tasks per level
 };
 
 class TaskGraph {

@@ -5,9 +5,9 @@
 //   * build_supernode_dag — one task per supernode, child -> parent edges.
 //     Its topo_schedule() is exactly ascending supernode order (edges only
 //     go small -> large and the scheduler breaks ties by smallest id), so
-//     the SPMD loops in parfact.cpp / partrisolve.cpp walk this schedule:
-//     they are a *second lowering* of the same graph, byte-identical to
-//     the historical `for (s = 0; s < nsup; ++s)` sweeps.
+//     the SPMD loop in parfact.cpp — `for (s = 0; s < nsup; ++s)` — is a
+//     *second lowering* of the same graph; supernode_dag_stats reports
+//     its shape without building it.
 //
 //   * build_factor_dag — the task-parallel lowering's shape: a
 //     panel_factor task per supernode (assemble + extend-add + pivot-block
@@ -33,6 +33,10 @@ namespace sparts::parfact {
 
 /// Coarse elimination DAG: task id == supernode id, edges child -> parent.
 exec::TaskGraph build_supernode_dag(const symbolic::SupernodePartition& part);
+
+/// build_supernode_dag(part).analyze() by a direct O(nsup) sweep over the
+/// child -> parent edges, without building the graph.
+exec::GraphStats supernode_dag_stats(const symbolic::SupernodePartition& part);
 
 /// Fine-grained factorization DAG (structure only, no bodies): task ids
 /// are interleaved per supernode; node.item holds the supernode id and

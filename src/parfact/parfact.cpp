@@ -133,15 +133,6 @@ Report parallel_multifrontal(exec::Comm& machine,
   const TagScheme tags(part, b2d, map.p);
   auto children = ordering::tree_children(part.stree);
 
-  // The SPMD sweep is a lowering of the supernode elimination DAG: every
-  // rank walks the graph's deterministic topological schedule and executes
-  // the tasks whose group it belongs to.  For this child -> parent DAG the
-  // schedule is exactly ascending supernode order, so the walk reproduces
-  // the historical loop byte for byte; the task backend executes the same
-  // graph with dynamic (message-driven) dependencies instead.
-  const exec::TaskGraph sdag = build_supernode_dag(part);
-  const std::vector<exec::TaskId> schedule = sdag.topo_schedule();
-
   // Position of each child's below-rows inside the parent front.
   std::vector<std::vector<index_t>> parent_pos(
       static_cast<std::size_t>(nsup));
@@ -170,10 +161,15 @@ Report parallel_multifrontal(exec::Comm& machine,
     const index_t w = proc.rank();
     auto& fronts = rank_fronts[static_cast<std::size_t>(w)];
 
-    for (const index_t s : schedule) {
+    // The SPMD sweep is a lowering of the supernode elimination DAG
+    // (build_supernode_dag): every rank walks its topological order —
+    // ascending supernode id, since children precede parents — and
+    // executes the tasks whose group it belongs to.  The task backend
+    // runs the same graph with message-driven dependencies instead.
+    for (index_t s = 0; s < nsup; ++s) {
       const exec::Group g = map.group[static_cast<std::size_t>(s)];
       if (!g.contains(w)) continue;
-      exec::note_progress(proc, "fact supernode " + std::to_string(s));
+      exec::note_progress(proc, "fact supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fact.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
@@ -475,7 +471,7 @@ Report parallel_multifrontal(exec::Comm& machine,
 
   Report report;
   report.stats = machine.run(spmd);
-  report.graph = sdag.analyze();
+  report.graph = supernode_dag_stats(part);
   return report;
 }
 

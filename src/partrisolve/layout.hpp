@@ -42,13 +42,13 @@ struct Layout {
     return local_block * b + (pos - blk * b);
   }
 
-  /// Number of positions owned by rank r.
+  /// Number of positions owned by rank r (0 <= r < q): r's blocks are
+  /// r, r+q, ..., all full except the globally last one.
   index_t local_count(index_t r) const {
-    index_t count = 0;
-    for (index_t blk = r; blk < num_blocks(); blk += q) {
-      count += block_end(blk) - block_begin(blk);
-    }
-    return count;
+    const index_t nb = num_blocks();
+    if (r >= nb) return 0;
+    const index_t count = ((nb - 1 - r) / q + 1) * b;
+    return owner_of_block(nb - 1) == r ? count - (nb * b - ns) : count;
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ranges>
 #include <unordered_map>
 
 #include "common/checks.hpp"
@@ -114,6 +115,19 @@ DistributedTrisolver::DistributedTrisolver(
     cr.pairs.erase(std::unique(cr.pairs.begin(), cr.pairs.end()),
                    cr.pairs.end());
   }
+
+  // Ascending per-rank walk lists: the solve DAGs' topological orders
+  // (ascending-schedule lemma, docs/taskdag.md) restricted to each rank.
+  owned_.resize(static_cast<std::size_t>(map_.p));
+  for (index_t s = 0; s < nsup; ++s) {
+    const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
+    for (index_t w = g.base; w < g.base + g.count; ++w) {
+      owned_[static_cast<std::size_t>(w)].push_back(s);
+    }
+  }
+  const SolveDagStats graphs = solve_dag_stats(part);
+  forward_graph_ = graphs.forward;
+  backward_graph_ = graphs.backward;
 }
 
 namespace {
@@ -641,24 +655,18 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
   SPARTS_CHECK(static_cast<index_t>(y_out.size()) == n * m);
 
   PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
-
-  // The SPMD sweep is a lowering of the forward-elimination DAG (edge
-  // c -> s when c's rectangle update feeds rows of s): each rank walks the
-  // graph's deterministic topological schedule — exactly ascending
-  // supernode order for this child -> ancestor graph — and executes the
-  // supernodes its group owns.
-  const exec::TaskGraph fdag = build_forward_dag(part);
-  const std::vector<exec::TaskId> schedule = fdag.topo_schedule();
-
   std::vector<BufferMap> rank_bufs(static_cast<std::size_t>(map_.p));
 
+  // The SPMD sweep is a lowering of the forward-elimination DAG (edge
+  // c -> s when c's rectangle update feeds rows of s): each rank walks
+  // the supernodes its group owns in the graph's topological order,
+  // ascending id.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     BufferMap& bufs = rank_bufs[static_cast<std::size_t>(w)];
-    for (const index_t s : schedule) {
+    for (const index_t s : owned_[static_cast<std::size_t>(w)]) {
       const exec::Group g = map_.group[static_cast<std::size_t>(s)];
-      if (!g.contains(w)) continue;
-      exec::note_progress(proc, "fw supernode " + std::to_string(s));
+      exec::note_progress(proc, "fw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
@@ -735,6 +743,8 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
         const Layout play = layout_of(ctx, parent);
         const exec::Group pg =
             map_.group[static_cast<std::size_t>(parent)];
+        // A child's group lies inside its parent's, so w is in pg.
+        const index_t pnloc = play.local_count(w - pg.base);
         const index_t below = lay.ns - lay.t;
         std::map<index_t, RhsPacket> buckets;
         for (index_t k = 0; k < below; ++k) {
@@ -747,7 +757,6 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
             // Local hand-off: the tail holds -L21*y, so it adds directly
             // into the parent fragment.
             auto& pv = ensure_buffer(ctx, bufs, parent, w - pg.base, b_in, n);
-            const index_t pnloc = play.local_count(w - pg.base);
             const index_t plo = play.local_of(ppos);
             for (index_t c = 0; c < m; ++c) {
               pv[static_cast<std::size_t>(c * pnloc + plo)] +=
@@ -773,7 +782,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
 
   PhaseReport report;
   report.stats = machine.run(spmd);
-  report.graph = fdag.analyze();
+  report.graph = forward_graph_;
   return report;
 }
 
@@ -789,26 +798,20 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
   SPARTS_CHECK(static_cast<index_t>(x_out.size()) == n * m);
 
   PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
-
-  // Backward lowering: the backward DAG is the forward DAG with every edge
-  // reversed, so the reverse of the forward schedule — descending
-  // supernode order — is a valid topological order of it, and the one that
-  // reproduces the historical top-down sweep byte for byte.  (The backward
-  // graph's own smallest-id-first schedule would hoist below-free
-  // supernodes early.)
-  const exec::TaskGraph bdag = build_backward_dag(part);
-  std::vector<exec::TaskId> schedule = build_forward_dag(part).topo_schedule();
-  std::reverse(schedule.begin(), schedule.end());
-
   std::vector<BufferMap> rank_bufs(static_cast<std::size_t>(map_.p));
 
+  // Backward lowering: the backward DAG is the forward DAG with every edge
+  // reversed, so descending supernode id is a topological order of it, and
+  // the one that reproduces the historical top-down sweep byte for byte.
+  // (The backward graph's own smallest-id-first schedule would hoist
+  // below-free supernodes early.)
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     BufferMap& bufs = rank_bufs[static_cast<std::size_t>(w)];
-    for (const index_t s : schedule) {
+    for (const index_t s :
+         std::views::reverse(owned_[static_cast<std::size_t>(w)])) {
       const exec::Group g = map_.group[static_cast<std::size_t>(s)];
-      if (!g.contains(w)) continue;
-      exec::note_progress(proc, "bw supernode " + std::to_string(s));
+      exec::note_progress(proc, "bw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
@@ -878,6 +881,8 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
         const ChildRouting& cr = routing_[static_cast<std::size_t>(c)];
         const Layout clay = layout_of(ctx, c);
         const exec::Group cg = map_.group[static_cast<std::size_t>(c)];
+        const index_t cnloc =
+            cg.contains(w) ? clay.local_count(w - cg.base) : 0;
         std::map<index_t, RhsPacket> buckets;
         const index_t cbelow = clay.ns - clay.t;
         for (index_t k = 0; k < cbelow; ++k) {
@@ -888,7 +893,6 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
           const index_t lo = lay.local_of(ppos);
           if (dst == w) {
             auto& cv = ensure_buffer(ctx, bufs, c, w - cg.base, y_in, n);
-            const index_t cnloc = clay.local_count(w - cg.base);
             const index_t clo = clay.local_of(cpos);
             for (index_t col = 0; col < m; ++col) {
               cv[static_cast<std::size_t>(col * cnloc + clo)] =
@@ -914,7 +918,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
 
   PhaseReport report;
   report.stats = machine.run(spmd);
-  report.graph = bdag.analyze();
+  report.graph = backward_graph_;
   return report;
 }
 

@@ -17,6 +17,8 @@
 //
 // Forward elimination walks the tree bottom-up producing Y (L Y = B);
 // backward substitution walks top-down producing X (L^T X = Y).
+// The solve plan (routing tables, walk order, DAG stats) is built once per
+// solver, so forward()/backward() do only right-hand-side work.
 #pragma once
 
 #include <functional>
@@ -50,8 +52,9 @@ struct Options {
 struct PhaseReport {
   exec::RunStats stats;
   /// Shape of the supernode DAG the phase walked (forward: child ->
-  /// ancestor contribution edges; backward: the same edges reversed).
-  /// See solve_dag.hpp — the task backend executes the same graphs.
+  /// ancestor contribution edges; backward: the same edges reversed),
+  /// computed once per solver.  See solve_dag.hpp — the task backend
+  /// executes the same graphs.
   exec::GraphStats graph;
   double time() const { return stats.parallel_time(); }
 };
@@ -131,6 +134,11 @@ class DistributedTrisolver {
   Options options_;
   std::vector<std::vector<index_t>> children_;  ///< per supernode
   std::vector<ChildRouting> routing_;           ///< per supernode (to parent)
+  /// Per world rank: the supernodes whose group holds it, ascending — the
+  /// forward walk (the backward walk is its reverse).
+  std::vector<std::vector<index_t>> owned_;
+  exec::GraphStats forward_graph_;   ///< see PhaseReport::graph
+  exec::GraphStats backward_graph_;
   /// Prefix sums of pivot-block counts: block_base_[s] is the global id
   /// of supernode s's first pivot block.  Token tags are derived from
   /// global block ids so every in-flight token has a unique tag.

@@ -34,6 +34,16 @@ exec::TaskGraph build_forward_dag(const symbolic::SupernodePartition& part);
 /// Backward-substitution DAG: the forward DAG reversed (kind bwd_solve).
 exec::TaskGraph build_backward_dag(const symbolic::SupernodePartition& part);
 
+struct SolveDagStats {
+  exec::GraphStats forward;   ///< == build_forward_dag(part).analyze()
+  exec::GraphStats backward;  ///< == build_backward_dag(part).analyze()
+};
+
+/// Stats of both solve DAGs by one direct sweep over each supernode's
+/// below rows, without building either graph: O(nsup + below rows), no
+/// labels, no bodies.  DistributedTrisolver computes this once per solver.
+SolveDagStats solve_dag_stats(const symbolic::SupernodePartition& part);
+
 /// What taskdag_solve measured.
 struct TaskSolveReport {
   exec::GraphStats forward;        ///< shape of the forward DAG

@@ -42,6 +42,24 @@ TEST(Layout, CoversEveryPositionExactlyOnce) {
   }
 }
 
+TEST(Layout, LocalCountMatchesOwnerCount) {
+  // The closed form against a position-by-position count, including the
+  // ragged last block and ranks that own no block.
+  for (index_t q = 1; q <= 8; ++q) {
+    for (index_t b = 1; b <= 9; ++b) {
+      for (index_t ns = 0; ns <= 80; ++ns) {
+        const partrisolve::Layout lay{q, b, ns, std::min<index_t>(ns, 5)};
+        for (index_t r = 0; r < q; ++r) {
+          index_t owned = 0;
+          for (index_t i = 0; i < ns; ++i) owned += lay.owner_of(i) == r;
+          ASSERT_EQ(lay.local_count(r), owned)
+              << "q=" << q << " b=" << b << " ns=" << ns << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
 TEST(Layout, LocalOffsetsAreAscendingAndPacked) {
   partrisolve::Layout lay{3, 4, 29, 12};
   for (index_t r = 0; r < 3; ++r) {

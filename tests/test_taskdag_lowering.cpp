@@ -8,6 +8,10 @@
 //   * the coarse/forward DAG schedules are exactly 0..nsup-1 (all edges go
 //     small -> large id), which is what makes walking the schedule
 //     byte-identical to the historical `for s` loops;
+//   * the graph stats the SPMD lowerings cache (DistributedTrisolver,
+//     parallel_multifrontal) equal analyze() of the built graphs, field
+//     for field, and a solver's reused plan carries no state between
+//     solves;
 //   * taskdag_factor == multifrontal_cholesky bit for bit (values and
 //     stats), at every worker count;
 //   * taskdag_solve == trisolve::full_solve bit for bit;
@@ -20,10 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "exec/task_backend.hpp"
+#include "exec/thread_backend.hpp"
+#include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "parfact/factor_dag.hpp"
+#include "parfact/parfact.hpp"
+#include "partrisolve/partrisolve.hpp"
 #include "partrisolve/solve_dag.hpp"
+#include "simpar/machine.hpp"
 #include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
@@ -82,6 +92,93 @@ TEST(TaskDagLowering, CoarseAndForwardSchedulesAreAscending) {
       ASSERT_EQ(static_cast<index_t>(sched.size()), nsup) << family;
       for (index_t s = 0; s < nsup; ++s) {
         ASSERT_EQ(sched[static_cast<std::size_t>(s)], s) << family;
+      }
+    }
+  }
+}
+
+void expect_same_stats(const exec::GraphStats& got,
+                       const exec::GraphStats& want, const std::string& what) {
+  EXPECT_EQ(got.tasks, want.tasks) << what;
+  EXPECT_EQ(got.edges, want.edges) << what;
+  EXPECT_EQ(got.total_cost, want.total_cost) << what;
+  EXPECT_EQ(got.critical_path_cost, want.critical_path_cost) << what;
+  EXPECT_EQ(got.depth, want.depth) << what;
+  EXPECT_EQ(got.max_width, want.max_width) << what;
+  EXPECT_EQ(got.avg_parallelism, want.avg_parallelism) << what;
+  for (std::size_t k = 0; k < std::size(want.kind_counts); ++k) {
+    EXPECT_EQ(got.kind_counts[k], want.kind_counts[k])
+        << what << " kind " << k;
+  }
+}
+
+TEST(TaskDagLowering, CachedGraphStatsMatchAnalyze) {
+  // The SPMD lowerings report their DAG's shape from a direct sweep
+  // computed once per solver / factorization; it must equal analyze() of
+  // the materialized graph exactly.
+  constexpr index_t p = 4;
+  for (const char* family : kFamilies) {
+    const sparse::SymmetricCsc a = ordered(family);
+    const symbolic::SupernodePartition part = partition_of(a);
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+    simpar::Machine::Config cfg;
+    cfg.nprocs = p;
+    simpar::Machine machine(cfg);
+
+    numeric::SupernodalFactor l;
+    const parfact::Report fact =
+        parfact::parallel_multifrontal(machine, a, part, map, l);
+    expect_same_stats(fact.graph,
+                      parfact::build_supernode_dag(part).analyze(),
+                      std::string(family) + " parfact");
+
+    const partrisolve::DistributedTrisolver solver(l, map, {});
+    const index_t n = a.n();
+    Rng rng(3);
+    const std::vector<real_t> b = sparse::random_rhs(n, 1, rng);
+    std::vector<real_t> y(b.size()), x(b.size());
+    expect_same_stats(solver.forward(machine, b, y, 1).graph,
+                      partrisolve::build_forward_dag(part).analyze(),
+                      std::string(family) + " forward");
+    expect_same_stats(solver.backward(machine, y, x, 1).graph,
+                      partrisolve::build_backward_dag(part).analyze(),
+                      std::string(family) + " backward");
+  }
+}
+
+TEST(TaskDagLowering, ReusedSolvePlanMatchesFreshSolverBitwise) {
+  // One solver serves several right-hand-side batches; each x must equal
+  // the x of a solver built just for that batch, on both real backends.
+  for (const char* family : {"grid2d", "grid3d", "random"}) {
+    const sparse::SymmetricCsc a = ordered(family);
+    const symbolic::SupernodePartition part = partition_of(a);
+    const numeric::SupernodalFactor l =
+        numeric::multifrontal_cholesky(a, part);
+    const index_t n = a.n();
+    for (const index_t p : {index_t{1}, index_t{4}}) {
+      const mapping::SubcubeMapping map =
+          mapping::subtree_to_subcube(part, p);
+      exec::ThreadBackend::Config tcfg;
+      tcfg.nprocs = p;
+      exec::ThreadBackend threads(tcfg);
+      exec::TaskBackend::Config kcfg;
+      kcfg.nprocs = p;
+      kcfg.scheduler.workers = 2;
+      exec::TaskBackend tasks(kcfg);
+      for (exec::Comm* comm : {static_cast<exec::Comm*>(&threads),
+                               static_cast<exec::Comm*>(&tasks)}) {
+        const partrisolve::DistributedTrisolver reused(l, map, {});
+        for (const index_t m : {index_t{1}, index_t{3}, index_t{2}}) {
+          Rng rng(static_cast<std::uint64_t>(100 + m));
+          const std::vector<real_t> b = sparse::random_rhs(n, m, rng);
+          std::vector<real_t> x_reused(b.size()), x_fresh(b.size());
+          reused.solve(*comm, b, x_reused, m);
+          const partrisolve::DistributedTrisolver fresh(l, map, {});
+          fresh.solve(*comm, b, x_fresh, m);
+          EXPECT_EQ(x_reused, x_fresh)
+              << family << " p=" << p << " m=" << m
+              << (comm == &threads ? " threads" : " tasks");
+        }
       }
     }
   }
