@@ -158,17 +158,25 @@ class Process {
     send_values<T>(dst, tag, {&value, 1});
   }
 
-  /// Typed helper: receive a vector of trivially copyable values.
+  /// Typed helper: receive trivially copyable values into `out`, reusing
+  /// its capacity (loops that receive one block per step keep one buffer).
   template <typename T>
-  std::vector<T> recv_values(index_t src, int tag) {
+  void recv_values_into(index_t src, int tag, std::vector<T>& out) {
     static_assert(std::is_trivially_copyable_v<T>);
     ReceivedMessage msg = recv(src, tag);
     SPARTS_CHECK(msg.payload.size() % sizeof(T) == 0,
                  "payload size not a multiple of the element size");
-    std::vector<T> out(msg.payload.size() / sizeof(T));
+    out.resize(msg.payload.size() / sizeof(T));
     if (!msg.payload.empty()) {
       std::memcpy(out.data(), msg.payload.data(), msg.payload.size());
     }
+  }
+
+  /// Typed helper: receive a vector of trivially copyable values.
+  template <typename T>
+  std::vector<T> recv_values(index_t src, int tag) {
+    std::vector<T> out;
+    recv_values_into(src, tag, out);
     return out;
   }
 

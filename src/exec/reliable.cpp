@@ -447,10 +447,11 @@ void note_progress(Process& proc, const std::string& note) {
   }
 }
 
-void note_progress(Process& proc, const char* what, index_t id) {
-  if (auto* rp = dynamic_cast<ReliableBackend::ReliableProcess*>(&proc)) {
-    rp->set_note(std::string(what) + " " + std::to_string(id));
-  }
+ProgressNotes::ProgressNotes(Process& proc)
+    : envelope_(dynamic_cast<ReliableBackend::ReliableProcess*>(&proc)) {}
+
+void ProgressNotes::set(const char* what, index_t id) const {
+  envelope_->set_note(std::string(what) + " " + std::to_string(id));
 }
 
 }  // namespace sparts::exec

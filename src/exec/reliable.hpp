@@ -153,9 +153,20 @@ class ReliableBackend final : public Comm {
 /// report can say *where* each rank was.
 void note_progress(Process& proc, const std::string& note);
 
-/// note_progress(proc, "<what> <id>"), e.g. ("fw supernode", 12), building
-/// the string only under the envelope: per-supernode loops call this on
-/// every rank and must not allocate on the plain backends.
-void note_progress(Process& proc, const char* what, index_t id);
+/// note_progress for per-supernode loops: built once per rank body, it
+/// resolves up front whether the rank runs under the envelope, so note()
+/// is a null test on every other backend and builds "<what> <id>" (e.g.
+/// "fw supernode 12") only under the envelope.
+class ProgressNotes {
+ public:
+  explicit ProgressNotes(Process& proc);
+  void note(const char* what, index_t id) const {
+    if (envelope_ != nullptr) set(what, id);
+  }
+
+ private:
+  void set(const char* what, index_t id) const;
+  ReliableBackend::ReliableProcess* envelope_;
+};
 
 }  // namespace sparts::exec

@@ -160,6 +160,7 @@ Report parallel_multifrontal(exec::Comm& machine,
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     auto& fronts = rank_fronts[static_cast<std::size_t>(w)];
+    const exec::ProgressNotes progress(proc);
 
     // The SPMD sweep is a lowering of the supernode elimination DAG
     // (build_supernode_dag): every rank walks its topological order —
@@ -169,7 +170,7 @@ Report parallel_multifrontal(exec::Comm& machine,
     for (index_t s = 0; s < nsup; ++s) {
       const exec::Group g = map.group[static_cast<std::size_t>(s)];
       if (!g.contains(w)) continue;
-      exec::note_progress(proc, "fact supernode", s);
+      progress.note("fact supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fact.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));

@@ -8,19 +8,25 @@ namespace sparts::partrisolve {
 DistributedFactor::DistributedFactor(const symbolic::SupernodePartition& part,
                                      const mapping::SubcubeMapping& map,
                                      index_t block_size)
-    : block_size_(block_size),
-      storage_(static_cast<std::size_t>(map.p)),
-      local_rows_(static_cast<std::size_t>(map.p)) {
+    : block_size_(block_size), slots_(map.participation_slots()) {
   SPARTS_CHECK(block_size >= 1);
-  for (index_t s = 0; s < part.num_supernodes(); ++s) {
+  const index_t nsup = part.num_supernodes();
+  SPARTS_CHECK(static_cast<index_t>(map.group.size()) == nsup,
+               "mapping must cover all " << nsup << " supernodes");
+  const auto total = static_cast<std::size_t>(slots_.back());
+  group_base_.resize(static_cast<std::size_t>(nsup));
+  blocks_.resize(total);
+  local_rows_.resize(total);
+  for (index_t s = 0; s < nsup; ++s) {
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
+    group_base_[static_cast<std::size_t>(s)] = g.base;
     const Layout lay{g.count, block_size, part.height(s), part.width(s)};
     for (index_t r = 0; r < g.count; ++r) {
-      const index_t w = g.world(r);
+      const auto k =
+          static_cast<std::size_t>(slots_[static_cast<std::size_t>(s)] + r);
       const index_t nloc = lay.local_count(r);
-      local_rows_[static_cast<std::size_t>(w)][s] = nloc;
-      storage_[static_cast<std::size_t>(w)][s].assign(
-          static_cast<std::size_t>(nloc * part.width(s)), 0.0);
+      local_rows_[k] = nloc;
+      blocks_[k].assign(static_cast<std::size_t>(nloc * part.width(s)), 0.0);
     }
   }
 }
@@ -52,32 +58,35 @@ DistributedFactor DistributedFactor::pack_from(
   return df;
 }
 
+index_t DistributedFactor::slot_of(index_t rank, index_t s) const {
+  if (s < 0 || s >= static_cast<index_t>(group_base_.size())) return -1;
+  const auto su = static_cast<std::size_t>(s);
+  const index_t r = rank - group_base_[su];
+  if (r < 0 || r >= slots_[su + 1] - slots_[su]) return -1;
+  return slots_[su] + r;
+}
+
+index_t DistributedFactor::checked_slot(index_t rank, index_t s) const {
+  const index_t k = slot_of(rank, s);
+  SPARTS_CHECK(k >= 0, "rank " << rank << " holds no block of supernode " << s);
+  return k;
+}
+
 PanelVector& DistributedFactor::local_block(index_t rank, index_t s) {
-  auto& m = storage_[static_cast<std::size_t>(rank)];
-  auto it = m.find(s);
-  SPARTS_CHECK(it != m.end(),
-               "rank " << rank << " holds no block of supernode " << s);
-  return it->second;
+  return blocks_[static_cast<std::size_t>(checked_slot(rank, s))];
 }
 
 const PanelVector& DistributedFactor::local_block(index_t rank,
-                                                          index_t s) const {
-  const auto& m = storage_[static_cast<std::size_t>(rank)];
-  auto it = m.find(s);
-  SPARTS_CHECK(it != m.end(),
-               "rank " << rank << " holds no block of supernode " << s);
-  return it->second;
+                                                  index_t s) const {
+  return blocks_[static_cast<std::size_t>(checked_slot(rank, s))];
 }
 
 bool DistributedFactor::has_block(index_t rank, index_t s) const {
-  return storage_[static_cast<std::size_t>(rank)].count(s) > 0;
+  return slot_of(rank, s) >= 0;
 }
 
 index_t DistributedFactor::local_rows(index_t rank, index_t s) const {
-  const auto& m = local_rows_[static_cast<std::size_t>(rank)];
-  auto it = m.find(s);
-  SPARTS_CHECK(it != m.end());
-  return it->second;
+  return local_rows_[static_cast<std::size_t>(checked_slot(rank, s))];
 }
 
 }  // namespace sparts::partrisolve

@@ -10,7 +10,6 @@
 // simulated network.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -52,10 +51,18 @@ class DistributedFactor {
   index_t local_rows(index_t rank, index_t s) const;
 
  private:
+  /// Participation slot of (world rank, supernode), or -1 when the rank
+  /// holds no block of s.
+  index_t slot_of(index_t rank, index_t s) const;
+  index_t checked_slot(index_t rank, index_t s) const;
+
   index_t block_size_ = 8;
-  /// per world rank: supernode -> packed values.
-  std::vector<std::unordered_map<index_t, PanelVector>> storage_;
-  std::vector<std::unordered_map<index_t, index_t>> local_rows_;
+  /// SubcubeMapping::participation_slots(): rank w's block of supernode s
+  /// is slot slots_[s] + (w - group_base_[s]), an O(1) lookup.
+  std::vector<index_t> slots_;
+  std::vector<index_t> group_base_;   ///< per supernode
+  std::vector<PanelVector> blocks_;   ///< per slot: packed values
+  std::vector<index_t> local_rows_;   ///< per slot
 };
 
 }  // namespace sparts::partrisolve

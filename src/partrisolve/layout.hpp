@@ -8,6 +8,8 @@
 // block can be ragged, the packed offset of a position is O(1).
 #pragma once
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -25,7 +27,12 @@ struct Layout {
 
   index_t block_of(index_t pos) const { return pos / b; }
   index_t owner_of_block(index_t blk) const { return blk % q; }
-  index_t owner_of(index_t pos) const { return owner_of_block(pos / b); }
+  /// A single-rank group (every supernode of a subcube-local subtree) owns
+  /// every position at its own offset, so owner_of/local_of skip the
+  /// divisions there.
+  index_t owner_of(index_t pos) const {
+    return q == 1 ? 0 : owner_of_block(pos / b);
+  }
 
   /// Rows of block `blk`: [block_begin, block_end).
   index_t block_begin(index_t blk) const { return blk * b; }
@@ -37,6 +44,7 @@ struct Layout {
 
   /// Packed local offset of position `pos` on its owner.
   index_t local_of(index_t pos) const {
+    if (q == 1) return pos;
     const index_t blk = pos / b;
     const index_t local_block = blk / q;
     return local_block * b + (pos - blk * b);
@@ -49,6 +57,19 @@ struct Layout {
     if (r >= nb) return 0;
     const index_t count = ((nb - 1 - r) / q + 1) * b;
     return owner_of_block(nb - 1) == r ? count - (nb * b - ns) : count;
+  }
+
+  /// Call f(begin, end) for every run of positions in [lo, hi) (hi <= ns)
+  /// that rank r owns, ascending: one run per owned block, so packed
+  /// offsets are contiguous within a run.
+  template <typename F>
+  void for_owned_runs(index_t r, index_t lo, index_t hi, F&& f) const {
+    if (lo >= hi) return;
+    const index_t first = lo / b;
+    for (index_t blk = first + ((r - first) % q + q) % q; blk * b < hi;
+         blk += q) {
+      f(std::max(blk * b, lo), std::min((blk + 1) * b, hi));
+    }
   }
 };
 

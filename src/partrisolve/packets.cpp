@@ -25,6 +25,11 @@ exec::Payload pack_rhs(const RhsPacket& p, index_t m) {
 
 RhsPacket unpack_rhs(std::span<const std::byte> bytes, index_t m) {
   RhsPacket p;
+  unpack_rhs(bytes, m, p);
+  return p;
+}
+
+void unpack_rhs(std::span<const std::byte> bytes, index_t m, RhsPacket& p) {
   std::size_t off = 0;
   auto get = [&](void* dst, std::size_t len) {
     SPARTS_CHECK(off + len <= bytes.size(), "truncated RHS packet");
@@ -38,7 +43,6 @@ RhsPacket unpack_rhs(std::span<const std::byte> bytes, index_t m) {
   get(p.positions.data(), p.positions.size() * sizeof(index_t));
   get(p.values.data(), p.values.size() * sizeof(real_t));
   SPARTS_CHECK(off == bytes.size(), "trailing bytes in RHS packet");
-  return p;
 }
 
 }  // namespace sparts::partrisolve

@@ -23,6 +23,9 @@ struct RhsPacket {
 /// ride the zero-copy lane.
 exec::Payload pack_rhs(const RhsPacket& p, index_t m);
 
+/// Inverse of pack_rhs into `out`, reusing its capacity.
+void unpack_rhs(std::span<const std::byte> bytes, index_t m, RhsPacket& out);
+
 /// Inverse of pack_rhs.
 RhsPacket unpack_rhs(std::span<const std::byte> bytes, index_t m);
 

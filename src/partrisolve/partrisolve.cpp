@@ -1,9 +1,7 @@
 #include "partrisolve/partrisolve.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ranges>
-#include <unordered_map>
 
 #include "common/checks.hpp"
 #include "common/error.hpp"
@@ -13,6 +11,7 @@
 #include "obs/span.hpp"
 #include "mapping/block_cyclic.hpp"
 #include "ordering/etree.hpp"
+#include "partrisolve/fragment_stack.hpp"
 #include "partrisolve/layout.hpp"
 #include "partrisolve/packets.hpp"
 #include "partrisolve/solve_dag.hpp"
@@ -32,9 +31,6 @@ namespace {
 // the four streams disjoint.
 int tag_fw_contrib(index_t s) { return static_cast<int>(4 * s + 0); }
 int tag_bw_copy(index_t s) { return static_cast<int>(4 * s + 2); }
-
-/// Per-rank working storage: supernode id -> packed local RHS fragment.
-using BufferMap = std::unordered_map<index_t, std::vector<real_t>>;
 
 }  // namespace
 
@@ -94,16 +90,27 @@ DistributedTrisolver::DistributedTrisolver(
 
     ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
     cr.parent_pos.resize(static_cast<std::size_t>(below));
+    // The below rows are ascending and a subset of the parent's rows, so
+    // their positions ascend too: gallop forward from the previous match
+    // (usually the very next parent row).
+    auto from = prows.begin();
     for (index_t k = 0; k < below; ++k) {
       const index_t row = rows[static_cast<std::size_t>(t + k)];
-      const auto it = std::lower_bound(prows.begin(), prows.end(), row);
+      std::ptrdiff_t step = 1;
+      while (step < prows.end() - from && from[step] < row) step *= 2;
+      const auto it = std::lower_bound(
+          from + step / 2, from + std::min(step + 1, prows.end() - from), row);
       SPARTS_CHECK(it != prows.end() && *it == row,
                    "child row " << row << " missing from parent structure");
       cr.parent_pos[static_cast<std::size_t>(k)] =
           static_cast<index_t>(it - prows.begin());
+      from = it + 1;
     }
     const index_t cbase = map_.group[static_cast<std::size_t>(s)].base;
     const index_t pbase = map_.group[static_cast<std::size_t>(parent)].base;
+    // Both on one rank (the common case, in the subcube-local subtrees):
+    // the child's group lies inside its parent's, so nothing moves.
+    if (child_layout.q == 1 && parent_layout.q == 1) continue;
     for (index_t k = 0; k < below; ++k) {
       const index_t src = cbase + child_layout.owner_of(t + k);
       const index_t dst =
@@ -125,9 +132,74 @@ DistributedTrisolver::DistributedTrisolver(
       owned_[static_cast<std::size_t>(w)].push_back(s);
     }
   }
+  plan_fragment_stacks();
   const SolveDagStats graphs = solve_dag_stats(part);
   forward_graph_ = graphs.forward;
   backward_graph_ = graphs.backward;
+}
+
+void DistributedTrisolver::plan_fragment_stacks() {
+  // A fragment is live from its fill to the end of its supernode's visit.
+  // Forward: a supernode's fragment is filled at its visit unless an
+  // owned child hands its tail off into it first — then the lowest owned
+  // child fills it as it finishes.  Backward: a root's fragment is filled
+  // at its visit, every other one by its parent's visit (which copies the
+  // parent's values into it); each rank's parent is always owned too,
+  // because a child's group lies inside its parent's.
+  const auto& part = factor_.partition();
+  slot_begin_ = map_.participation_slots();
+  fragments_.assign(static_cast<std::size_t>(slot_begin_.back()), {});
+  stack_rows_.assign(static_cast<std::size_t>(map_.p), {});
+  // Every slot belongs to exactly one rank, so one handle table serves
+  // all ranks' replays.
+  constexpr auto kNone = static_cast<FragmentStackPlanner::Handle>(-1);
+  std::vector<FragmentStackPlanner::Handle> handle(fragments_.size(), kNone);
+  auto open = [&](FragmentStackPlanner& stack, index_t s, index_t w,
+                  index_t FragmentSlot::*offset) {
+    const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
+    const Layout lay{g.count, options_.block_size, part.height(s),
+                     part.width(s)};
+    const std::size_t k = slot(s, w);
+    handle[k] = stack.open(lay.local_count(w - g.base));
+    fragments_[k].*offset = stack.offset(handle[k]);
+  };
+
+  for (index_t w = 0; w < map_.p; ++w) {
+    const auto& walk = owned_[static_cast<std::size_t>(w)];
+    FragmentStackPlanner fw;
+    for (const index_t s : walk) {
+      const std::size_t k = slot(s, w);
+      if (handle[k] == kNone) open(fw, s, w, &FragmentSlot::fw_offset);
+      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+      if (parent != -1 && handle[slot(parent, w)] == kNone) {
+        open(fw, parent, w, &FragmentSlot::fw_offset);
+        fragments_[slot(parent, w)].fw_filled_by_child = true;
+        fragments_[k].fw_fills_parent = true;
+      }
+      fw.close(handle[k]);
+    }
+    for (const index_t s : walk) handle[slot(s, w)] = kNone;
+
+    FragmentStackPlanner bw;
+    for (const index_t s : std::views::reverse(walk)) {
+      if (part.stree.parent[static_cast<std::size_t>(s)] == -1) {
+        open(bw, s, w, &FragmentSlot::bw_offset);
+      }
+      for (const index_t c : children_[static_cast<std::size_t>(s)]) {
+        if (map_.group[static_cast<std::size_t>(c)].contains(w)) {
+          open(bw, c, w, &FragmentSlot::bw_offset);
+        }
+      }
+      bw.close(handle[slot(s, w)]);
+    }
+    stack_rows_[static_cast<std::size_t>(w)] = {fw.peak(), bw.peak()};
+  }
+}
+
+DistributedTrisolver::FragmentStackRows
+DistributedTrisolver::fragment_stack_rows(index_t rank) const {
+  SPARTS_CHECK(rank >= 0 && rank < map_.p, "rank " << rank << " out of range");
+  return stack_rows_[static_cast<std::size_t>(rank)];
 }
 
 namespace {
@@ -139,6 +211,30 @@ struct PhaseContext {
   const Options& options;
   const std::vector<std::vector<index_t>>& children;
   const std::vector<index_t>& block_base;  ///< global id of first pivot block
+  index_t m;
+};
+
+/// One rank's working memory for a phase, allocated once per phase by the
+/// rank itself: the fragment stack (every right-hand-side fragment of the
+/// sweep, at the offsets the plan assigned), outgoing packets by
+/// group-relative destination, and reusable receive and token buffers.
+/// Their capacities grow to the largest supernode and then stay, so the
+/// supernode loop allocates nothing but the payloads it sends.
+struct RankScratch {
+  RankScratch(index_t stack_rows, index_t nrhs, index_t p)
+      : stack(static_cast<std::size_t>(stack_rows * nrhs)),
+        out(static_cast<std::size_t>(p)),
+        m(nrhs) {}
+
+  /// The fragment at row offset `rows` of the stack (nloc x m, ld nloc).
+  real_t* fragment(index_t rows) { return stack.data() + rows * m; }
+
+  PanelVector stack;
+  std::vector<RhsPacket> out;
+  RhsPacket in;
+  std::vector<real_t> token;
+  std::vector<real_t> acc;
+  std::vector<std::vector<real_t>> tokens;  ///< row-priority token stream
   index_t m;
 };
 
@@ -213,11 +309,24 @@ void fw_apply_token_to_my_blocks(exec::Process& proc, const PhaseContext& ctx,
   }
 }
 
+/// Copy the solved diagonal-block rows [lo, lo + bk) of V into `token`
+/// (bk x m, ld bk).
+void pack_token(exec::Process& proc, const real_t* v, index_t ldv, index_t lo,
+                index_t bk, index_t m, std::vector<real_t>& token) {
+  token.resize(static_cast<std::size_t>(bk * m));
+  for (index_t c = 0; c < m; ++c) {
+    for (index_t i = 0; i < bk; ++i) {
+      token[static_cast<std::size_t>(c * bk + i)] = v[c * ldv + lo + i];
+    }
+  }
+  proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
+}
+
 /// Column-priority pipelined forward elimination (paper Fig. 3c).
 void fw_pipelined_column_priority(exec::Process& proc, const PhaseContext& ctx,
                                   index_t s, const Layout& lay, index_t r,
-                                  const LView& lv, real_t* v,
-                                  index_t ldv) {
+                                  const LView& lv, real_t* v, index_t ldv,
+                                  std::vector<real_t>& token) {
   const index_t q = lay.q;
   const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   const index_t next = g.base + (r + 1) % q;
@@ -233,20 +342,13 @@ void fw_pipelined_column_priority(exec::Process& proc, const PhaseContext& ctx,
     const index_t c0 = lay.col_begin(k);
     const index_t c1 = lay.col_end(k);
     const index_t bk = c1 - c0;
-    std::vector<real_t> token;
     if (r == owner) {
       // The diagonal block's rows of V are fully updated; solve.
       const index_t lo = lay.local_of(c0);
       proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
                           bk, m, lv.col(c0) + lv.row(c0), lv.ld, v + lo, ldv)),
                       proc.cost().panel_flop(m));
-      token.resize(static_cast<std::size_t>(bk * m));
-      for (index_t c = 0; c < m; ++c) {
-        for (index_t i = 0; i < bk; ++i) {
-          token[static_cast<std::size_t>(c * bk + i)] = v[c * ldv + lo + i];
-        }
-      }
-      proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
+      pack_token(proc, v, ldv, lo, bk, m, token);
       if (q > 1) {
         proc.send_values<real_t>(next, tag_fw_token(ctx, s, k), token);
       }
@@ -262,7 +364,7 @@ void fw_pipelined_column_priority(exec::Process& proc, const PhaseContext& ctx,
                         proc.cost().panel_flop(m));
       }
     } else {
-      token = proc.recv_values<real_t>(prev, tag_fw_token(ctx, s, k));
+      proc.recv_values_into(prev, tag_fw_token(ctx, s, k), token);
       check_finite_cheap(token, "fw token", s);
       if ((r + 1) % q != owner) {
         proc.send_values<real_t>(next, tag_fw_token(ctx, s, k), token);
@@ -277,8 +379,8 @@ void fw_pipelined_column_priority(exec::Process& proc, const PhaseContext& ctx,
 /// walks its own block rows in ascending order, buffering tokens.
 void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
                                index_t s, const Layout& lay, index_t r,
-                               const LView& lv, real_t* v,
-                               index_t ldv) {
+                               const LView& lv, real_t* v, index_t ldv,
+                               std::vector<std::vector<real_t>>& tokens) {
   const index_t q = lay.q;
   const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   const index_t next = g.base + (r + 1) % q;
@@ -286,7 +388,12 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
   const index_t tb = lay.num_pivot_blocks();
   const index_t m = ctx.m;
 
-  std::vector<std::vector<real_t>> tokens(static_cast<std::size_t>(tb));
+  // An empty token is one not obtained yet; clear() keeps each buffer's
+  // capacity for the next supernode.
+  if (tokens.size() < static_cast<std::size_t>(tb)) {
+    tokens.resize(static_cast<std::size_t>(tb));
+  }
+  for (index_t k = 0; k < tb; ++k) tokens[static_cast<std::size_t>(k)].clear();
   index_t next_foreign = 0;
   auto advance_foreign = [&] {
     while (next_foreign < tb && lay.owner_of_block(next_foreign) == r) {
@@ -294,21 +401,23 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
     }
   };
   advance_foreign();
+  // Receive the next foreign token off the ring and pass it on.
+  auto receive_next = [&] {
+    auto& tok = tokens[static_cast<std::size_t>(next_foreign)];
+    proc.recv_values_into(prev, tag_fw_token(ctx, s, next_foreign), tok);
+    check_finite_cheap(tok, "fw token", s);
+    if ((r + 1) % q != lay.owner_of_block(next_foreign)) {
+      proc.send_values<real_t>(next, tag_fw_token(ctx, s, next_foreign), tok);
+    }
+    ++next_foreign;
+    advance_foreign();
+  };
   auto obtain = [&](index_t k) -> const std::vector<real_t>& {
     // Foreign tokens arrive in ascending order over the ring; my own were
     // produced when I processed their diagonal block.
     while (tokens[static_cast<std::size_t>(k)].empty()) {
       SPARTS_CHECK(next_foreign <= k, "token ordering violated");
-      auto tok =
-          proc.recv_values<real_t>(prev, tag_fw_token(ctx, s, next_foreign));
-      check_finite_cheap(tok, "fw token", s);
-      if ((r + 1) % q != lay.owner_of_block(next_foreign)) {
-        proc.send_values<real_t>(next, tag_fw_token(ctx, s, next_foreign),
-                                 tok);
-      }
-      tokens[static_cast<std::size_t>(next_foreign)] = std::move(tok);
-      ++next_foreign;
-      advance_foreign();
+      receive_next();
     }
     return tokens[static_cast<std::size_t>(k)];
   };
@@ -338,35 +447,20 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
       proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
                           bk, m, lv.col(i0) + lv.row(i0), lv.ld, v + lo, ldv)),
                       proc.cost().panel_flop(m));
-      std::vector<real_t> token(static_cast<std::size_t>(bk * m));
-      for (index_t c = 0; c < m; ++c) {
-        for (index_t ii = 0; ii < bk; ++ii) {
-          token[static_cast<std::size_t>(c * bk + ii)] = v[c * ldv + lo + ii];
-        }
-      }
-      proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
+      auto& token = tokens[static_cast<std::size_t>(i)];
+      pack_token(proc, v, ldv, lo, bk, m, token);
       if (q > 1) proc.send_values<real_t>(next, tag_fw_token(ctx, s, i), token);
       if (i1 > c1) {
         // Mixed tail rows of this block need my fresh token as well.
         apply(i, c1, i1 - c1, token);
       }
-      tokens[static_cast<std::size_t>(i)] = std::move(token);
     } else {
       for (index_t k = 0; k < tb; ++k) apply(k, i0, i1 - i0, obtain(k));
     }
   }
   // Drain tokens this rank never needed locally (it must still forward
   // them so downstream ranks receive the full stream).
-  while (next_foreign < tb) {
-    auto tok =
-        proc.recv_values<real_t>(prev, tag_fw_token(ctx, s, next_foreign));
-    if ((r + 1) % q != lay.owner_of_block(next_foreign)) {
-      proc.send_values<real_t>(next, tag_fw_token(ctx, s, next_foreign), tok);
-    }
-    tokens[static_cast<std::size_t>(next_foreign)] = std::move(tok);
-    ++next_foreign;
-    advance_foreign();
-  }
+  while (next_foreign < tb) receive_next();
 }
 
 /// Fan-out (non-pipelined) forward elimination: the owner of each pivot
@@ -375,7 +469,7 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
 /// the paper's ring pipeline improves on.
 void fw_fan_out(exec::Process& proc, const PhaseContext& ctx, index_t s,
                 const Layout& lay, index_t r, const LView& lv,
-                real_t* v, index_t ldv) {
+                real_t* v, index_t ldv, std::vector<real_t>& token) {
   const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   const index_t tb = lay.num_pivot_blocks();
   const index_t m = ctx.m;
@@ -388,19 +482,13 @@ void fw_fan_out(exec::Process& proc, const PhaseContext& ctx, index_t s,
     const index_t c0 = lay.col_begin(k);
     const index_t c1 = lay.col_end(k);
     const index_t bk = c1 - c0;
-    std::vector<real_t> token;
+    token.clear();  // non-owners receive it in the broadcast
     if (r == owner) {
       const index_t lo = lay.local_of(c0);
       proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
                           bk, m, lv.col(c0) + lv.row(c0), lv.ld, v + lo, ldv)),
                       proc.cost().panel_flop(m));
-      token.resize(static_cast<std::size_t>(bk * m));
-      for (index_t c = 0; c < m; ++c) {
-        for (index_t i = 0; i < bk; ++i) {
-          token[static_cast<std::size_t>(c * bk + i)] = v[c * ldv + lo + i];
-        }
-      }
-      proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
+      pack_token(proc, v, ldv, lo, bk, m, token);
       const index_t tail0 = c1;
       const index_t tail1 = lay.block_end(k);
       if (tail1 > tail0) {
@@ -421,9 +509,73 @@ void fw_fan_out(exec::Process& proc, const PhaseContext& ctx, index_t s,
 // Backward substitution kernel on one shared supernode (paper Fig. 4).
 // ---------------------------------------------------------------------------
 
+/// acc <- sum over rank r's block rows strictly below pivot block K (and,
+/// on K's owner, the mixed tail rows of block K) of L(I, K)^T * w_I.
+void bw_local_partial_sum(exec::Process& proc, const PhaseContext& ctx,
+                          const Layout& lay, index_t r, const LView& lv,
+                          index_t k, const real_t* w, index_t ldw,
+                          std::vector<real_t>& acc) {
+  const index_t q = lay.q;
+  const index_t m = ctx.m;
+  const index_t c0 = lay.col_begin(k);
+  const index_t c1 = lay.col_end(k);
+  const index_t bk = c1 - c0;
+  acc.assign(static_cast<std::size_t>(bk * m), 0.0);
+  for (index_t i = first_owned_block_after(k, r, q); i < lay.num_blocks();
+       i += q) {
+    const index_t i0 = lay.block_begin(i);
+    const index_t len = lay.block_end(i) - i0;
+    // Warm the next owned block's L panel (q-strided walk, see the
+    // forward sweep).
+    const index_t inext = i + q;
+    if (inext < lay.num_blocks()) {
+      common::prefetch_panel(
+          lv.col(c0) + lv.row(lay.block_begin(inext)),
+          static_cast<std::size_t>(lay.block_end(inext) -
+                                   lay.block_begin(inext)) *
+              sizeof(real_t));
+    }
+    dense::panel_gemm_at(bk, m, len, 1.0, lv.col(c0) + lv.row(i0), lv.ld,
+                         w + lay.local_of(i0), ldw, acc.data(), bk);
+    proc.compute_at(static_cast<double>(dense::gemm_flops(bk, m, len)),
+                    proc.cost().panel_flop(m));
+  }
+  if (r == lay.owner_of_block(k) && lay.block_end(k) > c1) {
+    // Mixed tail rows of block K (below-part rows in the pivot block).
+    const index_t len = lay.block_end(k) - c1;
+    dense::panel_gemm_at(bk, m, len, 1.0, lv.col(c0) + lv.row(c1), lv.ld,
+                         w + lay.local_of(c1), ldw, acc.data(), bk);
+    proc.compute_at(static_cast<double>(dense::gemm_flops(bk, m, len)),
+                    proc.cost().panel_flop(m));
+  }
+}
+
+/// On K's owner, once acc holds the whole group's sum:
+/// w_K <- L(K,K)^{-T} (w_K - acc).
+void bw_solve_pivot_block(exec::Process& proc, const PhaseContext& ctx,
+                          const Layout& lay, const LView& lv, index_t k,
+                          real_t* w, index_t ldw,
+                          const std::vector<real_t>& acc) {
+  const index_t m = ctx.m;
+  const index_t c0 = lay.col_begin(k);
+  const index_t bk = lay.col_end(k) - c0;
+  const index_t lo = lay.local_of(c0);
+  for (index_t c = 0; c < m; ++c) {
+    for (index_t i = 0; i < bk; ++i) {
+      w[c * ldw + lo + i] -= acc[static_cast<std::size_t>(c * bk + i)];
+    }
+  }
+  proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
+  proc.compute_at(
+      static_cast<double>(dense::panel_trsm_lower_transposed(
+          bk, m, lv.col(c0) + lv.row(c0), lv.ld, w + lo, ldw)),
+      proc.cost().panel_flop(m));
+}
+
 void bw_pipelined(exec::Process& proc, const PhaseContext& ctx, index_t s,
                   const Layout& lay, index_t r, const LView& lv,
-                  real_t* w, index_t ldw) {
+                  real_t* w, index_t ldw, std::vector<real_t>& acc,
+                  std::vector<real_t>& in) {
   const index_t q = lay.q;
   const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   // The partial-sum token for column K travels the ring in the -1
@@ -438,79 +590,29 @@ void bw_pipelined(exec::Process& proc, const PhaseContext& ctx, index_t s,
   const index_t next = g.base + (r + q - 1) % q;
   const index_t prev = g.base + (r + 1) % q;
   const index_t tb = lay.num_pivot_blocks();
-  const index_t m = ctx.m;
+
+  auto add_incoming = [&](index_t k) {
+    proc.recv_values_into(prev, tag_bw_token(ctx, s, k), in);
+    check_finite_cheap(in, "bw token", s);
+    SPARTS_CHECK(in.size() == acc.size());
+    for (std::size_t z = 0; z < acc.size(); ++z) acc[z] += in[z];
+    proc.compute_at(static_cast<double>(acc.size()), proc.cost().t_mem);
+  };
 
   for (index_t k = tb - 1; k >= 0; --k) {
     SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.block",
                       static_cast<std::int64_t>(k),
                       static_cast<std::int64_t>(s));
     const index_t owner = lay.owner_of_block(k);
-    const index_t c0 = lay.col_begin(k);
-    const index_t c1 = lay.col_end(k);
-    const index_t bk = c1 - c0;
-
-    // Local partial sum: L(I, K)^T * w_I over my block rows below K.
-    std::vector<real_t> acc(static_cast<std::size_t>(bk * m), 0.0);
-    for (index_t i = first_owned_block_after(k, r, q); i < lay.num_blocks();
-         i += q) {
-      const index_t i0 = lay.block_begin(i);
-      const index_t len = lay.block_end(i) - i0;
-      // Warm the next owned block's L panel (q-strided walk, see the
-      // forward sweep).
-      const index_t inext = i + q;
-      if (inext < lay.num_blocks()) {
-        common::prefetch_panel(
-            lv.col(c0) + lv.row(lay.block_begin(inext)),
-            static_cast<std::size_t>(lay.block_end(inext) -
-                                     lay.block_begin(inext)) *
-                sizeof(real_t));
-      }
-      dense::panel_gemm_at(bk, m, len, 1.0, lv.col(c0) + lv.row(i0), lv.ld,
-                           w + lay.local_of(i0), ldw, acc.data(), bk);
-      proc.compute_at(static_cast<double>(dense::gemm_flops(bk, m, len)),
-                      proc.cost().panel_flop(m));
-    }
-    if (r == owner && lay.block_end(k) > c1) {
-      // Mixed tail rows of block K (below-part rows in the pivot block).
-      const index_t len = lay.block_end(k) - c1;
-      dense::panel_gemm_at(bk, m, len, 1.0, lv.col(c0) + lv.row(c1), lv.ld,
-                           w + lay.local_of(c1), ldw, acc.data(), bk);
-      proc.compute_at(static_cast<double>(dense::gemm_flops(bk, m, len)),
-                      proc.cost().panel_flop(m));
-    }
+    bw_local_partial_sum(proc, ctx, lay, r, lv, k, w, ldw, acc);
 
     const index_t chain_pos = ((k - 1 - r) % q + q) % q;
     if (r != owner) {
-      if (chain_pos != 0) {
-        auto in = proc.recv_values<real_t>(prev, tag_bw_token(ctx, s, k));
-        check_finite_cheap(in, "bw token", s);
-        SPARTS_CHECK(in.size() == acc.size());
-        for (std::size_t z = 0; z < acc.size(); ++z) acc[z] += in[z];
-        proc.compute_at(static_cast<double>(acc.size()),
-                        proc.cost().t_mem);
-      }
+      if (chain_pos != 0) add_incoming(k);
       proc.send_values<real_t>(next, tag_bw_token(ctx, s, k), acc);
     } else {
-      if (q > 1) {
-        auto in = proc.recv_values<real_t>(prev, tag_bw_token(ctx, s, k));
-        check_finite_cheap(in, "bw token", s);
-        SPARTS_CHECK(in.size() == acc.size());
-        for (std::size_t z = 0; z < acc.size(); ++z) acc[z] += in[z];
-        proc.compute_at(static_cast<double>(acc.size()),
-                        proc.cost().t_mem);
-      }
-      // w_K <- L(K,K)^{-T} (w_K - acc).
-      const index_t lo = lay.local_of(c0);
-      for (index_t c = 0; c < m; ++c) {
-        for (index_t i = 0; i < bk; ++i) {
-          w[c * ldw + lo + i] -= acc[static_cast<std::size_t>(c * bk + i)];
-        }
-      }
-      proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
-      proc.compute_at(
-          static_cast<double>(dense::panel_trsm_lower_transposed(
-              bk, m, lv.col(c0) + lv.row(c0), lv.ld, w + lo, ldw)),
-          proc.cost().panel_flop(m));
+      if (q > 1) add_incoming(k);
+      bw_solve_pivot_block(proc, ctx, lay, lv, k, w, ldw, acc);
     }
   }
 }
@@ -520,62 +622,18 @@ void bw_pipelined(exec::Process& proc, const PhaseContext& ctx, index_t s,
 /// of flowing along the ring.
 void bw_fan_in(exec::Process& proc, const PhaseContext& ctx, index_t s,
                const Layout& lay, index_t r, const LView& lv,
-               real_t* w, index_t ldw) {
-  const index_t q = lay.q;
+               real_t* w, index_t ldw, std::vector<real_t>& acc) {
   const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   const index_t tb = lay.num_pivot_blocks();
-  const index_t m = ctx.m;
 
   for (index_t k = tb - 1; k >= 0; --k) {
     SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.block",
                       static_cast<std::int64_t>(k),
                       static_cast<std::int64_t>(s));
     const index_t owner = lay.owner_of_block(k);
-    const index_t c0 = lay.col_begin(k);
-    const index_t c1 = lay.col_end(k);
-    const index_t bk = c1 - c0;
-
-    std::vector<real_t> acc(static_cast<std::size_t>(bk * m), 0.0);
-    for (index_t i = first_owned_block_after(k, r, q); i < lay.num_blocks();
-         i += q) {
-      const index_t i0 = lay.block_begin(i);
-      const index_t len = lay.block_end(i) - i0;
-      // Warm the next owned block's L panel (q-strided walk, see the
-      // forward sweep).
-      const index_t inext = i + q;
-      if (inext < lay.num_blocks()) {
-        common::prefetch_panel(
-            lv.col(c0) + lv.row(lay.block_begin(inext)),
-            static_cast<std::size_t>(lay.block_end(inext) -
-                                     lay.block_begin(inext)) *
-                sizeof(real_t));
-      }
-      dense::panel_gemm_at(bk, m, len, 1.0, lv.col(c0) + lv.row(i0), lv.ld,
-                           w + lay.local_of(i0), ldw, acc.data(), bk);
-      proc.compute_at(static_cast<double>(dense::gemm_flops(bk, m, len)),
-                      proc.cost().panel_flop(m));
-    }
-    if (r == owner && lay.block_end(k) > c1) {
-      const index_t len = lay.block_end(k) - c1;
-      dense::panel_gemm_at(bk, m, len, 1.0, lv.col(c0) + lv.row(c1), lv.ld,
-                           w + lay.local_of(c1), ldw, acc.data(), bk);
-      proc.compute_at(static_cast<double>(dense::gemm_flops(bk, m, len)),
-                      proc.cost().panel_flop(m));
-    }
+    bw_local_partial_sum(proc, ctx, lay, r, lv, k, w, ldw, acc);
     exec::reduce_sum_to(proc, g, owner, acc, tag_bw_token(ctx, s, k));
-    if (r == owner) {
-      const index_t lo = lay.local_of(c0);
-      for (index_t c = 0; c < m; ++c) {
-        for (index_t i = 0; i < bk; ++i) {
-          w[c * ldw + lo + i] -= acc[static_cast<std::size_t>(c * bk + i)];
-        }
-      }
-      proc.compute_at(static_cast<double>(bk * m), proc.cost().t_mem);
-      proc.compute_at(
-          static_cast<double>(dense::panel_trsm_lower_transposed(
-              bk, m, lv.col(c0) + lv.row(c0), lv.ld, w + lo, ldw)),
-          proc.cost().panel_flop(m));
-    }
+    if (r == owner) bw_solve_pivot_block(proc, ctx, lay, lv, k, w, ldw, acc);
   }
 }
 
@@ -583,30 +641,56 @@ void bw_fan_in(exec::Process& proc, const PhaseContext& ctx, index_t s,
 // Shared helpers for both phases.
 // ---------------------------------------------------------------------------
 
-/// Allocate (if needed) the packed local fragment for supernode s on this
-/// rank and initialize its pivot positions from `source` (B for forward,
-/// Y for backward); below positions start at zero.
-std::vector<real_t>& ensure_buffer(const PhaseContext& ctx, BufferMap& bufs,
-                                   index_t s, index_t r,
-                                   std::span<const real_t> source,
-                                   index_t n) {
-  auto it = bufs.find(s);
-  if (it != bufs.end()) return it->second;
-  const Layout lay = layout_of(ctx, s);
-  const auto& part = ctx.factor.partition();
+/// Fill rank r's fragment `v` of supernode s (nloc x m, ld nloc): pivot
+/// positions from `source` (B for forward, Y for backward), below
+/// positions zero.
+void fill_fragment(const PhaseContext& ctx, index_t s, const Layout& lay,
+                   index_t r, std::span<const real_t> source, index_t n,
+                   real_t* v) {
   const index_t nloc = lay.local_count(r);
-  auto& v = bufs[s];
-  v.assign(static_cast<std::size_t>(nloc * ctx.m), 0.0);
-  const auto rows = part.row_indices(s);
-  for (index_t i = 0; i < lay.t; ++i) {
-    if (lay.owner_of(i) != r) continue;
-    const index_t lo = lay.local_of(i);
-    const index_t row = rows[static_cast<std::size_t>(i)];
+  std::fill(v, v + nloc * ctx.m, 0.0);
+  const auto rows = ctx.factor.partition().row_indices(s);
+  lay.for_owned_runs(r, 0, lay.t, [&](index_t i0, index_t i1) {
+    const index_t lo = lay.local_of(i0);
     for (index_t c = 0; c < ctx.m; ++c) {
-      v[static_cast<std::size_t>(c * nloc + lo)] = source[c * n + row];
+      for (index_t i = i0; i < i1; ++i) {
+        v[c * nloc + lo + (i - i0)] =
+            source[static_cast<std::size_t>(
+                c * n + rows[static_cast<std::size_t>(i)])];
+      }
     }
+  });
+}
+
+/// Write the pivot positions of rank r's fragment `v` into `out` (n x m).
+void publish_pivots(const PhaseContext& ctx, index_t s, const Layout& lay,
+                    index_t r, const real_t* v, std::span<real_t> out,
+                    index_t n) {
+  const index_t nloc = lay.local_count(r);
+  const auto rows = ctx.factor.partition().row_indices(s);
+  lay.for_owned_runs(r, 0, lay.t, [&](index_t i0, index_t i1) {
+    const index_t lo = lay.local_of(i0);
+    for (index_t c = 0; c < ctx.m; ++c) {
+      for (index_t i = i0; i < i1; ++i) {
+        out[static_cast<std::size_t>(
+            c * n + rows[static_cast<std::size_t>(i)])] =
+            v[c * nloc + lo + (i - i0)];
+      }
+    }
+  });
+}
+
+/// Send every non-empty outgoing packet to group g's rank of the same
+/// relative index, ascending, and empty the packets (keeping capacity).
+void flush_packets(exec::Process& proc, const exec::Group& g, int tag,
+                   index_t m, std::vector<RhsPacket>& out) {
+  for (index_t d = 0; d < g.count; ++d) {
+    RhsPacket& pkt = out[static_cast<std::size_t>(d)];
+    if (pkt.empty()) continue;
+    proc.send_owned(g.base + d, tag, pack_rhs(pkt, m));
+    pkt.positions.clear();
+    pkt.values.clear();
   }
-  return v;
 }
 
 /// Build the factor view for (rank, supernode): packed local copy when a
@@ -655,7 +739,6 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
   SPARTS_CHECK(static_cast<index_t>(y_out.size()) == n * m);
 
   PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
-  std::vector<BufferMap> rank_bufs(static_cast<std::size_t>(map_.p));
 
   // The SPMD sweep is a lowering of the forward-elimination DAG (edge
   // c -> s when c's rectangle update feeds rows of s): each rank walks
@@ -663,10 +746,12 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
   // ascending id.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    BufferMap& bufs = rank_bufs[static_cast<std::size_t>(w)];
+    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].forward, m,
+                        map_.p);
+    const exec::ProgressNotes progress(proc);
     for (const index_t s : owned_[static_cast<std::size_t>(w)]) {
       const exec::Group g = map_.group[static_cast<std::size_t>(s)];
-      exec::note_progress(proc, "fw supernode", s);
+      progress.note("fw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
@@ -677,7 +762,9 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       const index_t r = w - g.base;
       const Layout lay = layout_of(ctx, s);
       const index_t nloc = lay.local_count(r);
-      auto& v = ensure_buffer(ctx, bufs, s, r, b_in, n);
+      const FragmentSlot& frag = fragments_[slot(s, w)];
+      real_t* v = scratch.fragment(frag.fw_offset);
+      if (!frag.fw_filled_by_child) fill_fragment(ctx, s, lay, r, b_in, n, v);
 
       // Receive remote child contributions.
       for (index_t c : children_[static_cast<std::size_t>(s)]) {
@@ -685,13 +772,14 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
         for (const auto& [src, dst] : cr.pairs) {
           if (dst != w) continue;
           auto msg = proc.recv(src, tag_fw_contrib(c));
-          RhsPacket pkt = unpack_rhs(msg.payload, m);
+          RhsPacket& pkt = scratch.in;
+          unpack_rhs(msg.payload, m, pkt);
           check_finite_cheap(pkt.values, "fw child contribution", c);
           // The child's tail already holds -L21*y, so contributions add.
           for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
             const index_t lo = lay.local_of(pkt.positions[z]);
             for (index_t col = 0; col < m; ++col) {
-              v[static_cast<std::size_t>(col * nloc + lo)] +=
+              v[col * nloc + lo] +=
                   pkt.values[z * static_cast<std::size_t>(m) +
                              static_cast<std::size_t>(col)];
             }
@@ -706,35 +794,27 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       if (g.count == 1) {
         // Entire trapezoid local: dense triangular solve + rectangle update.
         proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
-                            lay.t, m, lv.base, lv.ld, v.data(), nloc)),
+                            lay.t, m, lv.base, lv.ld, v, nloc)),
                         proc.cost().panel_flop(m));
         const index_t below = lay.ns - lay.t;
         if (below > 0) {
           dense::panel_gemm(below, m, lay.t, -1.0, lv.base + lv.row(lay.t),
-                            lv.ld, v.data(), nloc, v.data() + lay.t, nloc);
+                            lv.ld, v, nloc, v + lay.t, nloc);
           proc.compute_at(
               static_cast<double>(dense::gemm_flops(below, m, lay.t)),
               proc.cost().panel_flop(m));
         }
       } else if (options_.pipelining == Pipelining::column_priority) {
-        fw_pipelined_column_priority(proc, ctx, s, lay, r, lv, v.data(),
-                                     nloc);
+        fw_pipelined_column_priority(proc, ctx, s, lay, r, lv, v, nloc,
+                                     scratch.token);
       } else if (options_.pipelining == Pipelining::row_priority) {
-        fw_pipelined_row_priority(proc, ctx, s, lay, r, lv, v.data(), nloc);
+        fw_pipelined_row_priority(proc, ctx, s, lay, r, lv, v, nloc,
+                                  scratch.tokens);
       } else {
-        fw_fan_out(proc, ctx, s, lay, r, lv, v.data(), nloc);
+        fw_fan_out(proc, ctx, s, lay, r, lv, v, nloc, scratch.token);
       }
 
-      // Publish Y at my pivot positions.
-      const auto rows = part.row_indices(s);
-      for (index_t i = 0; i < lay.t; ++i) {
-        if (lay.owner_of(i) != r) continue;
-        const index_t lo = lay.local_of(i);
-        const index_t row = rows[static_cast<std::size_t>(i)];
-        for (index_t c = 0; c < m; ++c) {
-          y_out[c * n + row] = v[static_cast<std::size_t>(c * nloc + lo)];
-        }
-      }
+      publish_pivots(ctx, s, lay, r, v, y_out, n);
 
       // Route the tail to the parent.
       const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
@@ -744,39 +824,37 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
         const exec::Group pg =
             map_.group[static_cast<std::size_t>(parent)];
         // A child's group lies inside its parent's, so w is in pg.
-        const index_t pnloc = play.local_count(w - pg.base);
-        const index_t below = lay.ns - lay.t;
-        std::map<index_t, RhsPacket> buckets;
-        for (index_t k = 0; k < below; ++k) {
-          const index_t pos = lay.t + k;
-          if (lay.owner_of(pos) != r) continue;
-          const index_t ppos = cr.parent_pos[static_cast<std::size_t>(k)];
-          const index_t dst = pg.base + play.owner_of(ppos);
-          const index_t lo = lay.local_of(pos);
-          if (dst == w) {
-            // Local hand-off: the tail holds -L21*y, so it adds directly
-            // into the parent fragment.
-            auto& pv = ensure_buffer(ctx, bufs, parent, w - pg.base, b_in, n);
-            const index_t plo = play.local_of(ppos);
-            for (index_t c = 0; c < m; ++c) {
-              pv[static_cast<std::size_t>(c * pnloc + plo)] +=
-                  v[static_cast<std::size_t>(c * nloc + lo)];
-            }
-            proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
-          } else {
-            RhsPacket& pkt = buckets[dst];
-            pkt.positions.push_back(ppos);
-            for (index_t c = 0; c < m; ++c) {
-              pkt.values.push_back(
-                  v[static_cast<std::size_t>(c * nloc + lo)]);
+        const index_t pr = w - pg.base;
+        const index_t pnloc = play.local_count(pr);
+        real_t* pv = scratch.fragment(fragments_[slot(parent, w)].fw_offset);
+        if (frag.fw_fills_parent) {
+          fill_fragment(ctx, parent, play, pr, b_in, n, pv);
+        }
+        lay.for_owned_runs(r, lay.t, lay.ns, [&](index_t i0, index_t i1) {
+          for (index_t pos = i0, lo = lay.local_of(i0); pos < i1;
+               ++pos, ++lo) {
+            const index_t ppos =
+                cr.parent_pos[static_cast<std::size_t>(pos - lay.t)];
+            const index_t dr = play.owner_of(ppos);
+            if (dr == pr) {
+              // Local hand-off: the tail holds -L21*y, so it adds directly
+              // into the parent fragment.
+              const index_t plo = play.local_of(ppos);
+              for (index_t c = 0; c < m; ++c) {
+                pv[c * pnloc + plo] += v[c * nloc + lo];
+              }
+              proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
+            } else {
+              RhsPacket& pkt = scratch.out[static_cast<std::size_t>(dr)];
+              pkt.positions.push_back(ppos);
+              for (index_t c = 0; c < m; ++c) {
+                pkt.values.push_back(v[c * nloc + lo]);
+              }
             }
           }
-        }
-        for (auto& [dst, pkt] : buckets) {
-          proc.send_owned(dst, tag_fw_contrib(s), pack_rhs(pkt, m));
-        }
+        });
+        flush_packets(proc, pg, tag_fw_contrib(s), m, scratch.out);
       }
-      bufs.erase(s);
     }
   };
 
@@ -798,7 +876,6 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
   SPARTS_CHECK(static_cast<index_t>(x_out.size()) == n * m);
 
   PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
-  std::vector<BufferMap> rank_bufs(static_cast<std::size_t>(map_.p));
 
   // Backward lowering: the backward DAG is the forward DAG with every edge
   // reversed, so descending supernode id is a topological order of it, and
@@ -807,33 +884,39 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
   // below-free supernodes early.)
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    BufferMap& bufs = rank_bufs[static_cast<std::size_t>(w)];
+    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].backward, m,
+                        map_.p);
+    const exec::ProgressNotes progress(proc);
     for (const index_t s :
          std::views::reverse(owned_[static_cast<std::size_t>(w)])) {
       const exec::Group g = map_.group[static_cast<std::size_t>(s)];
-      exec::note_progress(proc, "bw supernode", s);
+      progress.note("bw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
       const index_t r = w - g.base;
       const Layout lay = layout_of(ctx, s);
       const index_t nloc = lay.local_count(r);
-      auto& wv = ensure_buffer(ctx, bufs, s, r, y_in, n);
+      real_t* wv = scratch.fragment(fragments_[slot(s, w)].bw_offset);
 
-      // Receive the below-part values from the parent.
+      // Receive the below-part values from the parent (a root fills its
+      // own fragment; every other one was filled by its parent's visit).
       const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      if (parent != -1) {
+      if (parent == -1) {
+        fill_fragment(ctx, s, lay, r, y_in, n, wv);
+      } else {
         const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
         // Backward messages travel parent -> child: the pair roles swap.
         for (const auto& [child_rank, parent_rank] : cr.pairs) {
           if (child_rank != w) continue;
           auto msg = proc.recv(parent_rank, tag_bw_copy(s));
-          RhsPacket pkt = unpack_rhs(msg.payload, m);
+          RhsPacket& pkt = scratch.in;
+          unpack_rhs(msg.payload, m, pkt);
           check_finite_cheap(pkt.values, "bw parent values", s);
           for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
             const index_t lo = lay.local_of(pkt.positions[z]);
             for (index_t col = 0; col < m; ++col) {
-              wv[static_cast<std::size_t>(col * nloc + lo)] =
+              wv[col * nloc + lo] =
                   pkt.values[z * static_cast<std::size_t>(m) +
                              static_cast<std::size_t>(col)];
             }
@@ -849,70 +932,60 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
         const index_t below = lay.ns - lay.t;
         if (below > 0) {
           dense::panel_gemm_at(lay.t, m, below, -1.0,
-                               lv.base + lv.row(lay.t), lv.ld,
-                               wv.data() + lay.t, nloc, wv.data(), nloc);
+                               lv.base + lv.row(lay.t), lv.ld, wv + lay.t,
+                               nloc, wv, nloc);
           proc.compute_at(
               static_cast<double>(dense::gemm_flops(lay.t, m, below)),
               proc.cost().panel_flop(m));
         }
         proc.compute_at(
             static_cast<double>(dense::panel_trsm_lower_transposed(
-                lay.t, m, lv.base, lv.ld, wv.data(), nloc)),
+                lay.t, m, lv.base, lv.ld, wv, nloc)),
             proc.cost().panel_flop(m));
       } else if (options_.pipelining == Pipelining::fan_out) {
-        bw_fan_in(proc, ctx, s, lay, r, lv, wv.data(), nloc);
+        bw_fan_in(proc, ctx, s, lay, r, lv, wv, nloc, scratch.acc);
       } else {
-        bw_pipelined(proc, ctx, s, lay, r, lv, wv.data(), nloc);
+        bw_pipelined(proc, ctx, s, lay, r, lv, wv, nloc, scratch.acc,
+                     scratch.token);
       }
 
-      // Publish X at my pivot positions.
-      const auto rows = part.row_indices(s);
-      for (index_t i = 0; i < lay.t; ++i) {
-        if (lay.owner_of(i) != r) continue;
-        const index_t lo = lay.local_of(i);
-        const index_t row = rows[static_cast<std::size_t>(i)];
-        for (index_t c = 0; c < m; ++c) {
-          x_out[c * n + row] = wv[static_cast<std::size_t>(c * nloc + lo)];
-        }
-      }
+      publish_pivots(ctx, s, lay, r, wv, x_out, n);
 
       // Send each child the values its below-part positions need.
       for (index_t c : children_[static_cast<std::size_t>(s)]) {
         const ChildRouting& cr = routing_[static_cast<std::size_t>(c)];
         const Layout clay = layout_of(ctx, c);
         const exec::Group cg = map_.group[static_cast<std::size_t>(c)];
-        const index_t cnloc =
-            cg.contains(w) ? clay.local_count(w - cg.base) : 0;
-        std::map<index_t, RhsPacket> buckets;
+        real_t* cv = nullptr;
+        index_t cnloc = 0;
+        if (cg.contains(w)) {
+          cnloc = clay.local_count(w - cg.base);
+          cv = scratch.fragment(fragments_[slot(c, w)].bw_offset);
+          fill_fragment(ctx, c, clay, w - cg.base, y_in, n, cv);
+        }
         const index_t cbelow = clay.ns - clay.t;
         for (index_t k = 0; k < cbelow; ++k) {
           const index_t ppos = cr.parent_pos[static_cast<std::size_t>(k)];
           if (lay.owner_of(ppos) != r) continue;
           const index_t cpos = clay.t + k;
-          const index_t dst = cg.base + clay.owner_of(cpos);
+          const index_t dr = clay.owner_of(cpos);
           const index_t lo = lay.local_of(ppos);
-          if (dst == w) {
-            auto& cv = ensure_buffer(ctx, bufs, c, w - cg.base, y_in, n);
+          if (cg.base + dr == w) {
             const index_t clo = clay.local_of(cpos);
             for (index_t col = 0; col < m; ++col) {
-              cv[static_cast<std::size_t>(col * cnloc + clo)] =
-                  wv[static_cast<std::size_t>(col * nloc + lo)];
+              cv[col * cnloc + clo] = wv[col * nloc + lo];
             }
             proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
           } else {
-            RhsPacket& pkt = buckets[dst];
+            RhsPacket& pkt = scratch.out[static_cast<std::size_t>(dr)];
             pkt.positions.push_back(cpos);
             for (index_t col = 0; col < m; ++col) {
-              pkt.values.push_back(
-                  wv[static_cast<std::size_t>(col * nloc + lo)]);
+              pkt.values.push_back(wv[col * nloc + lo]);
             }
           }
         }
-        for (auto& [dst, pkt] : buckets) {
-          proc.send_owned(dst, tag_bw_copy(c), pack_rhs(pkt, m));
-        }
+        flush_packets(proc, cg, tag_bw_copy(c), m, scratch.out);
       }
-      bufs.erase(s);
     }
   };
 

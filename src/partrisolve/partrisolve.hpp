@@ -17,8 +17,10 @@
 //
 // Forward elimination walks the tree bottom-up producing Y (L Y = B);
 // backward substitution walks top-down producing X (L^T X = Y).
-// The solve plan (routing tables, walk order, DAG stats) is built once per
-// solver, so forward()/backward() do only right-hand-side work.
+// The solve plan (routing tables, walk order, DAG stats, fragment-stack
+// offsets) is built once per solver, so forward()/backward() do only
+// right-hand-side work: each rank allocates its working memory once per
+// phase, and the supernode loop allocates nothing but outgoing payloads.
 #pragma once
 
 #include <functional>
@@ -97,6 +99,15 @@ class DistributedTrisolver {
 
   const Options& options() const { return options_; }
 
+  /// Height in rows of a rank's fragment stack — the buffer that holds
+  /// every right-hand-side fragment the rank touches in a sweep.  A phase
+  /// with m right-hand sides allocates rows x m values per rank, once.
+  struct FragmentStackRows {
+    index_t forward = 0;
+    index_t backward = 0;
+  };
+  FragmentStackRows fragment_stack_rows(index_t rank) const;
+
   /// First tag value strictly above every tag forward()/backward() can
   /// emit (contribution, copy, and token tags are all derived from global
   /// block ids below the total pivot-block count).  Traffic injected into
@@ -128,6 +139,30 @@ class DistributedTrisolver {
     std::vector<std::pair<index_t, index_t>> pairs;
   };
 
+  /// Where one rank's fragment of one supernode lives in the rank's
+  /// fragment stack (in rows; a phase scales by m), and when the forward
+  /// sweep fills it.  One per participation slot.
+  struct FragmentSlot {
+    index_t fw_offset = 0;
+    index_t bw_offset = 0;
+    /// Forward: filled when the supernode's lowest owned child finishes
+    /// (that child's tail hands off into it), not at its own visit.
+    bool fw_filled_by_child = false;
+    /// Forward: this supernode fills its parent's fragment as it finishes.
+    bool fw_fills_parent = false;
+  };
+
+  /// Participation slot of (supernode s, world rank w in s's group).
+  std::size_t slot(index_t s, index_t w) const {
+    return static_cast<std::size_t>(
+        slot_begin_[static_cast<std::size_t>(s)] + w -
+        map_.group[static_cast<std::size_t>(s)].base);
+  }
+
+  /// Replay every rank's forward and backward open/close sequence through
+  /// a FragmentStackPlanner; fills fragments_ and the stack heights.
+  void plan_fragment_stacks();
+
   const numeric::SupernodalFactor& factor_;
   const DistributedFactor* local_values_ = nullptr;
   const mapping::SubcubeMapping& map_;
@@ -137,6 +172,10 @@ class DistributedTrisolver {
   /// Per world rank: the supernodes whose group holds it, ascending — the
   /// forward walk (the backward walk is its reverse).
   std::vector<std::vector<index_t>> owned_;
+  /// SubcubeMapping::participation_slots(), indexing fragments_.
+  std::vector<index_t> slot_begin_;
+  std::vector<FragmentSlot> fragments_;
+  std::vector<FragmentStackRows> stack_rows_;  ///< per world rank
   exec::GraphStats forward_graph_;   ///< see PhaseReport::graph
   exec::GraphStats backward_graph_;
   /// Prefix sums of pivot-block counts: block_base_[s] is the global id

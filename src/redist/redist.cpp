@@ -131,6 +131,8 @@ void redistribute_supernode(exec::Process& proc,
       proc, g, std::move(outgoing), tag_base + static_cast<int>(8 * s));
 
   // Receive side: rebuild my 1-D rows and verify against the factor.
+  real_t* local = out != nullptr ? out->local_block(w, s).data() : nullptr;
+  const index_t nloc = out != nullptr ? out->local_rows(w, s) : 0;
   for (index_t src = 0; src < q; ++src) {
     const index_t src_gr = src / grid.qc;
     const index_t src_gc = src % grid.qc;
@@ -147,11 +149,8 @@ void redistribute_supernode(exec::Process& proc,
         SPARTS_CHECK(in[cursor] == expected,
                      "misrouted entry at supernode "
                          << s << " position (" << i << ", " << k << ")");
-        if (out != nullptr) {
-          auto& local = out->local_block(w, s);
-          const index_t nloc = out->local_rows(w, s);
-          local[static_cast<std::size_t>(k * nloc + lay1d.local_of(i))] =
-              in[cursor];
+        if (local != nullptr) {
+          local[k * nloc + lay1d.local_of(i)] = in[cursor];
         }
         ++cursor;
       }

@@ -69,6 +69,37 @@ TEST(DistFactor, PackCoversEveryEntry) {
   }
 }
 
+TEST(DistFactor, BlocksExistExactlyForGroupMembers) {
+  // Storage is indexed by (supernode, group rank): a rank outside the
+  // group, or a supernode out of range, has no block and a lookup names
+  // the pair instead of returning a neighbour's panel.
+  Prob prob = make_prob(11);
+  const index_t p = 8, b = 3;
+  const mapping::SubcubeMapping map =
+      mapping::subtree_to_subcube(prob.l.partition(), p);
+  const partrisolve::DistributedFactor df(prob.l.partition(), map, b);
+  const auto& part = prob.l.partition();
+  for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    const simpar::Group& g = map.group[static_cast<std::size_t>(s)];
+    const partrisolve::Layout lay{g.count, b, part.height(s), part.width(s)};
+    for (index_t w = 0; w < p; ++w) {
+      ASSERT_EQ(df.has_block(w, s), g.contains(w)) << "s=" << s << " w=" << w;
+      if (g.contains(w)) {
+        const index_t nloc = lay.local_count(w - g.base);
+        EXPECT_EQ(df.local_rows(w, s), nloc);
+        EXPECT_EQ(static_cast<index_t>(df.local_block(w, s).size()),
+                  nloc * part.width(s));
+      } else {
+        EXPECT_THROW(df.local_block(w, s), Error);
+        EXPECT_THROW(df.local_rows(w, s), Error);
+      }
+    }
+  }
+  EXPECT_FALSE(df.has_block(0, -1));
+  EXPECT_FALSE(df.has_block(0, part.num_supernodes()));
+  EXPECT_FALSE(partrisolve::DistributedFactor().has_block(0, 0));
+}
+
 class StrictSolveTest : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(StrictSolveTest, MatchesSharedFactorSolve) {

@@ -328,7 +328,31 @@ TEST(Reliable, NoteProgressIsANoOpOnPlainBackends) {
   // note_progress must be callable from solver code on every backend.
   make_sim(2)->run([](exec::Process& proc) {
     exec::note_progress(proc, "plain backend, nothing to record");
+    const exec::ProgressNotes notes(proc);
+    notes.note("fw supernode", 7);
   });
+}
+
+TEST(Reliable, ProgressNotesNameTheSupernodeInTheReport) {
+  // The per-supernode form renders "<what> <id>", the text the solver's
+  // timeout and crash reports have always carried.
+  exec::ReliableConfig cfg = exec::ReliableConfig::for_simulated();
+  cfg.max_retry = 2;
+  exec::ReliableBackend backend(make_sim(2), cfg);
+  try {
+    backend.run([](exec::Process& proc) {
+      if (proc.rank() == 1) {
+        const exec::ProgressNotes notes(proc);
+        notes.note("fw supernode", 111);
+        notes.note("fw supernode", 112);
+        proc.recv_values<real_t>(0, 9);  // rank 0 never sends this
+      }
+    });
+    FAIL() << "expected TimeoutError";
+  } catch (const TimeoutError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at fw supernode 112"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
-// Distributed-layout arithmetic, RHS packet round-trips, and the
-// load-balance diagnostics.
+// Distributed-layout arithmetic, RHS packet round-trips, the fragment-stack
+// planner, and the load-balance diagnostics.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <numeric>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "mapping/load_balance.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "ordering/nested_dissection.hpp"
+#include "partrisolve/fragment_stack.hpp"
 #include "partrisolve/layout.hpp"
 #include "partrisolve/packets.hpp"
 #include "sparse/generators.hpp"
@@ -106,6 +111,128 @@ TEST(Packets, RejectsCorruptStream) {
   auto bytes = partrisolve::pack_rhs(p, 1);
   bytes.pop_back();
   EXPECT_THROW(partrisolve::unpack_rhs(bytes, 1), Error);
+}
+
+TEST(Packets, UnpackIntoReplacesEarlierContents) {
+  // The solver unpacks every received packet into one reused buffer; a
+  // shorter packet must not leave stale entries behind.
+  partrisolve::RhsPacket big;
+  big.positions = {1, 2, 3};
+  big.values = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  partrisolve::RhsPacket small;
+  small.positions = {7};
+  small.values = {8.0, 9.0};
+  partrisolve::RhsPacket reused;
+  partrisolve::unpack_rhs(partrisolve::pack_rhs(big, 2), 2, reused);
+  EXPECT_EQ(reused.values, big.values);
+  partrisolve::unpack_rhs(partrisolve::pack_rhs(small, 2), 2, reused);
+  EXPECT_EQ(reused.positions, small.positions);
+  EXPECT_EQ(reused.values, small.values);
+}
+
+TEST(Layout, OwnedRunsMatchOwnerScan) {
+  // for_owned_runs against a position-by-position owner scan over every
+  // window shape the solver uses ([0, t) pivots, [t, ns) tail, all).
+  for (index_t q = 1; q <= 8; ++q) {
+    for (index_t b = 1; b <= 9; ++b) {
+      for (index_t ns = 0; ns <= 40; ++ns) {
+        const index_t t = std::min<index_t>(ns, 11);
+        const partrisolve::Layout lay{q, b, ns, t};
+        for (const auto& [lo, hi] : {std::pair{index_t{0}, t},
+                                     std::pair{t, ns},
+                                     std::pair{index_t{0}, ns}}) {
+          for (index_t r = 0; r < q; ++r) {
+            std::vector<index_t> want;
+            for (index_t i = lo; i < hi; ++i) {
+              if (lay.owner_of(i) == r) want.push_back(i);
+            }
+            std::vector<index_t> got;
+            lay.for_owned_runs(r, lo, hi, [&](index_t i0, index_t i1) {
+              ASSERT_LT(i0, i1);
+              ASSERT_EQ(lay.block_of(i0), lay.block_of(i1 - 1));
+              for (index_t i = i0; i < i1; ++i) {
+                ASSERT_EQ(lay.local_of(i), lay.local_of(i0) + (i - i0));
+                got.push_back(i);
+              }
+            });
+            ASSERT_EQ(got, want) << "q=" << q << " b=" << b << " ns=" << ns
+                                 << " r=" << r << " [" << lo << "," << hi
+                                 << ")";
+          }
+        }
+        if (q == 1) {
+          // A single-rank group stores every position at its own offset.
+          for (index_t i = 0; i < ns; ++i) {
+            ASSERT_EQ(lay.owner_of(i), 0);
+            ASSERT_EQ(lay.local_of(i), i);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FragmentStack, ReusesTheTopLastInFirstOut) {
+  partrisolve::FragmentStackPlanner st;
+  const auto a = st.open(3);
+  const auto b = st.open(5);
+  EXPECT_EQ(st.offset(a), 0);
+  EXPECT_EQ(st.offset(b), 3);
+  st.close(b);
+  const auto c = st.open(2);
+  EXPECT_EQ(st.offset(c), 3);
+  st.close(c);
+  st.close(a);
+  EXPECT_EQ(st.top(), 0);
+  EXPECT_EQ(st.peak(), 8);
+}
+
+TEST(FragmentStack, DeadFragmentBelowTheTopIsReclaimedWithIt) {
+  partrisolve::FragmentStackPlanner st;
+  const auto child = st.open(4);
+  const auto parent = st.open(6);
+  st.close(child);  // a hole under the live parent: nothing moves
+  EXPECT_EQ(st.top(), 10);
+  EXPECT_EQ(st.offset(parent), 4);
+  st.close(parent);  // pops the parent and the hole beneath it
+  EXPECT_EQ(st.top(), 0);
+  EXPECT_THROW(st.close(parent), Error);
+}
+
+TEST(FragmentStack, LiveFragmentsNeverOverlap) {
+  // Random open/close sequences: every live fragment keeps its rows, no
+  // two live fragments share a row, and the top never exceeds the peak.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    partrisolve::FragmentStackPlanner st;
+    struct Live {
+      partrisolve::FragmentStackPlanner::Handle h;
+      index_t offset, rows;
+    };
+    std::vector<Live> live;
+    for (int step = 0; step < 200; ++step) {
+      if (live.empty() || rng.next_below(3) != 0) {
+        const auto rows = static_cast<index_t>(rng.next_below(6));
+        const auto h = st.open(rows);
+        live.push_back({h, st.offset(h), rows});
+      } else {
+        const std::size_t k = rng.next_below(live.size());
+        st.close(live[k].h);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+      EXPECT_LE(st.top(), st.peak());
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        ASSERT_EQ(st.offset(live[i].h), live[i].offset) << "seed " << seed;
+        ASSERT_LE(live[i].offset + live[i].rows, st.top());
+        for (std::size_t j = i + 1; j < live.size(); ++j) {
+          const bool disjoint =
+              live[i].offset + live[i].rows <= live[j].offset ||
+              live[j].offset + live[j].rows <= live[i].offset;
+          ASSERT_TRUE(disjoint) << "seed " << seed << " step " << step;
+        }
+      }
+    }
+  }
 }
 
 class LoadBalanceTest : public ::testing::Test {

@@ -3,6 +3,7 @@
 // size, pipelining variant, right-hand-side count, and matrix family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "ordering/nested_dissection.hpp"
 #include "partrisolve/dense_trisolve.hpp"
 #include "partrisolve/dist_factor.hpp"
+#include "partrisolve/layout.hpp"
 #include "partrisolve/partrisolve.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
@@ -178,6 +180,38 @@ TEST_P(RandomizedStrictSweep, StrictStorageMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedStrictSweep,
                          ::testing::Range<std::uint64_t>(2000, 2010));
+
+TEST(ParTrisolve, FragmentStackReusesRowsAcrossTheSweep) {
+  // Each rank's fragment stack must hold its largest fragment and never
+  // more than all of them at once; on a nested-dissection grid the reuse
+  // keeps it far below that sum.
+  Problem prob = make_grid_problem(31);
+  const auto& part = prob.l.partition();
+  for (const index_t p : {index_t{1}, index_t{4}, index_t{16}}) {
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+    const DistributedTrisolver solver(prob.l, map, {});
+    for (index_t w = 0; w < p; ++w) {
+      index_t total = 0, largest = 0;
+      for (index_t s = 0; s < part.num_supernodes(); ++s) {
+        const exec::Group& g = map.group[static_cast<std::size_t>(s)];
+        if (!g.contains(w)) continue;
+        const partrisolve::Layout lay{g.count, Options{}.block_size,
+                                      part.height(s), part.width(s)};
+        total += lay.local_count(w - g.base);
+        largest = std::max(largest, lay.local_count(w - g.base));
+      }
+      const auto rows = solver.fragment_stack_rows(w);
+      for (const index_t height : {rows.forward, rows.backward}) {
+        EXPECT_GE(height, largest) << "p=" << p << " rank " << w;
+        EXPECT_LE(height, total) << "p=" << p << " rank " << w;
+        if (p == 1) EXPECT_LT(3 * height, total);
+      }
+    }
+  }
+  const mapping::SubcubeMapping map2 = mapping::subtree_to_subcube(part, 2);
+  EXPECT_THROW(DistributedTrisolver(prob.l, map2, {}).fragment_stack_rows(2),
+               Error);
+}
 
 TEST(ParTrisolve, Grid3dMatchesSequential) {
   Problem prob = make_grid_problem(7, /*three_d=*/true);

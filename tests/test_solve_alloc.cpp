@@ -1,0 +1,133 @@
+// The distributed solve allocates per phase, not per supernode: each rank
+// sizes its working memory (fragment stack, packet and token buffers) once
+// per forward()/backward(), so a sweep's heap traffic is O(p + messages)
+// however many supernodes it walks.  This binary replaces the global
+// allocation function to count every heap allocation.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>  // sparts-lint: allow(naked-new)
+#include <vector>
+
+#include "common/arena.hpp"
+#include "mapping/subtree_to_subcube.hpp"
+#include "numeric/multifrontal.hpp"
+#include "ordering/nested_dissection.hpp"
+#include "partrisolve/dist_factor.hpp"
+#include "partrisolve/partrisolve.hpp"
+#include "simpar/machine.hpp"
+#include "sparse/generators.hpp"
+#include "sparse/permutation.hpp"
+
+namespace {
+std::atomic<std::size_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {  // sparts-lint: allow(naked-new)
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace sparts {
+namespace {
+
+/// Heap allocations so far: operator new plus arena blocks it did not
+/// serve (arena heap fallbacks already went through operator new).
+std::size_t allocations() {
+  const common::ArenaStats a = common::arena_stats();
+  return g_heap_allocs.load(std::memory_order_relaxed) + a.total_allocs -
+         a.heap_fallbacks;
+}
+
+struct Problem {
+  sparse::SymmetricCsc a;
+  numeric::SupernodalFactor l;
+};
+
+Problem grid_problem(index_t k) {
+  sparse::SymmetricCsc a = sparse::permute_symmetric(
+      sparse::grid2d(k, k), ordering::nested_dissection_grid2d(k, k));
+  numeric::SupernodalFactor l = numeric::multifrontal_cholesky(a);
+  return {std::move(a), std::move(l)};
+}
+
+struct Counted {
+  std::size_t forward_allocs = 0;
+  std::size_t backward_allocs = 0;
+  nnz_t forward_messages = 0;
+  nnz_t backward_messages = 0;
+};
+
+Counted count_solve(const partrisolve::DistributedTrisolver& solver,
+                    exec::Comm& comm, index_t n, index_t m) {
+  Rng rng(17);
+  const std::vector<real_t> b = sparse::random_rhs(n, m, rng);
+  std::vector<real_t> y(b.size()), x(b.size());
+  // Warm-up: first-use allocations of the backend and the arena's
+  // per-thread caches are not the sweep's.
+  solver.solve(comm, b, x, m);
+  Counted c;
+  std::size_t before = allocations();
+  c.forward_messages = solver.forward(comm, b, y, m).stats.total_messages();
+  c.forward_allocs = allocations() - before;
+  before = allocations();
+  c.backward_messages = solver.backward(comm, y, x, m).stats.total_messages();
+  c.backward_allocs = allocations() - before;
+  return c;
+}
+
+TEST(SolveAllocations, SequentialSweepAllocatesOncePerPhase) {
+  // p = 1: every supernode is local and no message moves, so the sweep's
+  // allocations are the phase's fixed working memory — none per
+  // supernode, on the shared and on the rank-local factor alike.
+  const Problem prob = grid_problem(31);
+  const index_t nsup = prob.l.partition().num_supernodes();
+  ASSERT_GT(nsup, 500);
+  const mapping::SubcubeMapping map =
+      mapping::subtree_to_subcube(prob.l.partition(), 1);
+  const auto df = partrisolve::DistributedFactor::pack_from(prob.l, map, 8);
+  simpar::Machine::Config cfg;
+  cfg.nprocs = 1;
+  simpar::Machine machine(cfg);
+  for (const partrisolve::DistributedFactor* local : {
+           static_cast<const partrisolve::DistributedFactor*>(nullptr), &df}) {
+    const partrisolve::DistributedTrisolver solver(prob.l, local, map, {});
+    for (const index_t m : {index_t{1}, index_t{4}}) {
+      const Counted c = count_solve(solver, machine, prob.a.n(), m);
+      EXPECT_LE(c.forward_allocs, 32u) << "m=" << m;
+      EXPECT_LE(c.backward_allocs, 32u) << "m=" << m;
+    }
+  }
+}
+
+TEST(SolveAllocations, ParallelSweepAllocatesPerMessageNotPerSupernode) {
+  // p = 4: beyond the per-rank working memory, each message costs its
+  // payload (and the backend's delivery), never a per-supernode buffer.
+  // The simulator keeps the count deterministic.
+  const Problem prob = grid_problem(31);
+  const index_t nsup = prob.l.partition().num_supernodes();
+  constexpr index_t p = 4;
+  const mapping::SubcubeMapping map =
+      mapping::subtree_to_subcube(prob.l.partition(), p);
+  simpar::Machine::Config cfg;
+  cfg.nprocs = p;
+  simpar::Machine machine(cfg);
+  const partrisolve::DistributedTrisolver solver(prob.l, map, {});
+  const Counted c = count_solve(solver, machine, prob.a.n(), 2);
+  ASSERT_GT(c.forward_messages, 0);
+  EXPECT_LE(c.forward_allocs, static_cast<std::size_t>(
+                                  4 * c.forward_messages + 32 * p))
+      << "nsup=" << nsup;
+  EXPECT_LE(c.backward_allocs, static_cast<std::size_t>(
+                                   4 * c.backward_messages + 32 * p))
+      << "nsup=" << nsup;
+  EXPECT_LT(c.forward_allocs, static_cast<std::size_t>(nsup));
+  EXPECT_LT(c.backward_allocs, static_cast<std::size_t>(nsup));
+}
+
+}  // namespace
+}  // namespace sparts
