@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>  // sparts-lint: allow(naked-new)
 
 #include "common/checks.hpp"
 #include "common/donation_pool.hpp"
@@ -232,9 +233,11 @@ void* alloc_heap(std::size_t bytes) {
   Global& g = global();
   g.heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
   // Raw operator new: the block needs a header the smart-pointer idiom
-  // cannot prepend.
+  // cannot prepend.  Aligned like the header, so the payload after it is
+  // 64-byte aligned here as well.
   auto* h = static_cast<BlockHeader*>(
-      ::operator new(kHeaderBytes + bytes));  // sparts-lint: allow(naked-new)
+      ::operator new(kHeaderBytes + bytes,  // sparts-lint: allow(naked-new)
+                     std::align_val_t{alignof(BlockHeader)}));
   h->magic = kMagicHeap;
   h->size_class = 0;
   h->payload_bytes = bytes;
@@ -304,7 +307,7 @@ void arena_free(void* p) noexcept {
   g.live_bytes.fetch_sub(h->payload_bytes, std::memory_order_relaxed);
   switch (h->magic) {
     case kMagicHeap:
-      ::operator delete(h);
+      ::operator delete(h, std::align_val_t{alignof(BlockHeader)});
       return;
     case kMagicBig:
       ::munmap(h, h->mapped_bytes);

@@ -65,8 +65,8 @@ bool arena_hugepages();
 /// Whether per-thread caches are active (SPARTS_NUMA != off).
 bool arena_numa_local();
 
-/// Allocate `bytes` (payload is at least 16-byte aligned, 64-byte aligned
-/// when chunk-backed).  Never returns nullptr (throws std::bad_alloc).
+/// Allocate `bytes` (payload 64-byte aligned, with the arena on or off).
+/// Never returns nullptr (throws std::bad_alloc).
 void* arena_alloc(std::size_t bytes);
 /// Release a block from arena_alloc.  Safe from any thread, including
 /// after the allocating thread exited.  nullptr is ignored.

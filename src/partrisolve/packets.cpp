@@ -13,7 +13,10 @@ exec::Payload pack_rhs(const RhsPacket& p, index_t m) {
   exec::Payload out(sizeof(index_t) * (1 + p.positions.size()) +
                     sizeof(real_t) * p.values.size());
   std::size_t off = 0;
+  // An empty packet's vectors may hold no storage at all; memcpy must not
+  // see their null pointers, even for zero bytes.
   auto put = [&](const void* src, std::size_t len) {
+    if (len == 0) return;
     std::memcpy(out.data() + off, src, len);
     off += len;
   };
@@ -33,6 +36,7 @@ void unpack_rhs(std::span<const std::byte> bytes, index_t m, RhsPacket& p) {
   std::size_t off = 0;
   auto get = [&](void* dst, std::size_t len) {
     SPARTS_CHECK(off + len <= bytes.size(), "truncated RHS packet");
+    if (len == 0) return;
     std::memcpy(dst, bytes.data() + off, len);
     off += len;
   };

@@ -32,6 +32,25 @@ namespace {
 int tag_fw_contrib(index_t s) { return static_cast<int>(4 * s + 0); }
 int tag_bw_copy(index_t s) { return static_cast<int>(4 * s + 2); }
 
+/// pos[k] = index of rows[k] in `into`, for ascending `rows` that are a
+/// subset of the ascending `into`.  The positions ascend too, so each
+/// search gallops forward from the previous match (usually the very next
+/// row).
+void gallop_positions(std::span<const index_t> rows,
+                      std::span<const index_t> into, index_t* pos) {
+  auto from = into.begin();
+  for (const index_t row : rows) {
+    std::ptrdiff_t step = 1;
+    while (step < into.end() - from && from[step] < row) step *= 2;
+    const auto it = std::lower_bound(
+        from + step / 2, from + std::min(step + 1, into.end() - from), row);
+    SPARTS_CHECK(it != into.end() && *it == row,
+                 "child row " << row << " missing from ancestor structure");
+    *pos++ = static_cast<index_t>(it - into.begin());
+    from = it + 1;
+  }
+}
+
 }  // namespace
 
 DistributedTrisolver::DistributedTrisolver(
@@ -67,7 +86,6 @@ DistributedTrisolver::DistributedTrisolver(
   children_ = ordering::tree_children(part.stree);
 
   const index_t nsup = part.num_supernodes();
-  routing_.resize(static_cast<std::size_t>(nsup));
   const index_t b = options_.block_size;
   block_base_.resize(static_cast<std::size_t>(nsup));
   index_t next_block = 0;
@@ -75,9 +93,15 @@ DistributedTrisolver::DistributedTrisolver(
     block_base_[static_cast<std::size_t>(s)] = next_block;
     next_block += (part.width(s) + b - 1) / b;
   }
+  plan_local_steps();
+
+  // Routing to the parent, for shared supernodes and subtree roots only:
+  // below a subtree root every row stays on the rank.
+  routing_.resize(static_cast<std::size_t>(nsup));
   for (index_t s = 0; s < nsup; ++s) {
     const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-    if (parent == -1) continue;
+    const index_t root = local_[static_cast<std::size_t>(s)].root;
+    if (parent == -1 || (root != -1 && root != s)) continue;
     const auto rows = part.row_indices(s);
     const auto prows = part.row_indices(parent);
     const index_t t = part.width(s);
@@ -90,27 +114,10 @@ DistributedTrisolver::DistributedTrisolver(
 
     ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
     cr.parent_pos.resize(static_cast<std::size_t>(below));
-    // The below rows are ascending and a subset of the parent's rows, so
-    // their positions ascend too: gallop forward from the previous match
-    // (usually the very next parent row).
-    auto from = prows.begin();
-    for (index_t k = 0; k < below; ++k) {
-      const index_t row = rows[static_cast<std::size_t>(t + k)];
-      std::ptrdiff_t step = 1;
-      while (step < prows.end() - from && from[step] < row) step *= 2;
-      const auto it = std::lower_bound(
-          from + step / 2, from + std::min(step + 1, prows.end() - from), row);
-      SPARTS_CHECK(it != prows.end() && *it == row,
-                   "child row " << row << " missing from parent structure");
-      cr.parent_pos[static_cast<std::size_t>(k)] =
-          static_cast<index_t>(it - prows.begin());
-      from = it + 1;
-    }
+    gallop_positions(rows.subspan(static_cast<std::size_t>(t)), prows,
+                     cr.parent_pos.data());
     const index_t cbase = map_.group[static_cast<std::size_t>(s)].base;
     const index_t pbase = map_.group[static_cast<std::size_t>(parent)].base;
-    // Both on one rank (the common case, in the subcube-local subtrees):
-    // the child's group lies inside its parent's, so nothing moves.
-    if (child_layout.q == 1 && parent_layout.q == 1) continue;
     for (index_t k = 0; k < below; ++k) {
       const index_t src = cbase + child_layout.owner_of(t + k);
       const index_t dst =
@@ -138,16 +145,87 @@ DistributedTrisolver::DistributedTrisolver(
   backward_graph_ = graphs.backward;
 }
 
-void DistributedTrisolver::plan_fragment_stacks() {
-  // A fragment is live from its fill to the end of its supernode's visit.
-  // Forward: a supernode's fragment is filled at its visit unless an
-  // owned child hands its tail off into it first — then the lowest owned
-  // child fills it as it finishes.  Backward: a root's fragment is filled
-  // at its visit, every other one by its parent's visit (which copies the
-  // parent's values into it); each rank's parent is always owned too,
-  // because a child's group lies inside its parent's.
+void DistributedTrisolver::plan_local_steps() {
   const auto& part = factor_.partition();
-  slot_begin_ = map_.participation_slots();
+  const index_t nsup = part.num_supernodes();
+  local_.assign(static_cast<std::size_t>(nsup), {});
+  // Roots top-down: a single-rank supernode is a subtree root unless its
+  // parent is single-rank too (then both are on the same rank, because a
+  // child's group lies inside its parent's).
+  for (index_t s = nsup - 1; s >= 0; --s) {
+    if (map_.group[static_cast<std::size_t>(s)].count != 1) continue;
+    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+    local_[static_cast<std::size_t>(s)].root =
+        parent != -1 && map_.group[static_cast<std::size_t>(parent)].count == 1
+            ? local_[static_cast<std::size_t>(parent)].root
+            : s;
+  }
+
+  tail_pos_.clear();
+  local_runs_.assign(static_cast<std::size_t>(map_.p), {});
+  max_below_.assign(static_cast<std::size_t>(map_.p), 0);
+  std::vector<char> seen(static_cast<std::size_t>(nsup), 0);
+  for (index_t s = 0; s < nsup; ++s) {
+    LocalStep& ls = local_[static_cast<std::size_t>(s)];
+    if (ls.root == -1) continue;
+    const index_t w = map_.group[static_cast<std::size_t>(s)].base;
+    const index_t t = part.width(s);
+    const auto below = part.row_indices(s).subspan(static_cast<std::size_t>(t));
+    auto& seen_root = seen[static_cast<std::size_t>(ls.root)];
+    ls.first = seen_root == 0;
+    seen_root = 1;
+    // Ancestors have higher ids and columns, so the rows of the subtree's
+    // supernodes are exactly those before the root's last column.
+    const index_t end = part.first_col[static_cast<std::size_t>(ls.root) + 1];
+    ls.split = static_cast<index_t>(
+        std::lower_bound(below.begin(), below.end(), end) - below.begin());
+    ls.tail_begin = static_cast<index_t>(tail_pos_.size());
+    tail_pos_.resize(tail_pos_.size() + below.size() -
+                     static_cast<std::size_t>(ls.split));
+    const auto rrows = part.row_indices(ls.root);
+    gallop_positions(below.subspan(static_cast<std::size_t>(ls.split)),
+                     rrows.subspan(static_cast<std::size_t>(
+                         part.width(ls.root))),
+                     tail_pos_.data() + ls.tail_begin);
+    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+    if (ls.root != s) {
+      local_[static_cast<std::size_t>(parent)].child_rows +=
+          static_cast<index_t>(below.size());
+    }
+    auto& runs = local_runs_[static_cast<std::size_t>(w)];
+    const index_t c0 = part.first_col[static_cast<std::size_t>(s)];
+    if (!runs.empty() && runs.back().second == c0) {
+      runs.back().second = c0 + t;
+    } else {
+      runs.emplace_back(c0, c0 + t);
+    }
+    auto& most = max_below_[static_cast<std::size_t>(w)];
+    most = std::max(most, static_cast<index_t>(below.size()));
+  }
+}
+
+void DistributedTrisolver::plan_fragment_stacks() {
+  // A shared supernode's fragment is live from its fill to the end of its
+  // visit.  Forward: it is filled at its visit unless an owned child hands
+  // its tail off into it first — then the lowest owned child fills it as
+  // it finishes.  Backward: a root's fragment is filled at its visit,
+  // every other one by its parent's visit (which copies the parent's
+  // values into it); each rank's parent is always owned too, because a
+  // child's group lies inside its parent's.  A subtree root's tail is
+  // live across its subtree: forward from the subtree's first visit to
+  // the root's hand-off, backward from the parent's visit (the root's own
+  // at a tree root) to the subtree's last visit.
+  const auto& part = factor_.partition();
+  const index_t nsup = part.num_supernodes();
+  slot_begin_.assign(static_cast<std::size_t>(nsup) + 1, 0);
+  for (index_t s = 0; s < nsup; ++s) {
+    const index_t root = local_[static_cast<std::size_t>(s)].root;
+    const index_t slots =
+        root == -1 ? map_.group[static_cast<std::size_t>(s)].count
+                   : (root == s ? 1 : 0);
+    slot_begin_[static_cast<std::size_t>(s) + 1] =
+        slot_begin_[static_cast<std::size_t>(s)] + slots;
+  }
   fragments_.assign(static_cast<std::size_t>(slot_begin_.back()), {});
   stack_rows_.assign(static_cast<std::size_t>(map_.p), {});
   // Every slot belongs to exactly one rank, so one handle table serves
@@ -159,8 +237,11 @@ void DistributedTrisolver::plan_fragment_stacks() {
     const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
     const Layout lay{g.count, options_.block_size, part.height(s),
                      part.width(s)};
+    const index_t rows = local_[static_cast<std::size_t>(s)].root == s
+                             ? lay.ns - lay.t
+                             : lay.local_count(w - g.base);
     const std::size_t k = slot(s, w);
-    handle[k] = stack.open(lay.local_count(w - g.base));
+    handle[k] = stack.open(rows);
     fragments_[k].*offset = stack.offset(handle[k]);
   };
 
@@ -168,8 +249,14 @@ void DistributedTrisolver::plan_fragment_stacks() {
     const auto& walk = owned_[static_cast<std::size_t>(w)];
     FragmentStackPlanner fw;
     for (const index_t s : walk) {
+      const LocalStep& ls = local_[static_cast<std::size_t>(s)];
+      if (ls.root != -1) {
+        if (ls.first) open(fw, ls.root, w, &FragmentSlot::fw_offset);
+        if (ls.root != s) continue;
+      } else if (handle[slot(s, w)] == kNone) {
+        open(fw, s, w, &FragmentSlot::fw_offset);
+      }
       const std::size_t k = slot(s, w);
-      if (handle[k] == kNone) open(fw, s, w, &FragmentSlot::fw_offset);
       const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
       if (parent != -1 && handle[slot(parent, w)] == kNone) {
         open(fw, parent, w, &FragmentSlot::fw_offset);
@@ -178,13 +265,24 @@ void DistributedTrisolver::plan_fragment_stacks() {
       }
       fw.close(handle[k]);
     }
-    for (const index_t s : walk) handle[slot(s, w)] = kNone;
+    for (const index_t s : walk) {
+      if (slot_begin_[static_cast<std::size_t>(s) + 1] >
+          slot_begin_[static_cast<std::size_t>(s)]) {
+        handle[slot(s, w)] = kNone;
+      }
+    }
 
     FragmentStackPlanner bw;
     for (const index_t s : std::views::reverse(walk)) {
-      if (part.stree.parent[static_cast<std::size_t>(s)] == -1) {
-        open(bw, s, w, &FragmentSlot::bw_offset);
+      const LocalStep& ls = local_[static_cast<std::size_t>(s)];
+      const bool tree_root =
+          part.stree.parent[static_cast<std::size_t>(s)] == -1;
+      if (ls.root != -1) {
+        if (tree_root) open(bw, s, w, &FragmentSlot::bw_offset);
+        if (ls.first) bw.close(handle[slot(ls.root, w)]);
+        continue;
       }
+      if (tree_root) open(bw, s, w, &FragmentSlot::bw_offset);
       for (const index_t c : children_[static_cast<std::size_t>(s)]) {
         if (map_.group[static_cast<std::size_t>(c)].contains(w)) {
           open(bw, c, w, &FragmentSlot::bw_offset);
@@ -194,6 +292,27 @@ void DistributedTrisolver::plan_fragment_stacks() {
     }
     stack_rows_[static_cast<std::size_t>(w)] = {fw.peak(), bw.peak()};
   }
+}
+
+trisolve::SupernodeStep DistributedTrisolver::local_step(index_t w, index_t s,
+                                                         real_t* tail) const {
+  const auto& part = factor_.partition();
+  const LocalStep& ls = local_[static_cast<std::size_t>(s)];
+  trisolve::SupernodeStep step;
+  if (local_values_ != nullptr) {
+    step.l = local_values_->local_block(w, s).data();
+    step.ldl = local_values_->local_rows(w, s);
+  } else {
+    step.l = factor_.block(s).data();
+    step.ldl = part.height(s);
+  }
+  step.t = part.width(s);
+  step.rows = part.row_indices(s);
+  step.split = ls.split;
+  step.tail_pos = tail_pos_.data() + ls.tail_begin;
+  step.tail = tail;
+  step.tail_ld = part.height(ls.root) - part.width(ls.root);
+  return step;
 }
 
 DistributedTrisolver::FragmentStackRows
@@ -215,21 +334,25 @@ struct PhaseContext {
 };
 
 /// One rank's working memory for a phase, allocated once per phase by the
-/// rank itself: the fragment stack (every right-hand-side fragment of the
-/// sweep, at the offsets the plan assigned), outgoing packets by
+/// rank itself: the fragment stack (every fragment of a shared supernode
+/// and every subtree-root tail of the sweep, at the offsets the plan
+/// assigned), the in-place steps' scratch, outgoing packets by
 /// group-relative destination, and reusable receive and token buffers.
 /// Their capacities grow to the largest supernode and then stay, so the
 /// supernode loop allocates nothing but the payloads it sends.
 struct RankScratch {
-  RankScratch(index_t stack_rows, index_t nrhs, index_t p)
+  RankScratch(index_t stack_rows, index_t max_below, index_t nrhs, index_t p)
       : stack(static_cast<std::size_t>(stack_rows * nrhs)),
         out(static_cast<std::size_t>(p)),
-        m(nrhs) {}
+        m(nrhs) {
+    temp.reserve(static_cast<std::size_t>(max_below * nrhs));
+  }
 
   /// The fragment at row offset `rows` of the stack (nloc x m, ld nloc).
   real_t* fragment(index_t rows) { return stack.data() + rows * m; }
 
   PanelVector stack;
+  std::vector<real_t> temp;  ///< in-place step scratch
   std::vector<RhsPacket> out;
   RhsPacket in;
   std::vector<real_t> token;
@@ -237,6 +360,31 @@ struct RankScratch {
   std::vector<std::vector<real_t>> tokens;  ///< row-priority token stream
   index_t m;
 };
+
+/// A rank's right-hand-side rows of one supernode during a sweep: a
+/// shared supernode's fragment (its packed local positions from 0) or a
+/// subtree root's tail (its below positions, from t), `ld` apart.
+struct Rows {
+  real_t* v = nullptr;
+  index_t ld = 0;
+  index_t first = 0;  ///< packed position held in row 0
+
+  real_t& at(index_t lo, index_t c) const { return v[c * ld + lo - first]; }
+};
+
+/// to <- from on the rows in `runs` (both n x m, ld n): the single-rank
+/// supernodes' rows, which their in-place steps then update.
+void copy_runs(std::span<const std::pair<index_t, index_t>> runs,
+               std::span<const real_t> from, std::span<real_t> to, index_t n,
+               index_t m) {
+  if (from.data() == to.data()) return;
+  for (const auto& [r0, r1] : runs) {
+    for (index_t c = 0; c < m; ++c) {
+      std::copy(from.begin() + c * n + r0, from.begin() + c * n + r1,
+                to.begin() + c * n + r0);
+    }
+  }
+}
 
 /// Token tag for pivot block k of supernode s (see the tag notes above).
 int tag_fw_token(const PhaseContext& ctx, index_t s, index_t k) {
@@ -740,15 +888,54 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
 
   PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
 
+  // Hand rank w's below rows of s (a shared supernode or a subtree root,
+  // rows in `src`) to the parent: rows the rank also owns there add into
+  // its parent fragment — they hold -L21*y — and the rest travel to their
+  // owners in one packet per destination.
+  auto route_to_parent = [&](exec::Process& proc, RankScratch& scratch,
+                             index_t s, const Layout& lay, index_t r,
+                             const Rows& src, bool fills_parent) {
+    const index_t w = proc.rank();
+    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+    const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
+    const Layout play = layout_of(ctx, parent);
+    const exec::Group pg = map_.group[static_cast<std::size_t>(parent)];
+    // A child's group lies inside its parent's, so w is in pg.
+    const index_t pr = w - pg.base;
+    const index_t pnloc = play.local_count(pr);
+    real_t* pv = scratch.fragment(fragments_[slot(parent, w)].fw_offset);
+    if (fills_parent) fill_fragment(ctx, parent, play, pr, b_in, n, pv);
+    lay.for_owned_runs(r, lay.t, lay.ns, [&](index_t i0, index_t i1) {
+      for (index_t pos = i0, lo = lay.local_of(i0); pos < i1; ++pos, ++lo) {
+        const index_t ppos =
+            cr.parent_pos[static_cast<std::size_t>(pos - lay.t)];
+        const index_t dr = play.owner_of(ppos);
+        if (dr == pr) {
+          const index_t plo = play.local_of(ppos);
+          for (index_t c = 0; c < m; ++c) {
+            pv[c * pnloc + plo] += src.at(lo, c);
+          }
+          proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
+        } else {
+          RhsPacket& pkt = scratch.out[static_cast<std::size_t>(dr)];
+          pkt.positions.push_back(ppos);
+          for (index_t c = 0; c < m; ++c) pkt.values.push_back(src.at(lo, c));
+        }
+      }
+    });
+    flush_packets(proc, pg, tag_fw_contrib(s), m, scratch.out);
+  };
+
   // The SPMD sweep is a lowering of the forward-elimination DAG (edge
   // c -> s when c's rectangle update feeds rows of s): each rank walks
   // the supernodes its group owns in the graph's topological order,
   // ascending id.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].forward, m,
-                        map_.p);
+    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].forward,
+                        max_below_[static_cast<std::size_t>(w)], m, map_.p);
     const exec::ProgressNotes progress(proc);
+    copy_runs(local_runs_[static_cast<std::size_t>(w)], b_in, y_out, n, m);
     for (const index_t s : owned_[static_cast<std::size_t>(w)]) {
       const exec::Group g = map_.group[static_cast<std::size_t>(s)];
       progress.note("fw supernode", s);
@@ -759,8 +946,31 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       // fused redistribution can deliver the supernode's 1-D fragments
       // just in time for the solve below (tags disjoint by tag_limit()).
       if (forward_prologue_) forward_prologue_(proc, s);
-      const index_t r = w - g.base;
       const Layout lay = layout_of(ctx, s);
+      const LocalStep& ls = local_[static_cast<std::size_t>(s)];
+      if (ls.root != -1) {
+        // Single-rank: the sequential step in place in y_out; rows of
+        // shared ancestors go into the subtree root's tail.
+        const FragmentSlot& tail = fragments_[slot(ls.root, w)];
+        real_t* tv = scratch.fragment(tail.fw_offset);
+        const trisolve::SupernodeStep step = local_step(w, s, tv);
+        if (ls.first) std::fill(tv, tv + step.tail_ld * m, 0.0);
+        proc.compute_at(static_cast<double>(trisolve::forward_step(
+                            step, y_out.data(), n, m, scratch.temp)),
+                        proc.cost().panel_flop(m));
+        if (ls.root != s) {
+          // Priced as the hand-off into the parent it stands for.
+          proc.compute_at(static_cast<double>((lay.ns - lay.t) * m),
+                          proc.cost().t_mem);
+        } else if (part.stree.parent[static_cast<std::size_t>(s)] != -1) {
+          route_to_parent(proc, scratch, s, lay, 0,
+                          Rows{tv, step.tail_ld, lay.t},
+                          tail.fw_fills_parent);
+        }
+        continue;
+      }
+
+      const index_t r = w - g.base;
       const index_t nloc = lay.local_count(r);
       const FragmentSlot& frag = fragments_[slot(s, w)];
       real_t* v = scratch.fragment(frag.fw_offset);
@@ -791,20 +1001,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       }
 
       const LView lv = make_view(factor_, local_values_, w, s, lay);
-      if (g.count == 1) {
-        // Entire trapezoid local: dense triangular solve + rectangle update.
-        proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
-                            lay.t, m, lv.base, lv.ld, v, nloc)),
-                        proc.cost().panel_flop(m));
-        const index_t below = lay.ns - lay.t;
-        if (below > 0) {
-          dense::panel_gemm(below, m, lay.t, -1.0, lv.base + lv.row(lay.t),
-                            lv.ld, v, nloc, v + lay.t, nloc);
-          proc.compute_at(
-              static_cast<double>(dense::gemm_flops(below, m, lay.t)),
-              proc.cost().panel_flop(m));
-        }
-      } else if (options_.pipelining == Pipelining::column_priority) {
+      if (options_.pipelining == Pipelining::column_priority) {
         fw_pipelined_column_priority(proc, ctx, s, lay, r, lv, v, nloc,
                                      scratch.token);
       } else if (options_.pipelining == Pipelining::row_priority) {
@@ -815,45 +1012,9 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       }
 
       publish_pivots(ctx, s, lay, r, v, y_out, n);
-
-      // Route the tail to the parent.
-      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      if (parent != -1) {
-        const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
-        const Layout play = layout_of(ctx, parent);
-        const exec::Group pg =
-            map_.group[static_cast<std::size_t>(parent)];
-        // A child's group lies inside its parent's, so w is in pg.
-        const index_t pr = w - pg.base;
-        const index_t pnloc = play.local_count(pr);
-        real_t* pv = scratch.fragment(fragments_[slot(parent, w)].fw_offset);
-        if (frag.fw_fills_parent) {
-          fill_fragment(ctx, parent, play, pr, b_in, n, pv);
-        }
-        lay.for_owned_runs(r, lay.t, lay.ns, [&](index_t i0, index_t i1) {
-          for (index_t pos = i0, lo = lay.local_of(i0); pos < i1;
-               ++pos, ++lo) {
-            const index_t ppos =
-                cr.parent_pos[static_cast<std::size_t>(pos - lay.t)];
-            const index_t dr = play.owner_of(ppos);
-            if (dr == pr) {
-              // Local hand-off: the tail holds -L21*y, so it adds directly
-              // into the parent fragment.
-              const index_t plo = play.local_of(ppos);
-              for (index_t c = 0; c < m; ++c) {
-                pv[c * pnloc + plo] += v[c * nloc + lo];
-              }
-              proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
-            } else {
-              RhsPacket& pkt = scratch.out[static_cast<std::size_t>(dr)];
-              pkt.positions.push_back(ppos);
-              for (index_t c = 0; c < m; ++c) {
-                pkt.values.push_back(v[c * nloc + lo]);
-              }
-            }
-          }
-        });
-        flush_packets(proc, pg, tag_fw_contrib(s), m, scratch.out);
+      if (part.stree.parent[static_cast<std::size_t>(s)] != -1) {
+        route_to_parent(proc, scratch, s, lay, r, Rows{v, nloc, 0},
+                        frag.fw_fills_parent);
       }
     }
   };
@@ -877,6 +1038,33 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
 
   PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
 
+  // Receive the below-part values of s (a shared supernode or a subtree
+  // root, rows in `dst`) from the parent ranks that own them.
+  auto receive_from_parent = [&](exec::Process& proc, RankScratch& scratch,
+                                 index_t s, const Layout& lay,
+                                 const Rows& dst) {
+    const index_t w = proc.rank();
+    const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
+    // Backward messages travel parent -> child: the pair roles swap.
+    for (const auto& [child_rank, parent_rank] : cr.pairs) {
+      if (child_rank != w) continue;
+      auto msg = proc.recv(parent_rank, tag_bw_copy(s));
+      RhsPacket& pkt = scratch.in;
+      unpack_rhs(msg.payload, m, pkt);
+      check_finite_cheap(pkt.values, "bw parent values", s);
+      for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
+        const index_t lo = lay.local_of(pkt.positions[z]);
+        for (index_t col = 0; col < m; ++col) {
+          dst.at(lo, col) = pkt.values[z * static_cast<std::size_t>(m) +
+                                       static_cast<std::size_t>(col)];
+        }
+      }
+      proc.compute_at(static_cast<double>(pkt.positions.size()) *
+                          static_cast<double>(m),
+                      proc.cost().t_mem);
+    }
+  };
+
   // Backward lowering: the backward DAG is the forward DAG with every edge
   // reversed, so descending supernode id is a topological order of it, and
   // the one that reproduces the historical top-down sweep byte for byte.
@@ -884,9 +1072,10 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
   // below-free supernodes early.)
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].backward, m,
-                        map_.p);
+    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].backward,
+                        max_below_[static_cast<std::size_t>(w)], m, map_.p);
     const exec::ProgressNotes progress(proc);
+    copy_runs(local_runs_[static_cast<std::size_t>(w)], y_in, x_out, n, m);
     for (const index_t s :
          std::views::reverse(owned_[static_cast<std::size_t>(w)])) {
       const exec::Group g = map_.group[static_cast<std::size_t>(s)];
@@ -894,55 +1083,42 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
-      const index_t r = w - g.base;
+      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
       const Layout lay = layout_of(ctx, s);
+      const LocalStep& ls = local_[static_cast<std::size_t>(s)];
+      if (ls.root != -1) {
+        // Single-rank: the sequential step in place in x_out, reading the
+        // rows of shared ancestors from the subtree root's tail.
+        real_t* tv = scratch.fragment(fragments_[slot(ls.root, w)].bw_offset);
+        const trisolve::SupernodeStep step = local_step(w, s, tv);
+        if (ls.root == s && parent != -1) {
+          receive_from_parent(proc, scratch, s, lay,
+                              Rows{tv, step.tail_ld, lay.t});
+        }
+        proc.compute_at(static_cast<double>(trisolve::backward_step(
+                            step, x_out.data(), n, m, scratch.temp)),
+                        proc.cost().panel_flop(m));
+        if (ls.child_rows > 0) {
+          // Priced as the copies into the children it stands for.
+          proc.compute_at(static_cast<double>(ls.child_rows * m),
+                          proc.cost().t_mem);
+        }
+        continue;
+      }
+
+      const index_t r = w - g.base;
       const index_t nloc = lay.local_count(r);
       real_t* wv = scratch.fragment(fragments_[slot(s, w)].bw_offset);
-
-      // Receive the below-part values from the parent (a root fills its
-      // own fragment; every other one was filled by its parent's visit).
-      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+      // A root fills its own fragment; every other one was filled by its
+      // parent's visit, apart from the values remote parent ranks send.
       if (parent == -1) {
         fill_fragment(ctx, s, lay, r, y_in, n, wv);
       } else {
-        const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
-        // Backward messages travel parent -> child: the pair roles swap.
-        for (const auto& [child_rank, parent_rank] : cr.pairs) {
-          if (child_rank != w) continue;
-          auto msg = proc.recv(parent_rank, tag_bw_copy(s));
-          RhsPacket& pkt = scratch.in;
-          unpack_rhs(msg.payload, m, pkt);
-          check_finite_cheap(pkt.values, "bw parent values", s);
-          for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
-            const index_t lo = lay.local_of(pkt.positions[z]);
-            for (index_t col = 0; col < m; ++col) {
-              wv[col * nloc + lo] =
-                  pkt.values[z * static_cast<std::size_t>(m) +
-                             static_cast<std::size_t>(col)];
-            }
-          }
-          proc.compute_at(static_cast<double>(pkt.positions.size()) *
-                              static_cast<double>(m),
-                          proc.cost().t_mem);
-        }
+        receive_from_parent(proc, scratch, s, lay, Rows{wv, nloc, 0});
       }
 
       const LView lv = make_view(factor_, local_values_, w, s, lay);
-      if (g.count == 1) {
-        const index_t below = lay.ns - lay.t;
-        if (below > 0) {
-          dense::panel_gemm_at(lay.t, m, below, -1.0,
-                               lv.base + lv.row(lay.t), lv.ld, wv + lay.t,
-                               nloc, wv, nloc);
-          proc.compute_at(
-              static_cast<double>(dense::gemm_flops(lay.t, m, below)),
-              proc.cost().panel_flop(m));
-        }
-        proc.compute_at(
-            static_cast<double>(dense::panel_trsm_lower_transposed(
-                lay.t, m, lv.base, lv.ld, wv, nloc)),
-            proc.cost().panel_flop(m));
-      } else if (options_.pipelining == Pipelining::fan_out) {
+      if (options_.pipelining == Pipelining::fan_out) {
         bw_fan_in(proc, ctx, s, lay, r, lv, wv, nloc, scratch.acc);
       } else {
         bw_pipelined(proc, ctx, s, lay, r, lv, wv, nloc, scratch.acc,
@@ -951,17 +1127,23 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
 
       publish_pivots(ctx, s, lay, r, wv, x_out, n);
 
-      // Send each child the values its below-part positions need.
+      // Send each child the values its below-part positions need: into
+      // this rank's fragment (a shared child) or tail (a subtree root),
+      // or to the child rank that owns them.
       for (index_t c : children_[static_cast<std::size_t>(s)]) {
         const ChildRouting& cr = routing_[static_cast<std::size_t>(c)];
         const Layout clay = layout_of(ctx, c);
         const exec::Group cg = map_.group[static_cast<std::size_t>(c)];
-        real_t* cv = nullptr;
-        index_t cnloc = 0;
+        Rows dst;
         if (cg.contains(w)) {
-          cnloc = clay.local_count(w - cg.base);
-          cv = scratch.fragment(fragments_[slot(c, w)].bw_offset);
-          fill_fragment(ctx, c, clay, w - cg.base, y_in, n, cv);
+          dst.v = scratch.fragment(fragments_[slot(c, w)].bw_offset);
+          if (local_[static_cast<std::size_t>(c)].root == c) {
+            dst.ld = clay.ns - clay.t;
+            dst.first = clay.t;
+          } else {
+            dst.ld = clay.local_count(w - cg.base);
+            fill_fragment(ctx, c, clay, w - cg.base, y_in, n, dst.v);
+          }
         }
         const index_t cbelow = clay.ns - clay.t;
         for (index_t k = 0; k < cbelow; ++k) {
@@ -973,7 +1155,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
           if (cg.base + dr == w) {
             const index_t clo = clay.local_of(cpos);
             for (index_t col = 0; col < m; ++col) {
-              cv[col * cnloc + clo] = wv[col * nloc + lo];
+              dst.at(clo, col) = wv[col * nloc + lo];
             }
             proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
           } else {

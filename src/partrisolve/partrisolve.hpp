@@ -6,25 +6,35 @@
 //   * The supernodal elimination tree is mapped subtree-to-subcube: each
 //     supernode is owned by a group (subcube) of processors; sequential
 //     subtrees run entirely on one processor.
+//   * A single-rank subtree runs the sequential solve's per-supernode
+//     steps (trisolve::forward_step/backward_step) in place in the output
+//     vector.  Below rows owned by the subtree's own supernodes are
+//     updated there directly; rows owned by shared ancestors go into the
+//     subtree root's *tail*, which travels to the shared parent like any
+//     other contribution.  At p = 1 every supernode is such a step, so the
+//     distributed solve equals trisolve::full_solve bit for bit.
 //   * A supernode shared by q processors is distributed 1-D row-wise
 //     block-cyclic with block size b and processed with the pipelined
 //     algorithm of Figs. 3-4: solved sub-vectors of size b x m circulate
 //     around the group's ring while each processor updates its own block
 //     rows (column-priority) or block rows in row order (row-priority).
-//   * Between a supernode and its parent, right-hand-side fragments are
-//     routed point-to-point from each fragment's owner to the owner of the
-//     corresponding position in the parent's distribution.
+//   * Between a shared supernode (or a subtree root) and its parent,
+//     right-hand-side fragments are routed point-to-point from each
+//     fragment's owner to the owner of the corresponding position in the
+//     parent's distribution.
 //
 // Forward elimination walks the tree bottom-up producing Y (L Y = B);
 // backward substitution walks top-down producing X (L^T X = Y).
-// The solve plan (routing tables, walk order, DAG stats, fragment-stack
-// offsets) is built once per solver, so forward()/backward() do only
-// right-hand-side work: each rank allocates its working memory once per
-// phase, and the supernode loop allocates nothing but outgoing payloads.
+// The solve plan (subtree roots and tail positions, routing tables, walk
+// order, DAG stats, fragment-stack offsets) is built once per solver, so
+// forward()/backward() do only right-hand-side work: each rank allocates
+// its working memory once per phase, and the supernode loop allocates
+// nothing but outgoing payloads.
 #pragma once
 
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -33,6 +43,7 @@
 #include "partrisolve/dist_factor.hpp"
 #include "exec/process.hpp"
 #include "exec/taskgraph.hpp"
+#include "trisolve/trisolve.hpp"
 
 namespace sparts::partrisolve {
 
@@ -100,8 +111,9 @@ class DistributedTrisolver {
   const Options& options() const { return options_; }
 
   /// Height in rows of a rank's fragment stack — the buffer that holds
-  /// every right-hand-side fragment the rank touches in a sweep.  A phase
-  /// with m right-hand sides allocates rows x m values per rank, once.
+  /// the rank's fragments of shared supernodes and the tails of its
+  /// subtree roots during a sweep (empty at p = 1).  A phase with m
+  /// right-hand sides allocates rows x m values per rank, once.
   struct FragmentStackRows {
     index_t forward = 0;
     index_t backward = 0;
@@ -130,6 +142,7 @@ class DistributedTrisolver {
   }
 
  private:
+  /// How a shared supernode or a subtree root reaches its parent.
   struct ChildRouting {
     /// For below-position k of child c (0-based), the position of that row
     /// inside the parent's trapezoid.
@@ -139,9 +152,21 @@ class DistributedTrisolver {
     std::vector<std::pair<index_t, index_t>> pairs;
   };
 
-  /// Where one rank's fragment of one supernode lives in the rank's
-  /// fragment stack (in rows; a phase scales by m), and when the forward
-  /// sweep fills it.  One per participation slot.
+  /// Where a single-rank supernode's step puts its below rows.  The rows
+  /// ascend, so those of its subtree's supernodes come first (updated in
+  /// place in the output vector) and those of shared ancestors last (in
+  /// the subtree root's tail, which holds the root's below rows x m).
+  struct LocalStep {
+    index_t root = -1;        ///< subtree root; -1 for a shared supernode
+    index_t split = 0;        ///< below rows [0, split) are in place
+    index_t tail_begin = 0;   ///< tail_pos_ offset of below row `split`
+    index_t child_rows = 0;   ///< below rows of its children, summed
+    bool first = false;       ///< first of its subtree in ascending order
+  };
+
+  /// Where one rank's fragment of a shared supernode, or a subtree root's
+  /// tail, lives in the rank's fragment stack (in rows; a phase scales by
+  /// m), and when the forward sweep fills it.  One per slot.
   struct FragmentSlot {
     index_t fw_offset = 0;
     index_t bw_offset = 0;
@@ -152,27 +177,51 @@ class DistributedTrisolver {
     bool fw_fills_parent = false;
   };
 
-  /// Participation slot of (supernode s, world rank w in s's group).
+  /// Fragment-stack slot of (supernode s, world rank w in s's group); only
+  /// shared supernodes and subtree roots have slots.
   std::size_t slot(index_t s, index_t w) const {
     return static_cast<std::size_t>(
         slot_begin_[static_cast<std::size_t>(s)] + w -
         map_.group[static_cast<std::size_t>(s)].base);
   }
 
+  /// Subtree roots, splits and tail positions of the single-rank
+  /// supernodes; fills local_, tail_pos_, local_runs_ and max_below_.
+  void plan_local_steps();
+
   /// Replay every rank's forward and backward open/close sequence through
   /// a FragmentStackPlanner; fills fragments_ and the stack heights.
   void plan_fragment_stacks();
+
+  /// The step of single-rank supernode s on rank w, with the root's tail
+  /// at `tail`.
+  trisolve::SupernodeStep local_step(index_t w, index_t s,
+                                     real_t* tail) const;
 
   const numeric::SupernodalFactor& factor_;
   const DistributedFactor* local_values_ = nullptr;
   const mapping::SubcubeMapping& map_;
   Options options_;
   std::vector<std::vector<index_t>> children_;  ///< per supernode
-  std::vector<ChildRouting> routing_;           ///< per supernode (to parent)
+  /// Per supernode, to the parent; empty below a subtree root.
+  std::vector<ChildRouting> routing_;
+  std::vector<LocalStep> local_;  ///< per supernode
+  /// Per single-rank supernode, from its LocalStep::tail_begin: the row
+  /// in its root's tail of each below row past the split.
+  std::vector<index_t> tail_pos_;
+  /// Per world rank: its single-rank supernodes' columns as ascending
+  /// [begin, end) runs — the rows a phase copies into the output vector
+  /// before the in-place steps.
+  std::vector<std::vector<std::pair<index_t, index_t>>> local_runs_;
+  /// Per world rank: the most below rows of one of its single-rank
+  /// supernodes (sizes the step scratch).
+  std::vector<index_t> max_below_;
   /// Per world rank: the supernodes whose group holds it, ascending — the
   /// forward walk (the backward walk is its reverse).
   std::vector<std::vector<index_t>> owned_;
-  /// SubcubeMapping::participation_slots(), indexing fragments_.
+  /// Slot numbering: supernode s's slots are [slot_begin_[s],
+  /// slot_begin_[s + 1]), one per group rank of a shared supernode, one
+  /// for a subtree root, none below it.
   std::vector<index_t> slot_begin_;
   std::vector<FragmentSlot> fragments_;
   std::vector<FragmentStackRows> stack_rows_;  ///< per world rank

@@ -8,40 +8,88 @@
 
 namespace sparts::trisolve {
 
+SupernodeStep sequential_step(const numeric::SupernodalFactor& l, index_t s) {
+  const auto& p = l.partition();
+  SupernodeStep step;
+  step.l = l.block(s).data();
+  step.ldl = p.height(s);
+  step.t = p.width(s);
+  step.rows = p.row_indices(s);
+  step.split = p.height(s) - step.t;
+  return step;
+}
+
+nnz_t forward_step(const SupernodeStep& step, real_t* x, index_t ldx,
+                   index_t m, std::vector<real_t>& temp) {
+  const index_t t = step.t;
+  const index_t below = static_cast<index_t>(step.rows.size()) - t;
+  real_t* x1 = x + step.rows[0];
+
+  // Dense triangular solve on the supernode's own rows.
+  nnz_t flops = dense::panel_trsm_lower(t, m, step.l, step.ldl, x1, ldx);
+  if (below == 0) return flops;
+
+  // Rectangle update: temp = L21 * X1, subtracted from the below rows.
+  temp.assign(static_cast<std::size_t>(below) * m, 0.0);
+  dense::panel_gemm(below, m, t, 1.0, step.l + t, step.ldl, x1, ldx,
+                    temp.data(), below);
+  flops += dense::gemm_flops(below, m, t);
+  const index_t* rows = step.rows.data() + t;
+  for (index_t c = 0; c < m; ++c) {
+    real_t* xc = x + c * ldx;
+    const real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
+    for (index_t i = 0; i < step.split; ++i) xc[rows[i]] -= tc[i];
+    if (step.split == below) continue;
+    real_t* yc = step.tail + c * step.tail_ld;
+    for (index_t i = step.split; i < below; ++i) {
+      yc[step.tail_pos[i - step.split]] -= tc[i];
+    }
+  }
+  return flops;
+}
+
+nnz_t backward_step(const SupernodeStep& step, real_t* x, index_t ldx,
+                    index_t m, std::vector<real_t>& temp) {
+  const index_t t = step.t;
+  const index_t below = static_cast<index_t>(step.rows.size()) - t;
+  real_t* x1 = x + step.rows[0];
+  nnz_t flops = 0;
+
+  if (below > 0) {
+    // Gather ancestor rows of X, then X1 -= L21^T * X2.
+    temp.resize(static_cast<std::size_t>(below) * m);
+    const index_t* rows = step.rows.data() + t;
+    for (index_t c = 0; c < m; ++c) {
+      const real_t* xc = x + c * ldx;
+      real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
+      for (index_t i = 0; i < step.split; ++i) tc[i] = xc[rows[i]];
+      if (step.split == below) continue;
+      const real_t* yc = step.tail + c * step.tail_ld;
+      for (index_t i = step.split; i < below; ++i) {
+        tc[i] = yc[step.tail_pos[i - step.split]];
+      }
+    }
+    dense::panel_gemm_at(t, m, below, -1.0, step.l + t, step.ldl,
+                         temp.data(), below, x1, ldx);
+    flops += dense::gemm_flops(t, m, below);
+  }
+
+  // Dense transposed-triangular solve on the supernode's own rows.
+  flops += dense::panel_trsm_lower_transposed(t, m, step.l, step.ldl, x1,
+                                              ldx);
+  return flops;
+}
+
 void forward_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
                    SolveStats* stats) {
   const auto& p = l.partition();
-  const index_t n = p.n();
   nnz_t flops = 0;
   std::vector<real_t> temp;
 
   // Supernodes are numbered so that ancestors have higher indices
   // (column-contiguity), so ascending order is a valid bottom-up sweep.
   for (index_t s = 0; s < p.num_supernodes(); ++s) {
-    const index_t t = p.width(s);
-    const index_t ns = p.height(s);
-    const index_t j0 = p.first_col[static_cast<std::size_t>(s)];
-    auto block = l.block(s);
-
-    // Dense triangular solve on the supernode's own rows of B.
-    flops += dense::panel_trsm_lower(t, m, block.data(), ns, b + j0, n);
-
-    // Rectangle update: temp = L21 * X1, scattered into ancestor rows.
-    const index_t below = ns - t;
-    if (below > 0) {
-      temp.assign(static_cast<std::size_t>(below) * m, 0.0);
-      dense::panel_gemm(below, m, t, 1.0, block.data() + t, ns, b + j0, n,
-                        temp.data(), below);
-      flops += dense::gemm_flops(below, m, t);
-      auto rows = p.row_indices(s);
-      for (index_t c = 0; c < m; ++c) {
-        real_t* bc = b + c * n;
-        const real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
-        for (index_t i = 0; i < below; ++i) {
-          bc[rows[static_cast<std::size_t>(t + i)]] -= tc[i];
-        }
-      }
-    }
+    flops += forward_step(sequential_step(l, s), b, p.n(), m, temp);
   }
   if (stats != nullptr) stats->flops += flops;
 }
@@ -49,36 +97,11 @@ void forward_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
 void backward_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
                     SolveStats* stats) {
   const auto& p = l.partition();
-  const index_t n = p.n();
   nnz_t flops = 0;
   std::vector<real_t> temp;
 
   for (index_t s = p.num_supernodes() - 1; s >= 0; --s) {
-    const index_t t = p.width(s);
-    const index_t ns = p.height(s);
-    const index_t j0 = p.first_col[static_cast<std::size_t>(s)];
-    auto block = l.block(s);
-    const index_t below = ns - t;
-
-    if (below > 0) {
-      // Gather ancestor rows of X, then X1 -= L21^T * X2.
-      auto rows = p.row_indices(s);
-      temp.assign(static_cast<std::size_t>(below) * m, 0.0);
-      for (index_t c = 0; c < m; ++c) {
-        const real_t* bc = b + c * n;
-        real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
-        for (index_t i = 0; i < below; ++i) {
-          tc[i] = bc[rows[static_cast<std::size_t>(t + i)]];
-        }
-      }
-      dense::panel_gemm_at(t, m, below, -1.0, block.data() + t, ns,
-                           temp.data(), below, b + j0, n);
-      flops += dense::gemm_flops(t, m, below);
-    }
-
-    // Dense transposed-triangular solve on the supernode's own rows.
-    flops += dense::panel_trsm_lower_transposed(t, m, block.data(), ns,
-                                                b + j0, n);
+    flops += backward_step(sequential_step(l, s), b, p.n(), m, temp);
   }
   if (stats != nullptr) stats->flops += flops;
 }

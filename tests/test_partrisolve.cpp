@@ -51,15 +51,16 @@ simpar::Machine make_machine(index_t p) {
   return simpar::Machine(cfg);
 }
 
-// (p, block size, nrhs, pipelining variant)
-using Combo = std::tuple<index_t, index_t, index_t, Pipelining>;
+// (p, block size, nrhs, pipelining variant, L from rank-local storage)
+using Combo = std::tuple<index_t, index_t, index_t, Pipelining, bool>;
 
 class ParTrisolveTest : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(ParTrisolveTest, MatchesSequentialSolveOnGrid2d) {
-  const auto [p, b, m, variant] = GetParam();
+  const auto [p, b, m, variant, strict] = GetParam();
   Problem prob = make_grid_problem(13);
   const index_t n = prob.a.n();
+  const auto& part = prob.l.partition();
 
   Rng rng(7);
   std::vector<real_t> rhs = sparse::random_rhs(n, m, rng);
@@ -69,12 +70,23 @@ TEST_P(ParTrisolveTest, MatchesSequentialSolveOnGrid2d) {
   trisolve::full_solve(prob.l, ref.data(), m);
 
   // Distributed solve.
-  const mapping::SubcubeMapping map =
-      mapping::subtree_to_subcube(prob.l.partition(), p);
+  const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+  if (p > 1) {
+    // Single-rank subtrees hang below shared supernodes: their roots'
+    // tails cross the subcube boundary.
+    bool boundary = false;
+    for (index_t s = 0; s < part.num_supernodes(); ++s) {
+      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+      boundary = boundary || (parent != -1 && !map.is_parallel(s) &&
+                              map.is_parallel(parent));
+    }
+    ASSERT_TRUE(boundary);
+  }
   Options opt;
   opt.block_size = b;
   opt.pipelining = variant;
-  DistributedTrisolver solver(prob.l, map, opt);
+  const auto df = partrisolve::DistributedFactor::pack_from(prob.l, map, b);
+  DistributedTrisolver solver(prob.l, strict ? &df : nullptr, map, opt);
   simpar::Machine machine = make_machine(p);
   std::vector<real_t> x(static_cast<std::size_t>(n * m), 0.0);
   auto [fw, bw] = solver.solve(machine, rhs, x, m);
@@ -93,15 +105,26 @@ constexpr auto kFan = Pipelining::fan_out;
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParTrisolveTest,
-    ::testing::Values(Combo{1, 8, 1, kCol}, Combo{2, 8, 1, kCol},
-                      Combo{4, 8, 1, kCol}, Combo{8, 8, 1, kCol},
-                      Combo{16, 8, 1, kCol}, Combo{4, 1, 1, kCol},
-                      Combo{4, 3, 1, kCol}, Combo{8, 2, 3, kCol},
-                      Combo{4, 8, 5, kCol}, Combo{8, 8, 30, kCol},
-                      Combo{2, 8, 1, kRow}, Combo{4, 4, 2, kRow},
-                      Combo{8, 8, 1, kRow}, Combo{16, 2, 3, kRow},
-                      Combo{2, 8, 1, kFan}, Combo{4, 4, 2, kFan},
-                      Combo{8, 8, 1, kFan}, Combo{16, 3, 4, kFan}));
+    ::testing::Values(
+        Combo{1, 8, 1, kCol, false}, Combo{2, 8, 1, kCol, false},
+        Combo{4, 8, 1, kCol, false}, Combo{8, 8, 1, kCol, false},
+        Combo{16, 8, 1, kCol, false}, Combo{4, 1, 1, kCol, false},
+        Combo{4, 3, 1, kCol, false}, Combo{8, 2, 3, kCol, false},
+        Combo{4, 8, 5, kCol, false}, Combo{8, 8, 30, kCol, false},
+        Combo{2, 8, 1, kRow, false}, Combo{4, 4, 2, kRow, false},
+        Combo{8, 8, 1, kRow, false}, Combo{16, 2, 3, kRow, false},
+        Combo{2, 8, 1, kFan, false}, Combo{4, 4, 2, kFan, false},
+        Combo{8, 8, 1, kFan, false}, Combo{16, 3, 4, kFan, false}));
+
+// Single-rank subtrees under shared supernodes: every pipelining, on the
+// shared factor and on rank-local storage.
+INSTANTIATE_TEST_SUITE_P(
+    MixedSubtrees, ParTrisolveTest,
+    ::testing::Combine(::testing::Values<index_t>(2, 4, 8),
+                       ::testing::Values<index_t>(1, 3, 8),
+                       ::testing::Values<index_t>(3),
+                       ::testing::Values(kCol, kRow, kFan),
+                       ::testing::Bool()));
 
 class RandomizedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -182,9 +205,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedStrictSweep,
                          ::testing::Range<std::uint64_t>(2000, 2010));
 
 TEST(ParTrisolve, FragmentStackReusesRowsAcrossTheSweep) {
-  // Each rank's fragment stack must hold its largest fragment and never
-  // more than all of them at once; on a nested-dissection grid the reuse
-  // keeps it far below that sum.
+  // A rank's stack holds its fragments of shared supernodes and the
+  // tails (below rows) of its subtree roots; the single-rank supernodes
+  // below a root work in place and take no rows.  The stack must fit the
+  // largest of those buffers and never more than all of them at once,
+  // and at p = 1 (no shared supernode, every tail empty) it is empty.
   Problem prob = make_grid_problem(31);
   const auto& part = prob.l.partition();
   for (const index_t p : {index_t{1}, index_t{4}, index_t{16}}) {
@@ -195,16 +220,23 @@ TEST(ParTrisolve, FragmentStackReusesRowsAcrossTheSweep) {
       for (index_t s = 0; s < part.num_supernodes(); ++s) {
         const exec::Group& g = map.group[static_cast<std::size_t>(s)];
         if (!g.contains(w)) continue;
-        const partrisolve::Layout lay{g.count, Options{}.block_size,
-                                      part.height(s), part.width(s)};
-        total += lay.local_count(w - g.base);
-        largest = std::max(largest, lay.local_count(w - g.base));
+        const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+        index_t rows = 0;
+        if (g.count > 1) {
+          const partrisolve::Layout lay{g.count, Options{}.block_size,
+                                        part.height(s), part.width(s)};
+          rows = lay.local_count(w - g.base);
+        } else if (parent == -1 || map.is_parallel(parent)) {
+          rows = part.height(s) - part.width(s);
+        }
+        total += rows;
+        largest = std::max(largest, rows);
       }
       const auto rows = solver.fragment_stack_rows(w);
       for (const index_t height : {rows.forward, rows.backward}) {
         EXPECT_GE(height, largest) << "p=" << p << " rank " << w;
         EXPECT_LE(height, total) << "p=" << p << " rank " << w;
-        if (p == 1) EXPECT_LT(3 * height, total);
+        if (p == 1) EXPECT_EQ(height, 0);
       }
     }
   }

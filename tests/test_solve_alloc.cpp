@@ -1,8 +1,9 @@
 // The distributed solve allocates per phase, not per supernode: each rank
-// sizes its working memory (fragment stack, packet and token buffers) once
-// per forward()/backward(), so a sweep's heap traffic is O(p + messages)
-// however many supernodes it walks.  This binary replaces the global
-// allocation function to count every heap allocation.
+// sizes its working memory (a fragment stack for its shared supernodes and
+// subtree-root tails, the in-place steps' scratch, packet and token
+// buffers) once per forward()/backward(), so a sweep's heap traffic is
+// O(p + messages) however many supernodes it walks.  This binary replaces
+// the global allocation function to count every heap allocation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,9 +82,10 @@ Counted count_solve(const partrisolve::DistributedTrisolver& solver,
 }
 
 TEST(SolveAllocations, SequentialSweepAllocatesOncePerPhase) {
-  // p = 1: every supernode is local and no message moves, so the sweep's
-  // allocations are the phase's fixed working memory — none per
-  // supernode, on the shared and on the rank-local factor alike.
+  // p = 1: every supernode is a single-rank step in place and no message
+  // moves, so the fragment stack is empty and the sweep's allocations are
+  // the phase's fixed working memory — none per supernode, on the shared
+  // and on the rank-local factor alike.
   const Problem prob = grid_problem(31);
   const index_t nsup = prob.l.partition().num_supernodes();
   ASSERT_GT(nsup, 500);
@@ -96,6 +98,8 @@ TEST(SolveAllocations, SequentialSweepAllocatesOncePerPhase) {
   for (const partrisolve::DistributedFactor* local : {
            static_cast<const partrisolve::DistributedFactor*>(nullptr), &df}) {
     const partrisolve::DistributedTrisolver solver(prob.l, local, map, {});
+    EXPECT_EQ(solver.fragment_stack_rows(0).forward, 0);
+    EXPECT_EQ(solver.fragment_stack_rows(0).backward, 0);
     for (const index_t m : {index_t{1}, index_t{4}}) {
       const Counted c = count_solve(solver, machine, prob.a.n(), m);
       EXPECT_LE(c.forward_allocs, 32u) << "m=" << m;
@@ -106,8 +110,10 @@ TEST(SolveAllocations, SequentialSweepAllocatesOncePerPhase) {
 
 TEST(SolveAllocations, ParallelSweepAllocatesPerMessageNotPerSupernode) {
   // p = 4: beyond the per-rank working memory, each message costs its
-  // payload (and the backend's delivery), never a per-supernode buffer.
-  // The simulator keeps the count deterministic.
+  // payload (and the backend's delivery), never a per-supernode buffer:
+  // the single-rank subtrees below the subcube boundary (most of the
+  // supernodes) run in place, and only their roots' tails travel.  The
+  // simulator keeps the count deterministic.
   const Problem prob = grid_problem(31);
   const index_t nsup = prob.l.partition().num_supernodes();
   constexpr index_t p = 4;

@@ -15,6 +15,9 @@
 //   * taskdag_factor == multifrontal_cholesky bit for bit (values and
 //     stats), at every worker count;
 //   * taskdag_solve == trisolve::full_solve bit for bit;
+//   * DistributedTrisolver at p = 1 == trisolve::full_solve bit for bit
+//     (every supernode is a single-rank step in place), on every backend
+//     and from the shared factor or rank-local storage alike;
 //   * parallel_solve(--backend tasks) == parallel_solve(--backend threads)
 //     bit for bit on a corpus of matrices and processor counts;
 //   * the --backend registry round-trips and rejects junk with a message
@@ -31,6 +34,7 @@
 #include "ordering/nested_dissection.hpp"
 #include "parfact/factor_dag.hpp"
 #include "parfact/parfact.hpp"
+#include "partrisolve/dist_factor.hpp"
 #include "partrisolve/partrisolve.hpp"
 #include "partrisolve/solve_dag.hpp"
 #include "simpar/machine.hpp"
@@ -238,6 +242,57 @@ TEST(TaskDagLowering, TaskSolveMatchesSequentialBitwise) {
         EXPECT_EQ(report.forward.tasks + report.backward.tasks,
                   report.scheduler.jobs_run)
             << family;
+      }
+    }
+  }
+}
+
+TEST(TaskDagLowering, OneRankDistributedSolveMatchesSequentialBitwise) {
+  // At p = 1 the distributed solver runs trisolve's per-supernode steps
+  // in trisolve's order, in place: y and x must equal the sequential
+  // phases' bit for bit.
+  for (const char* family : kFamilies) {
+    const sparse::SymmetricCsc a = ordered(family);
+    const symbolic::SupernodePartition part = partition_of(a);
+    const numeric::SupernodalFactor l =
+        numeric::multifrontal_cholesky(a, part);
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, 1);
+    const partrisolve::DistributedFactor strict =
+        partrisolve::DistributedFactor::pack_from(
+            l, map, partrisolve::Options{}.block_size);
+    simpar::Machine::Config scfg;
+    scfg.nprocs = 1;
+    simpar::Machine sim(scfg);
+    exec::ThreadBackend::Config tcfg;
+    tcfg.nprocs = 1;
+    exec::ThreadBackend threads(tcfg);
+    exec::TaskBackend::Config kcfg;
+    kcfg.nprocs = 1;
+    exec::TaskBackend tasks(kcfg);
+    for (const index_t m : {index_t{1}, index_t{3}}) {
+      Rng rng(static_cast<std::uint64_t>(60 + m));
+      const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
+      std::vector<real_t> y_seq = b;
+      trisolve::forward_solve(l, y_seq.data(), m);
+      std::vector<real_t> x_seq = y_seq;
+      trisolve::backward_solve(l, x_seq.data(), m);
+      for (const partrisolve::DistributedFactor* local :
+           {static_cast<const partrisolve::DistributedFactor*>(nullptr),
+            &strict}) {
+        const partrisolve::DistributedTrisolver solver(l, local, map, {});
+        for (exec::Comm* comm : {static_cast<exec::Comm*>(&sim),
+                                 static_cast<exec::Comm*>(&threads),
+                                 static_cast<exec::Comm*>(&tasks)}) {
+          std::vector<real_t> y(b.size()), x(b.size());
+          solver.forward(*comm, b, y, m);
+          solver.backward(*comm, y, x, m);
+          const std::string what =
+              std::string(family) + " m=" + std::to_string(m) +
+              (local != nullptr ? " strict " : " shared ") +
+              (comm == &sim ? "sim" : comm == &threads ? "threads" : "tasks");
+          EXPECT_EQ(y, y_seq) << what;
+          EXPECT_EQ(x, x_seq) << what;
+        }
       }
     }
   }
