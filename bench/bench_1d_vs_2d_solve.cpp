@@ -17,7 +17,7 @@
 #include "mapping/block_cyclic.hpp"
 #include "partrisolve/dense_trisolve.hpp"
 #include "partrisolve/twodim.hpp"
-#include "simpar/collectives.hpp"
+#include "exec/collectives.hpp"
 #include "simpar/machine.hpp"
 
 namespace sparts::bench {
@@ -32,13 +32,13 @@ double dense_forward_2d(index_t n, index_t p, index_t b,
   std::vector<real_t> x(static_cast<std::size_t>(n), 0.0);
 
   simpar::Machine machine(t3d_config(p));
-  auto spmd = [&](simpar::Proc& proc) {
+  auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     const index_t gr = w / grid.qc;
     const index_t gc = w % grid.qc;
-    const simpar::Group row_group{gr * grid.qc, grid.qc, 1};
-    const simpar::Group col_group{gc, grid.qr, grid.qc};
-    const simpar::CostModel& cost = proc.cost();
+    const exec::Group row_group{gr * grid.qc, grid.qc, 1};
+    const exec::Group col_group{gc, grid.qr, grid.qc};
+    const exec::CostModel& cost = proc.cost();
 
     // Everyone keeps the solved prefix of x it has seen broadcast.
     std::vector<real_t> xk;  // current block's solution
@@ -67,9 +67,9 @@ double dense_forward_2d(index_t n, index_t p, index_t b,
             }
           }
           proc.compute(2.0 * static_cast<double>(bk) * bj,
-                       simpar::FlopKind::blas2);
+                       exec::FlopKind::blas2);
         }
-        simpar::reduce_sum(proc, row_group, partial,
+        exec::reduce_sum(proc, row_group, partial,
                            static_cast<int>(4 * kb));
         // Root of the row reduction is grid column 0; ship to the diagonal
         // owner if different.
@@ -94,7 +94,7 @@ double dense_forward_2d(index_t n, index_t p, index_t b,
             xk[static_cast<std::size_t>(ii)] = s / l(k0 + ii, k0 + ii);
           }
           proc.compute(static_cast<double>(bk) * bk,
-                       simpar::FlopKind::blas2);
+                       exec::FlopKind::blas2);
           for (index_t ii = 0; ii < bk; ++ii) {
             x[static_cast<std::size_t>(k0 + ii)] =
                 xk[static_cast<std::size_t>(ii)];
@@ -107,10 +107,10 @@ double dense_forward_2d(index_t n, index_t p, index_t b,
       std::vector<real_t> xblock;
       if (gr == owner_r && gc == owner_c) xblock = xk;
       if (gc == owner_c) {
-        simpar::broadcast_from(proc, col_group, owner_r, xblock,
+        exec::broadcast_from(proc, col_group, owner_r, xblock,
                                static_cast<int>(4 * kb + 2));
       }
-      simpar::broadcast_from(proc, row_group, owner_c, xblock,
+      exec::broadcast_from(proc, row_group, owner_c, xblock,
                              static_cast<int>(4 * kb + 3));
       solved[static_cast<std::size_t>(kb)] = std::move(xblock);
     }

@@ -61,8 +61,8 @@ inline index_t bench_max_p() {
 inline simpar::Machine::Config t3d_config(index_t p) {
   simpar::Machine::Config cfg;
   cfg.nprocs = p;
-  cfg.cost = simpar::CostModel::t3d();
-  cfg.topology = simpar::TopologyKind::hypercube;
+  cfg.cost = exec::CostModel::t3d();
+  cfg.topology = exec::TopologyKind::hypercube;
   return cfg;
 }
 

@@ -7,7 +7,7 @@
 //
 //   * clean_threads      — plain exec::ThreadBackend, no envelope.
 //   * envelope_threads   — the faulty stack with an empty fault plan: every
-//     message pays the wire header, sequence bookkeeping and acks, but no
+//     message pays the wire trailer and sequence bookkeeping, but no
 //     fault is injected.  `overhead_pct` vs clean_threads is the headline;
 //     the budget is < 5% on a compute-dominated workload.
 //   * delay_*            — a fraction of messages held for a fixed time;

@@ -137,7 +137,7 @@ void run() {
                "1 pipeline steps (paper §3.1):\n";
   TextTable table({"q", "n", "b", "tokens (n/b)", "measured steps",
                    "q + n/b - 1", "ratio"});
-  simpar::CostModel unit = simpar::CostModel::unit_comm();
+  exec::CostModel unit = exec::CostModel::unit_comm();
   for (index_t q2 : {2, 4, 8}) {
     for (index_t b : {4, 8}) {
       const index_t n2 = 64;
@@ -150,7 +150,7 @@ void run() {
       cfg.nprocs = q2;
       cfg.cost = unit;
       cfg.cost.t_w = 0.0;  // steps = startups only
-      cfg.topology = simpar::TopologyKind::fully_connected;
+      cfg.topology = exec::TopologyKind::fully_connected;
       simpar::Machine machine(cfg);
       auto stats =
           partrisolve::dense_parallel_forward(machine, l, rhs, 1, b);

@@ -82,7 +82,6 @@ std::unique_ptr<exec::Comm> make_proc_machine(index_t rank, index_t p,
   auto sock = std::make_unique<exec::SocketBackend>(cfg);
   exec::ReliableConfig rcfg =
       exec::ReliableConfig::for_wire(sock->measured_rtt());
-  rcfg.acks = false;
   return std::make_unique<exec::ReliableBackend>(std::move(sock), rcfg);
 }
 

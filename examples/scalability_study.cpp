@@ -39,7 +39,7 @@ int main() {
     partrisolve::DistributedTrisolver solver(l, map, {});
     simpar::Machine::Config cfg;
     cfg.nprocs = p;
-    cfg.cost = simpar::CostModel::t3d();
+    cfg.cost = exec::CostModel::t3d();
     simpar::Machine machine(cfg);
     std::vector<real_t> x(b.size(), 0.0);
     auto [fw, bw] = solver.solve(machine, b, x, m);

@@ -1,5 +1,5 @@
 // Wall-clock timing for host-side measurements (benchmark harness).
-// Simulated time lives in simpar::Clock, not here.
+// Simulated time lives in simpar::Machine's per-rank clocks, not here.
 #pragma once
 
 #include <chrono>

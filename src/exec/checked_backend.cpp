@@ -416,7 +416,7 @@ class CheckedBackend::CheckedProcess final : public Process {
 
   void send(index_t dst, int tag, std::span<const std::byte> payload) override {
     if (tag == kCtrlTag) {
-      // Control-plane traffic (reliability envelope acks/nacks/fins) is
+      // Control-plane traffic (reliability envelope nacks/fins) is
       // at-least-once by design; auditing it against the solver's
       // unique-tag discipline would only produce noise.
       checker_->on_ctrl_message();

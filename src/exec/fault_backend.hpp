@@ -10,7 +10,7 @@
 //
 // Faults are injected *below* the reliability envelope (exec/reliable.hpp)
 // in the solver's faulty stack, so the envelope sees drops/dups/delays and
-// must recover from them; control traffic (acks/nacks) passes through the
+// must recover from them; control traffic (nacks/fins) passes through the
 // fault layer too and can itself be lost, which is what the bounded-retry
 // budget is for.
 //

@@ -6,26 +6,32 @@
 // `Process` is the handle a rank uses to talk to its peers; `Comm` is the
 // machine that runs p ranks to completion and returns their statistics.
 //
-// Two backends implement this contract:
+// Four backends implement this contract:
 //   * simpar::Machine — a conservative sequential discrete-event simulator.
 //     Deterministic, cost-model clocks; reproduces the paper's T3D numbers.
-//   * exec::ThreadBackend — each rank is a real std::thread with a
-//     mutex+condvar mailbox; wall-clock timing, real speedup.
+//   * exec::ThreadBackend — each rank is a std::thread; messages move
+//     through lock-free SPSC rings with a locked overflow mailbox.
+//   * exec::TaskBackend — each rank is a fiber on a work-stealing pool.
+//   * exec::SocketBackend — each rank is an OS process on TCP.
+// The three wall-clock backends hand SPMD code the same Process,
+// exec::WallProcess (exec/wall_process.hpp), which does their
+// compute/send/idle accounting once over each backend's own transport.
 //
 // SPMD code must not assume more than the contract gives it:
 //   * send() is asynchronous and never blocks waiting for the receiver
-//     (buffered-send semantics on both backends).
+//     (buffered-send semantics on every backend).
 //   * recv() blocks until a message matching (src|kAnySource, tag) exists.
 //     When several match, the backend picks its canonical one (earliest
 //     simulated arrival / first queued); code needing a total order must
 //     disambiguate with tags.
 //   * compute()/compute_at()/elapse() declare work to the backend's clock;
-//     on the threaded backend real time is measured, so these only count
+//     on the wall-clock backends real time is measured, so these only count
 //     flops.
 #pragma once
 
 #include <cstddef>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <span>
 #include <type_traits>
@@ -45,7 +51,7 @@ namespace sparts::exec {
 inline constexpr index_t kAnySource = -1;
 
 /// Reserved control tag used by the reliability envelope (exec/reliable.hpp)
-/// for its ack/nack/fin traffic.  Every algorithm-level tag scheme in the
+/// for its nack/fin traffic.  Every algorithm-level tag scheme in the
 /// repo (partrisolve, parfact's TagScheme, redist) produces non-negative
 /// tags, so this negative plane can never collide with data traffic.
 inline constexpr int kCtrlTag = -1000001;
@@ -80,7 +86,7 @@ class Process {
   virtual index_t nprocs() const = 0;
 
   /// Local time: simulated seconds on the simulator, wall-clock seconds
-  /// since the start of the run on the threaded backend.
+  /// since the start of the run on the wall-clock backends.
   virtual double now() const = 0;
 
   /// Declare `flops * t_c(kind)` of computation.
@@ -207,6 +213,23 @@ inline int error_priority(const std::exception_ptr& err) {
   } catch (...) {
     return 0;
   }
+}
+
+/// Rethrow the root cause among the per-rank errors a backend's run()
+/// collected: the highest-priority error (see error_priority), ties broken
+/// by rank order.  Returns normally when every slot is empty.
+inline void rethrow_root_cause(std::span<const std::exception_ptr> errors) {
+  std::exception_ptr best_error;
+  int best_priority = 3;
+  for (const auto& err : errors) {
+    if (!err) continue;
+    const int priority = error_priority(err);
+    if (priority < best_priority) {
+      best_priority = priority;
+      best_error = err;
+    }
+  }
+  if (best_error) std::rethrow_exception(best_error);
 }
 
 /// An execution backend: runs an SPMD function on nprocs() ranks.

@@ -30,14 +30,13 @@ struct WireHeader {
 /// Full payload of a control-tag message.
 struct CtrlMsg {
   std::uint32_t magic;
-  std::uint32_t kind;  ///< 1 = ack, 2 = nack, 3 = fin
-  std::int32_t tag;    ///< the data tag the ack/nack refers to
+  std::uint32_t kind;  ///< 2 = nack, 3 = fin
+  std::int32_t tag;    ///< the data tag the nack refers to
   std::uint32_t pad;
   std::uint64_t seq;
 };
 
 constexpr std::uint32_t kData = 0;
-constexpr std::uint32_t kAck = 1;
 constexpr std::uint32_t kNack = 2;
 constexpr std::uint32_t kFin = 3;
 
@@ -90,9 +89,6 @@ ReliableConfig& ReliableConfig::from_env() {
     const long n = std::atol(env);
     if (n >= 0) max_retry = static_cast<int>(n);
   }
-  if (const char* env = std::getenv("SPARTS_RELIABLE_ACKS")) {
-    acks = !(env[0] == '0' && env[1] == '\0');
-  }
   return *this;
 }
 
@@ -100,7 +96,7 @@ std::string ReliableStats::summary() const {
   std::ostringstream oss;
   oss << data_sends << " data send(s), " << retransmits << " retransmit(s), "
       << dup_discarded << " duplicate(s) discarded, " << nacks_sent
-      << " nack(s), " << acks_sent << " ack(s), " << timeouts
+      << " nack(s), " << timeouts
       << " timeout(s)";
   return oss.str();
 }
@@ -197,17 +193,10 @@ class ReliableBackend::ReliableProcess final : public Process {
                      "reliable envelope: malformed data frame on tag "
                          << tag << " (was this sent outside the envelope?)");
         if (!delivered_[{m.source, tag}].insert(h.seq).second) {
-          // Duplicate: discard, but re-ack (the original ack may be the
-          // thing that was lost).
           ++stats_.dup_discarded;
           ++prog_.dup_discarded;
           record_instant("dup_discarded", rank_, m.source, tag);
-          if (cfg_.acks) send_ack(m.source, tag, h.seq);
           continue;
-        }
-        if (cfg_.acks) {
-          send_ack(m.source, tag, h.seq);
-          ++stats_.acks_sent;
         }
         ++prog_.recvs;
         prog_.last_wait.clear();
@@ -282,10 +271,6 @@ class ReliableBackend::ReliableProcess final : public Process {
                  {reinterpret_cast<const std::byte*>(&c), sizeof(CtrlMsg)});
   }
 
-  void send_ack(index_t dst, int tag, std::uint64_t seq) {
-    send_ctrl(dst, CtrlMsg{kMagic, kAck, tag, 0, seq});
-  }
-
   void send_nack(index_t src, int tag) {
     const CtrlMsg nack{kMagic, kNack, tag, 0, 0};
     ++stats_.nacks_sent;
@@ -315,9 +300,6 @@ class ReliableBackend::ReliableProcess final : public Process {
       SPARTS_CHECK(c.magic == kMagic,
                    "reliable envelope: bad control-message magic");
       switch (c.kind) {
-        case kAck:
-          buffer_.erase(BufferKey{m.source, c.tag, c.seq});
-          break;
         case kNack:
           retransmit(m.source, c.tag);
           ++nacks;
@@ -333,7 +315,7 @@ class ReliableBackend::ReliableProcess final : public Process {
     return nacks;
   }
 
-  /// Resend every unacknowledged frame previously sent to `dst` on `tag`.
+  /// Resend every frame previously sent to `dst` on `tag`.
   void retransmit(index_t dst, int tag) {
     auto it = buffer_.lower_bound(BufferKey{dst, tag, 0});
     for (; it != buffer_.end(); ++it) {
@@ -384,7 +366,6 @@ void ReliableBackend::merge(index_t rank, const ReliableStats& stats,
   stats_.retransmits += stats.retransmits;
   stats_.dup_discarded += stats.dup_discarded;
   stats_.nacks_sent += stats.nacks_sent;
-  stats_.acks_sent += stats.acks_sent;
   stats_.timeouts += stats.timeouts;
   progress_[static_cast<std::size_t>(rank)] = prog;
   if (obs::metrics_enabled()) {
@@ -393,7 +374,6 @@ void ReliableBackend::merge(index_t rank, const ReliableStats& stats,
     m.counter("reliable.retransmits").add(stats.retransmits);
     m.counter("reliable.dup_discarded").add(stats.dup_discarded);
     m.counter("reliable.nacks").add(stats.nacks_sent);
-    m.counter("reliable.acks").add(stats.acks_sent);
     m.counter("reliable.timeouts").add(stats.timeouts);
   }
 }

@@ -4,15 +4,14 @@
 // ReliableBackend is a Comm decorator (like CheckedBackend and
 // FaultyBackend).  Every data send keeps its user tag but carries a small
 // wire trailer with a per-(dst, tag) sequence number and is buffered for
-// retransmission; every recv becomes a polling loop built on
-// Process::try_recv / poll_wait that
+// retransmission until the run ends; every recv becomes a polling loop
+// built on Process::try_recv / poll_wait that
 //
 //   * discards duplicates (same (src, tag, seq) seen before),
-//   * acknowledges first deliveries on the reserved control tag
-//     (exec::kCtrlTag) so senders can trim their retransmit buffers,
 //   * after `timeout` seconds without the expected message sends a NACK
-//     to the source (all peers for a wildcard recv), asking it to
-//     retransmit everything unacknowledged on that (dst, tag) edge, and
+//     on the reserved control tag (exec::kCtrlTag) to the source (all
+//     peers for a wildcard recv), asking it to retransmit everything it
+//     sent on that (dst, tag) edge, and
 //   * retries with capped exponential backoff up to `max_retry` times
 //     before throwing TimeoutError with a per-rank progress report
 //     attached — a deadline-based abort instead of a hang.  The cap
@@ -67,10 +66,6 @@ struct ReliableConfig {
   /// (sum of every peer's backed-off waits, plus one timeout) so a
   /// finished sender outlives the last NACK a blocked peer can send.
   double fin_timeout = -1.0;
-  /// Acknowledge first deliveries so senders can trim their buffers.
-  /// With acks off, buffers are retained until the end of the run (more
-  /// memory, fewer control messages).
-  bool acks = true;
 
   /// Defaults scaled for simulated seconds (message latencies ~1e-5 s
   /// under the T3D cost model).
@@ -94,7 +89,6 @@ struct ReliableStats {
   std::int64_t retransmits = 0;
   std::int64_t dup_discarded = 0;
   std::int64_t nacks_sent = 0;
-  std::int64_t acks_sent = 0;
   std::int64_t timeouts = 0;
   std::string summary() const;
 };

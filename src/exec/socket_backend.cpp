@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/wall_process.hpp"
 #include "exec/wire.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -134,7 +135,6 @@ class SocketSession {
   SocketSession& operator=(const SocketSession&) = delete;
 
   const SocketConfig& config() const { return config_; }
-  const Topology& topo() const { return topology_; }
 
   double session_now() const { return seconds_between(start_, Clock::now()); }
 
@@ -143,22 +143,22 @@ class SocketSession {
   /// The self-healing end-of-phase rank-0-star barrier.
   void end_phase_barrier(std::uint32_t epoch);
 
+  // --- the transport WallProcess calls (see exec/wall_process.hpp);
+  // `rank` is always this process's own rank ---
+  index_t nprocs() const { return config_.nprocs; }
+  const CostModel& cost() const { return config_.cost; }
+  const Topology& topology() const { return topology_; }
   /// Enqueue a DATA frame for `dst` on the current epoch.
-  void post_data(index_t dst, int tag, Payload&& payload);
-
-  struct Match {
-    index_t src = -1;
-    int tag = 0;
-    Payload payload;
-  };
+  void deliver(index_t dst, ReceivedMessage&& msg);
   /// Non-blocking match; throws RemoteAbort/PeerFailure when the session
   /// is failing (pollers must not spin on a dead run).
-  bool try_match(index_t src, int tag, Match* out);
+  bool take_match_now(index_t rank, index_t src, int tag,
+                      ReceivedMessage* out);
   /// Blocking match with the same failure semantics plus the
   /// recv_timeout deadlock backstop.
-  Match recv_match(index_t src, int tag);
+  ReceivedMessage take_match(index_t rank, index_t src, int tag);
   /// Bounded wait for mailbox traffic; wakes early on arrival or failure.
-  void poll_wait(double seconds);
+  void poll_wait(index_t rank, double seconds);
 
   /// Tell every peer this rank's body failed (they unwind with
   /// RemoteAbort).  No-op for a failure we ourselves received remotely.
@@ -192,7 +192,6 @@ class SocketSession {
   void mark_suspected(PeerState& peer, double age);
   /// Throws RemoteAbort/PeerFailure if the session is failing; mx_ held.
   void check_failures_locked();
-  bool pop_pending_locked(index_t src, int tag, Match* out);
 
   PeerState& peer_state(index_t rank) {
     return *peers_[static_cast<std::size_t>(rank)];
@@ -212,12 +211,10 @@ class SocketSession {
   // ---- mailbox + control plane, guarded by mx_ -----------------------
   std::mutex mx_;
   std::condition_variable cv_;
-  std::deque<Match> pending_;  ///< current-epoch data frames
+  std::deque<ReceivedMessage> pending_;  ///< current-epoch data frames
   struct Stashed {
-    index_t src;
     std::uint32_t epoch;
-    int tag;
-    Payload payload;
+    ReceivedMessage msg;
   };
   std::vector<Stashed> stash_;  ///< frames from future epochs
   /// Count of messages ever appended to pending_; poll_wait compares it
@@ -588,11 +585,12 @@ void SocketSession::handle_frame(PeerState& peer, wire::Frame& frame) {
         std::lock_guard<std::mutex> lock(mx_);
         if (frame.epoch == epoch_) {
           pending_.push_back(
-              Match{peer.rank, frame.tag, std::move(frame.payload)});
+              ReceivedMessage{peer.rank, frame.tag, std::move(frame.payload)});
           ++arrivals_;
         } else if (frame.epoch > epoch_) {
-          stash_.push_back(Stashed{peer.rank, frame.epoch, frame.tag,
-                                   std::move(frame.payload)});
+          stash_.push_back(Stashed{
+              frame.epoch,
+              ReceivedMessage{peer.rank, frame.tag, std::move(frame.payload)}});
         } else {
           ++stale_dropped_;
           stale = true;
@@ -707,8 +705,7 @@ std::uint32_t SocketSession::begin_phase() {
   // Replay frames that raced ahead of this rank into the new epoch.
   for (std::size_t i = 0; i < stash_.size();) {
     if (stash_[i].epoch == epoch_) {
-      pending_.push_back(Match{stash_[i].src, stash_[i].tag,
-                               std::move(stash_[i].payload)});
+      pending_.push_back(std::move(stash_[i].msg));
       ++arrivals_;
       stash_.erase(stash_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
@@ -775,31 +772,23 @@ void SocketSession::end_phase_barrier(std::uint32_t epoch) {
   }
 }
 
-void SocketSession::post_data(index_t dst, int tag, Payload&& payload) {
+void SocketSession::deliver(index_t dst, ReceivedMessage&& msg) {
+  obs::flight_note(static_cast<std::int32_t>(msg.source), "sock_send",
+                   static_cast<std::int64_t>(msg.payload.size()),
+                   static_cast<std::int64_t>(dst));
   std::uint32_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mx_);
     epoch = epoch_;
   }
-  enqueue(peer_state(dst), wire::FrameKind::data, epoch, tag,
-          std::move(payload));
+  enqueue(peer_state(dst), wire::FrameKind::data, epoch, msg.tag,
+          std::move(msg.payload));
   // SPARTS_TEST_KILL hook: die *after* handing over n frames, so the
   // kill lands genuinely mid-sweep with bytes in flight.
   if (g_kill_countdown.load(std::memory_order_acquire) > 0 &&
       g_kill_countdown.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     (void)::kill(::getpid(), SIGKILL);
   }
-}
-
-bool SocketSession::pop_pending_locked(index_t src, int tag, Match* out) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->src == src)) {
-      *out = std::move(*it);
-      pending_.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 void SocketSession::check_failures_locked() {
@@ -809,21 +798,26 @@ void SocketSession::check_failures_locked() {
   }
 }
 
-bool SocketSession::try_match(index_t src, int tag, Match* out) {
+bool SocketSession::take_match_now(index_t /*rank*/, index_t src, int tag,
+                                   ReceivedMessage* out) {
   std::lock_guard<std::mutex> lock(mx_);
-  if (pop_pending_locked(src, tag, out)) return true;
+  if (match_pending(pending_, src, tag, out)) return true;
   check_failures_locked();
   return false;
 }
 
-SocketSession::Match SocketSession::recv_match(index_t src, int tag) {
+ReceivedMessage SocketSession::take_match(index_t rank, index_t src, int tag) {
+  ReceivedMessage out;
+  if (take_match_now(rank, src, tag, &out)) return out;
+  obs::flight_note(static_cast<std::int32_t>(rank), "sock_recv_wait",
+                   static_cast<std::int64_t>(src),
+                   static_cast<std::int64_t>(tag));
   std::unique_lock<std::mutex> lock(mx_);
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(config_.recv_timeout));
-  Match out;
   for (;;) {
-    if (pop_pending_locked(src, tag, &out)) return out;
+    if (match_pending(pending_, src, tag, &out)) return out;
     check_failures_locked();
     if (Clock::now() >= deadline) {
       obs::flight_note(static_cast<std::int32_t>(config_.rank),
@@ -842,7 +836,7 @@ SocketSession::Match SocketSession::recv_match(index_t src, int tag) {
   }
 }
 
-void SocketSession::poll_wait(double seconds) {
+void SocketSession::poll_wait(index_t /*rank*/, double seconds) {
   std::unique_lock<std::mutex> lock(mx_);
   check_failures_locked();
   // Return early only on NEW arrivals since the last poll, never on a
@@ -1016,181 +1010,18 @@ SocketBackend::SocketBackend(const SocketConfig& config) : config_(config) {
 SocketBackend::~SocketBackend() = default;
 
 const Topology& SocketBackend::topology() const {
-  return session_or_die().topo();
+  return session_or_die().topology();
 }
 
 double SocketBackend::measured_rtt() const {
   return session_or_die().measured_rtt();
 }
 
-namespace {
-
-/// The local rank's Process handle for one session epoch.  Same stats
-/// discipline as ThreadBackend::RankProcess: wall time between
-/// communication calls is compute time; idle/send time bracket the
-/// session calls.
-class SocketProcess final : public Process {
- public:
-  SocketProcess(SocketSession* session, Clock::time_point phase_start)
-      : session_(session),
-        phase_start_(phase_start),
-        last_mark_(Clock::now()) {}
-
-  index_t rank() const override { return session_->config().rank; }
-  index_t nprocs() const override { return session_->config().nprocs; }
-
-  double now() const override {
-    return seconds_between(phase_start_, Clock::now());
-  }
-
-  void compute(double flops, FlopKind /*kind*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void compute_at(double flops, double /*seconds_per_flop*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void elapse(double seconds) override { SPARTS_CHECK(seconds >= 0.0); }
-
-  void send(index_t dst, int tag,
-            std::span<const std::byte> payload) override {
-    post(dst, tag, Payload(payload.begin(), payload.end()),
-         /*copied_bytes=*/payload.size());
-  }
-
-  void send_owned(index_t dst, int tag, Payload&& payload) override {
-    if (payload.size() < kZeroCopyThreshold) {
-      send(dst, tag, {payload.data(), payload.size()});
-      return;
-    }
-    // Zero-copy lane: the owned buffer rides the outbox into the frame
-    // writer; the wire layer emits header + payload without copying.
-    post(dst, tag, std::move(payload), /*copied_bytes=*/0);
-  }
-
-  ReceivedMessage recv(index_t src, int tag) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    const Clock::time_point t0 = flush_busy();
-    SocketSession::Match msg;
-    if (!session_->try_match(src, tag, &msg)) {
-      obs::flight_note(static_cast<std::int32_t>(rank()), "sock_recv_wait",
-                       static_cast<std::int64_t>(src),
-                       static_cast<std::int64_t>(tag));
-      msg = session_->recv_match(src, tag);
-    }
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank());
-      tracer.record_local(r32, obs::EventKind::span_begin,
-                          obs::Category::comm, "recv",
-                          seconds_between(phase_start_, t0),
-                          static_cast<std::int64_t>(msg.payload.size()),
-                          static_cast<std::int64_t>(msg.src));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "recv", seconds_between(phase_start_, t1));
-    }
-    return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-  }
-
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    SPARTS_CHECK(out != nullptr);
-    SocketSession::Match msg;
-    if (!session_->try_match(src, tag, &msg)) return false;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-    return true;
-  }
-
-  void poll_wait(double seconds) override {
-    SPARTS_CHECK(seconds >= 0.0);
-    const Clock::time_point t0 = flush_busy();
-    session_->poll_wait(seconds);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-  }
-
-  const CostModel& cost() const override { return session_->config().cost; }
-  const Topology& topology() const override { return session_->topo(); }
-
-  ProcStats finish() {
-    flush_busy();
-    stats_.clock = now();
-    return stats_;
-  }
-
- private:
-  void post(index_t dst, int tag, Payload payload, std::size_t copied_bytes) {
-    SPARTS_CHECK(dst >= 0 && dst < nprocs(),
-                 "send destination " << dst << " out of range");
-    const std::size_t bytes = payload.size();
-    const Clock::time_point t0 = flush_busy();
-    obs::flight_note(static_cast<std::int32_t>(rank()), "sock_send",
-                     static_cast<std::int64_t>(bytes),
-                     static_cast<std::int64_t>(dst));
-    session_->post_data(dst, tag, std::move(payload));
-    const Clock::time_point t1 = Clock::now();
-    stats_.send_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_sent;
-    stats_.words_sent +=
-        static_cast<nnz_t>((bytes + sizeof(real_t) - 1) / sizeof(real_t));
-    stats_.bytes_copied += static_cast<nnz_t>(copied_bytes);
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank());
-      tracer.record_local(r32, obs::EventKind::span_begin,
-                          obs::Category::comm, "send",
-                          seconds_between(phase_start_, t0),
-                          static_cast<std::int64_t>(bytes),
-                          static_cast<std::int64_t>(dst));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "send", seconds_between(phase_start_, t1));
-    }
-    if (obs::metrics_enabled()) {
-      obs::metrics().histogram("comm.message_bytes")
-          .observe(static_cast<std::int64_t>(bytes));
-      obs::metrics()
-          .counter(copied_bytes == 0 ? "comm.zero_copy_bytes"
-                                     : "comm.copied_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-    }
-  }
-
-  Clock::time_point flush_busy() {
-    const Clock::time_point t = Clock::now();
-    stats_.compute_time += seconds_between(last_mark_, t);
-    last_mark_ = t;
-    return t;
-  }
-
-  SocketSession* session_;
-  Clock::time_point phase_start_;
-  ProcStats stats_;
-  Clock::time_point last_mark_;
-};
-
-}  // namespace
-
 RunStats SocketBackend::run(const std::function<void(Process&)>& spmd) {
   SocketSession& session = session_or_die();
   const std::uint32_t epoch = session.begin_phase();
   if (obs::Tracer::enabled()) obs::Tracer::instance().begin_run();
-  SocketProcess proc(&session, Clock::now());
+  WallProcess<SocketSession> proc(session, config_.rank, Clock::now());
   try {
     spmd(proc);
   } catch (const RemoteAbort&) {

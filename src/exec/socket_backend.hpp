@@ -37,7 +37,9 @@
 // be delivered into phase k+1 (early frames are stashed, stale ones
 // dropped).  Every run() ends with a rank-0-star barrier whose entry and
 // release frames self-heal (they are re-sent until answered), so a lossy
-// network delays the barrier instead of wedging it.
+// network delays the barrier instead of wedging it.  The rank's Process is
+// exec::WallProcess over the session (exec/wall_process.hpp): the same
+// compute/send/idle accounting as the thread and task backends.
 #pragma once
 
 #include <memory>

@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "exec/wall_process.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -104,7 +105,7 @@ struct TaskBackend::Fiber {
   int wait_tag = 0;
   /// Drained-but-unmatched messages, private to this fiber's executor
   /// (the fiber itself, or its worker while the fiber is suspended).
-  std::deque<Message> pending;
+  std::deque<ReceivedMessage> pending;
   /// Context fully saved and registered as waiting — only then may a
   /// sender re-ready the fiber.  All transitions happen under
   /// state_mutex_; atomic so deliver() can probe it lock-free after its
@@ -125,9 +126,7 @@ struct TaskBackend::Fiber {
   std::int64_t last_seg = -1;
   std::int64_t wake_from = -1;
 
-  std::unique_ptr<FiberProcess> proc;
   ProcStats stats;
-  std::exception_ptr error;
 
 #ifdef SPARTS_TSAN_FIBERS
   void* tsan_fiber = nullptr;
@@ -170,166 +169,6 @@ void TaskBackend::switch_out_of_fiber(Fiber& f) {
 }
 
 // ---------------------------------------------------------------------------
-// FiberProcess — the Process implementation handed to SPMD code
-// ---------------------------------------------------------------------------
-
-// Stats accounting mirrors ThreadBackend::RankProcess: wall time between
-// communication calls is compute time, time suspended in recv is idle
-// time.  Fibers are non-preemptive, so between communication calls a rank
-// runs uninterrupted and the wall interval is honestly its own.
-class TaskBackend::FiberProcess final : public Process {
- public:
-  FiberProcess(TaskBackend* backend, Fiber* fiber)
-      : backend_(backend), fiber_(fiber), last_mark_(Clock::now()) {}
-
-  index_t rank() const override { return fiber_->rank; }
-  index_t nprocs() const override { return backend_->config_.nprocs; }
-
-  double now() const override {
-    return seconds_between(backend_->epoch_, Clock::now());
-  }
-
-  void compute(double flops, FlopKind /*kind*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void compute_at(double flops, double /*seconds_per_flop*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void elapse(double seconds) override { SPARTS_CHECK(seconds >= 0.0); }
-
-  void send(index_t dst, int tag,
-            std::span<const std::byte> payload) override {
-    // Copy lane: capture the payload into a fresh (arena) buffer.
-    post(dst, tag, Payload(payload.begin(), payload.end()),
-         /*copied_bytes=*/payload.size());
-  }
-
-  void send_owned(index_t dst, int tag, Payload&& payload) override {
-    if (payload.size() < kZeroCopyThreshold) {
-      send(dst, tag, {payload.data(), payload.size()});
-      return;
-    }
-    // Zero-copy lane: the buffer itself travels through the ring.
-    post(dst, tag, std::move(payload), /*copied_bytes=*/0);
-  }
-
-  ReceivedMessage recv(index_t src, int tag) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    const Clock::time_point t0 = flush_busy();
-    Message msg = backend_->take_match(*fiber_, src, tag);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(fiber_->rank);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(msg.payload.size()),
-                          static_cast<std::int64_t>(msg.src));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t1));
-    }
-    return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-  }
-
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    SPARTS_CHECK(out != nullptr);
-    Message msg;
-    if (!backend_->take_match_now(*fiber_, src, tag, &msg)) return false;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-    return true;
-  }
-
-  void poll_wait(double seconds) override {
-    SPARTS_CHECK(seconds >= 0.0);
-    const Clock::time_point t0 = flush_busy();
-    backend_->fiber_poll_wait(*fiber_, seconds);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-  }
-
-  const CostModel& cost() const override { return backend_->config_.cost; }
-  const Topology& topology() const override { return backend_->topology_; }
-
-  /// Re-anchor the compute clock at the moment SPMD code actually starts.
-  /// The constructor runs on the host thread during run()'s setup loop, so
-  /// without this the first compute segment would absorb the host-side
-  /// fiber-creation time plus however long the fiber sat queued before a
-  /// worker first resumed it.
-  void mark_started() { last_mark_ = Clock::now(); }
-
-  /// Close the final busy segment and stamp the finishing time.
-  ProcStats finish() {
-    flush_busy();
-    stats_.clock = now();
-    return stats_;
-  }
-
- private:
-  /// Shared tail of both send lanes: deliver + stats + tracing.
-  void post(index_t dst, int tag, Payload payload, std::size_t copied_bytes) {
-    SPARTS_CHECK(dst >= 0 && dst < nprocs(),
-                 "send destination " << dst << " out of range");
-    const std::size_t bytes = payload.size();
-    const Clock::time_point t0 = flush_busy();
-    backend_->deliver(*fiber_, dst, Message{fiber_->rank, tag,
-                                            std::move(payload)});
-    const Clock::time_point t1 = Clock::now();
-    stats_.send_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_sent;
-    stats_.words_sent +=
-        static_cast<nnz_t>((bytes + sizeof(real_t) - 1) / sizeof(real_t));
-    stats_.bytes_copied += static_cast<nnz_t>(copied_bytes);
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(fiber_->rank);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(bytes),
-                          static_cast<std::int64_t>(dst));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t1));
-    }
-    if (obs::metrics_enabled()) {
-      obs::metrics().histogram("comm.message_bytes")
-          .observe(static_cast<std::int64_t>(bytes));
-      obs::metrics()
-          .counter(copied_bytes == 0 ? "comm.zero_copy_bytes"
-                                     : "comm.copied_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-    }
-  }
-
-  Clock::time_point flush_busy() {
-    const Clock::time_point t = Clock::now();
-    stats_.compute_time += seconds_between(last_mark_, t);
-    last_mark_ = t;
-    return t;
-  }
-
-  TaskBackend* backend_;
-  Fiber* fiber_;
-  ProcStats stats_;
-  Clock::time_point last_mark_;
-};
-
-// ---------------------------------------------------------------------------
 // TaskBackend
 // ---------------------------------------------------------------------------
 
@@ -354,17 +193,22 @@ void TaskBackend::trampoline(unsigned hi, unsigned lo) {
 
 void TaskBackend::fiber_main(Fiber& f) {
   finish_switch_into_fiber(f);
-  f.proc->mark_started();
-  try {
-    (*f.spmd)(*f.proc);
-  } catch (...) {
-    f.error = std::current_exception();
-    obs::flight_note(static_cast<std::int32_t>(f.rank), "rank_failed");
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    abort_all_locked("task backend run aborted: rank " +
-                     std::to_string(f.rank) + " failed");
+  {
+    // Built here, when SPMD code starts, so the first compute segment does
+    // not absorb fiber set-up or the time the fiber sat queued.  Scoped:
+    // the finished fiber's stack is never unwound.
+    WallProcess<TaskBackend> proc(*this, f.rank, epoch_);
+    try {
+      (*f.spmd)(proc);
+    } catch (...) {
+      errors_[static_cast<std::size_t>(f.rank)] = std::current_exception();
+      obs::flight_note(static_cast<std::int32_t>(f.rank), "rank_failed");
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      abort_all_locked("task backend run aborted: rank " +
+                       std::to_string(f.rank) + " failed");
+    }
+    f.stats = proc.finish();
   }
-  f.stats = f.proc->finish();
   f.pause = Fiber::Pause::finished;
   switch_out_of_fiber(f);
   SPARTS_CHECK(false, "finished fiber resumed");  // unreachable
@@ -493,7 +337,7 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
       std::atomic_thread_fence(std::memory_order_seq_cst);
       drain_overflow_locked(f);
       drain_rings(f);
-      if (match_pending(f, f.wait_src, f.wait_tag, /*pop=*/false, nullptr)) {
+      if (match_pending(f.pending, f.wait_src, f.wait_tag, nullptr)) {
         f.parked.store(false, std::memory_order_relaxed);
         lock.unlock();
         schedule(f, ctx.worker);
@@ -515,7 +359,7 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
 bool TaskBackend::drain_rings(Fiber& f) {
   if (!rings_on_) return false;
   bool any = false;
-  Message m;
+  ReceivedMessage m;
   for (index_t s = 0; s < config_.nprocs; ++s) {
     while (ring(s, f.rank).try_pop(&m)) {
       f.pending.push_back(std::move(m));
@@ -533,20 +377,6 @@ bool TaskBackend::drain_overflow_locked(Fiber& f) {
     box.pop_front();
   }
   return true;
-}
-
-bool TaskBackend::match_pending(Fiber& f, index_t src, int tag, bool pop,
-                                Message* out) {
-  for (auto it = f.pending.begin(); it != f.pending.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->src == src)) {
-      if (pop) {
-        *out = std::move(*it);
-        f.pending.erase(it);
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 void TaskBackend::abort_all_locked(const std::string& reason) {
@@ -585,12 +415,13 @@ void TaskBackend::check_stalled_locked() {
                    "recv (" + who + ") and no sender can run");
 }
 
-TaskBackend::Message TaskBackend::take_match(Fiber& f, index_t src, int tag) {
+ReceivedMessage TaskBackend::take_match(index_t rank, index_t src, int tag) {
+  Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
   for (;;) {
     // Fast path: drain own rings and match without the state mutex.
     drain_rings(f);
-    Message out;
-    if (match_pending(f, src, tag, /*pop=*/true, &out)) return out;
+    ReceivedMessage out;
+    if (match_pending(f.pending, src, tag, &out)) return out;
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
       if (f.abort_on_resume) {
@@ -603,7 +434,7 @@ TaskBackend::Message TaskBackend::take_match(Fiber& f, index_t src, int tag) {
                             " was waiting in recv when another rank failed");
       }
       drain_overflow_locked(f);
-      if (match_pending(f, src, tag, /*pop=*/true, &out)) return out;
+      if (match_pending(f.pending, src, tag, &out)) return out;
       f.wait_src = src;
       f.wait_tag = tag;
       f.pause = Fiber::Pause::blocked;
@@ -624,8 +455,9 @@ TaskBackend::Message TaskBackend::take_match(Fiber& f, index_t src, int tag) {
   }
 }
 
-bool TaskBackend::take_match_now(Fiber& f, index_t src, int tag,
-                                 Message* out) {
+bool TaskBackend::take_match_now(index_t rank, index_t src, int tag,
+                                 ReceivedMessage* out) {
+  Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
   drain_rings(f);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
@@ -636,10 +468,11 @@ bool TaskBackend::take_match_now(Fiber& f, index_t src, int tag,
     }
     drain_overflow_locked(f);
   }
-  return match_pending(f, src, tag, /*pop=*/true, out);
+  return match_pending(f.pending, src, tag, out);
 }
 
-void TaskBackend::deliver(Fiber& sender, index_t dst, Message msg) {
+void TaskBackend::deliver(index_t dst, ReceivedMessage&& msg) {
+  Fiber& sender = *fibers_[static_cast<std::size_t>(msg.source)];
   const int tag = msg.tag;
   const auto bytes = static_cast<std::int64_t>(msg.payload.size());
   obs::flight_note(static_cast<std::int32_t>(sender.rank), "send", bytes,
@@ -682,7 +515,8 @@ void TaskBackend::deliver(Fiber& sender, index_t dst, Message msg) {
   }
 }
 
-void TaskBackend::fiber_poll_wait(Fiber& f, double /*seconds*/) {
+void TaskBackend::poll_wait(index_t rank, double /*seconds*/) {
+  Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
   // A fiber cannot sleep wall-clock time without wedging its worker, and
   // it does not need to: yielding reschedules it behind every runnable
   // peer, so by the time it runs again anything that could arrive "soon"
@@ -715,8 +549,9 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   aborted_ = false;
   const index_t p = config_.nprocs;
   mailboxes_.assign(static_cast<std::size_t>(p), {});
+  errors_.assign(static_cast<std::size_t>(p), nullptr);
   rings_on_ = env_spsc_enabled() && p <= kMaxRingRanks;
-  rings_ = rings_on_ ? std::make_unique<SpscRing<Message>[]>(
+  rings_ = rings_on_ ? std::make_unique<SpscRing<ReceivedMessage>[]>(
                            static_cast<std::size_t>(p) *
                            static_cast<std::size_t>(p))
                      : nullptr;
@@ -746,7 +581,6 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
     // byte it reads).
     f->stack = std::make_unique_for_overwrite<std::byte[]>(stack_bytes_);
     f->stack_size = stack_bytes_;
-    f->proc = std::make_unique<FiberProcess>(this, f.get());
     SPARTS_CHECK(getcontext(&f->ctx) == 0, "getcontext failed");
     f->ctx.uc_stack.ss_sp = f->stack.get();
     f->ctx.uc_stack.ss_size = f->stack_size;
@@ -764,12 +598,19 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   // Topology-aware placement: contiguous rank blocks per worker, so the
   // subtree-to-subcube mapping's neighbouring ranks start on the same
   // worker (and, via the scheduler's victim order, stay within a steal
-  // cluster when they overflow).
-  const int w = scheduler_->workers();
-  for (index_t r = 0; r < p; ++r) {
-    schedule(*fibers_[static_cast<std::size_t>(r)],
-             static_cast<int>((r * w) / p));
-  }
+  // cluster when they overflow).  One seed job queues every fiber, so the
+  // workers already running cannot start fiber r before fiber r+1 is
+  // queued: with one worker the first-run order, which decides how many
+  // fibers suspend, no longer depends on how fast this thread submits.
+  scheduler_->submit(
+      [this, p](const JobContext&) {
+        const int w = scheduler_->workers();
+        for (index_t r = 0; r < p; ++r) {
+          schedule(*fibers_[static_cast<std::size_t>(r)],
+                   static_cast<int>((r * w) / p));
+        }
+      },
+      /*affinity=*/0);
 
   done.wait();
   sched_stats_ = scheduler_->stats();
@@ -777,25 +618,11 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   done_ = nullptr;
   running_ = false;
 
-  std::exception_ptr best_error;
-  int best_priority = 3;
-  for (const auto& f : fibers_) {
-    if (!f->error) continue;
-    const int priority = error_priority(f->error);
-    if (priority < best_priority) {
-      best_priority = priority;
-      best_error = f->error;
-    }
-  }
-  if (best_error) {
-    fibers_.clear();
-    std::rethrow_exception(best_error);
-  }
-
   RunStats out;
   out.procs.reserve(static_cast<std::size_t>(p));
   for (auto& f : fibers_) out.procs.push_back(f->stats);
   fibers_.clear();
+  rethrow_root_cause(errors_);
   if (obs::Tracer::enabled()) {
     obs::Tracer::instance().end_run(out.parallel_time());
   }

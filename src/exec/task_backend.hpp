@@ -16,8 +16,11 @@
 //
 // Semantics are those of the Process contract, matching ThreadBackend:
 //   * buffered sends, blocking tag-matched recv, try_recv polling;
-//   * compute()/compute_at() count flops; times are wall-clock seconds;
-//   * per-rank ProcStats with the same busy/idle accounting;
+//   * ranks get the same exec::WallProcess as ThreadBackend's
+//     (exec/wall_process.hpp), so flops, times and counts are accounted
+//     by one piece of code over this backend's transport.  Fibers are
+//     non-preemptive, so between communication calls a rank runs
+//     uninterrupted and the wall interval is honestly its own;
 //   * an exception on one rank aborts the run (blocked peers unwind with
 //     a secondary DeadlockError) and run() rethrows the root cause.
 // Because the repo's message discipline keeps every in-flight (src, dst,
@@ -60,6 +63,9 @@
 
 namespace sparts::exec {
 
+template <class Transport>
+class WallProcess;
+
 class TaskBackend final : public Comm {
  public:
   struct Config {
@@ -98,14 +104,7 @@ class TaskBackend final : public Comm {
 
  private:
   struct Fiber;
-  class FiberProcess;
-  friend class FiberProcess;
-
-  struct Message {
-    index_t src;
-    int tag;
-    Payload payload;
-  };
+  friend class WallProcess<TaskBackend>;
 
   /// Job body: run `f` until it suspends or finishes, then file it.
   void resume(Fiber& f, const JobContext& ctx);
@@ -114,15 +113,18 @@ class TaskBackend final : public Comm {
   /// Entry point of every fiber (runs on its own stack).
   void fiber_main(Fiber& f);
 
-  /// Blocking receive for a fiber: suspends until a match arrives.
-  Message take_match(Fiber& f, index_t src, int tag);
+  // --- the transport WallProcess calls (see exec/wall_process.hpp) ---
+
+  /// Blocking receive for rank's fiber: suspends until a match arrives.
+  ReceivedMessage take_match(index_t rank, index_t src, int tag);
   /// Non-blocking receive; throws DeadlockError when the run is aborted.
-  bool take_match_now(Fiber& f, index_t src, int tag, Message* out);
+  bool take_match_now(index_t rank, index_t src, int tag,
+                      ReceivedMessage* out);
   /// Deliver to `dst`'s mailbox, waking its fiber if the message matches
   /// the wait it is parked on.
-  void deliver(Fiber& sender, index_t dst, Message msg);
+  void deliver(index_t dst, ReceivedMessage&& msg);
   /// Responsive sleep: yields the fiber once (see Process::poll_wait).
-  void fiber_poll_wait(Fiber& f, double seconds);
+  void poll_wait(index_t rank, double seconds);
 
   /// Consumer side, lock-free: move everything from rank `f`'s rings into
   /// its private pending list.  Safe from the fiber itself or (while it is
@@ -132,10 +134,8 @@ class TaskBackend final : public Comm {
   /// Consumer side, under state_mutex_: splice ring-overflow messages
   /// (and everything when rings are off) into the pending list.
   bool drain_overflow_locked(Fiber& f);
-  /// Scan `f`'s pending list for the first (src|kAnySource, tag) match.
-  bool match_pending(Fiber& f, index_t src, int tag, bool pop, Message* out);
   /// The SPSC ring carrying src→dst traffic (valid when rings_on_).
-  SpscRing<Message>& ring(index_t src, index_t dst) {
+  SpscRing<ReceivedMessage>& ring(index_t src, index_t dst) {
     return rings_[static_cast<std::size_t>(dst) *
                       static_cast<std::size_t>(config_.nprocs) +
                   static_cast<std::size_t>(src)];
@@ -159,12 +159,14 @@ class TaskBackend final : public Comm {
   // --- per-run state -------------------------------------------------
   std::unique_ptr<TaskScheduler> scheduler_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  /// Per-rank SPMD errors, written by each fiber, read after the run.
+  std::vector<std::exception_ptr> errors_;
   /// Ring-overflow queues, one per destination rank (every message when
   /// the ring fast path is off).  Guarded by state_mutex_.
-  std::vector<std::deque<Message>> mailboxes_;
+  std::vector<std::deque<ReceivedMessage>> mailboxes_;
   /// p*p SPSC rings, src→dst at rings_[dst*p + src]; null when the fast
   /// path is off (SPARTS_SPSC=off or nprocs too large).
-  std::unique_ptr<SpscRing<Message>[]> rings_;
+  std::unique_ptr<SpscRing<ReceivedMessage>[]> rings_;
   bool rings_on_ = false;
   /// Guards mailboxes_, fiber park/abort flags and the live/blocked
   /// counters.  Never held across a context switch.

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "exec/wall_process.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,10 +18,6 @@ namespace sparts::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 /// Rings are O(p^2) per backend; past this rank count fall back to the
 /// locked mailboxes (which are O(p)).
@@ -61,158 +58,6 @@ bool env_spsc_default(bool config_default) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// RankProcess
-// ---------------------------------------------------------------------------
-
-// The per-thread Process implementation.  All mutable state (stats, the
-// busy-time mark) is owned by the rank's thread; run() reads it only after
-// join(), so no locking is needed here.
-class ThreadBackend::RankProcess final : public Process {
- public:
-  RankProcess(ThreadBackend* backend, index_t rank)
-      : backend_(backend), rank_(rank), last_mark_(Clock::now()) {}
-
-  index_t rank() const override { return rank_; }
-  index_t nprocs() const override { return backend_->config_.nprocs; }
-
-  double now() const override {
-    return seconds_between(backend_->epoch_, Clock::now());
-  }
-
-  void compute(double flops, FlopKind /*kind*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void compute_at(double flops, double /*seconds_per_flop*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void elapse(double seconds) override { SPARTS_CHECK(seconds >= 0.0); }
-
-  void send(index_t dst, int tag,
-            std::span<const std::byte> payload) override {
-    // Copy lane: capture the payload into a fresh (arena) buffer.
-    post(dst, tag, Payload(payload.begin(), payload.end()),
-         /*copied_bytes=*/payload.size());
-  }
-
-  void send_owned(index_t dst, int tag, Payload&& payload) override {
-    if (payload.size() < kZeroCopyThreshold) {
-      send(dst, tag, {payload.data(), payload.size()});
-      return;
-    }
-    // Zero-copy lane: the buffer itself travels through the ring.
-    post(dst, tag, std::move(payload), /*copied_bytes=*/0);
-  }
-
-  ReceivedMessage recv(index_t src, int tag) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    const Clock::time_point t0 = flush_busy();
-    Message msg = backend_->take_match(rank_, src, tag);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank_);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(msg.payload.size()),
-                          static_cast<std::int64_t>(msg.src));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t1));
-    }
-    return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-  }
-
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    SPARTS_CHECK(out != nullptr);
-    Message msg;
-    if (!backend_->take_match_now(rank_, src, tag, &msg)) return false;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-    return true;
-  }
-
-  void poll_wait(double seconds) override {
-    SPARTS_CHECK(seconds >= 0.0);
-    const Clock::time_point t0 = flush_busy();
-    backend_->wait_on_mailbox(rank_, seconds);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-  }
-
-  const CostModel& cost() const override { return backend_->config_.cost; }
-  const Topology& topology() const override { return backend_->topology_; }
-
-  /// Close the final busy segment and stamp the finishing time.
-  ProcStats finish() {
-    flush_busy();
-    stats_.clock = now();
-    return stats_;
-  }
-
- private:
-  /// Shared tail of both send lanes: deliver + stats + tracing.
-  void post(index_t dst, int tag, Payload payload, std::size_t copied_bytes) {
-    SPARTS_CHECK(dst >= 0 && dst < nprocs(),
-                 "send destination " << dst << " out of range");
-    const std::size_t bytes = payload.size();
-    const Clock::time_point t0 = flush_busy();
-    backend_->deliver(dst, Message{rank_, tag, std::move(payload)});
-    const Clock::time_point t1 = Clock::now();
-    stats_.send_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_sent;
-    stats_.words_sent +=
-        static_cast<nnz_t>((bytes + sizeof(real_t) - 1) / sizeof(real_t));
-    stats_.bytes_copied += static_cast<nnz_t>(copied_bytes);
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank_);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(bytes),
-                          static_cast<std::int64_t>(dst));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t1));
-    }
-    if (obs::metrics_enabled()) {
-      obs::metrics().histogram("comm.message_bytes")
-          .observe(static_cast<std::int64_t>(bytes));
-      obs::metrics()
-          .counter(copied_bytes == 0 ? "comm.zero_copy_bytes"
-                                     : "comm.copied_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-    }
-  }
-
-  /// Credit wall time since the last communication call as compute time.
-  Clock::time_point flush_busy() {
-    const Clock::time_point t = Clock::now();
-    stats_.compute_time += seconds_between(last_mark_, t);
-    last_mark_ = t;
-    return t;
-  }
-
-  ThreadBackend* backend_;
-  index_t rank_;
-  ProcStats stats_;
-  Clock::time_point last_mark_;
-};
-
-// ---------------------------------------------------------------------------
 // ThreadBackend
 // ---------------------------------------------------------------------------
 
@@ -223,9 +68,9 @@ ThreadBackend::ThreadBackend(const Config& config)
   config_.use_spsc = env_spsc_default(config.use_spsc);
 }
 
-void ThreadBackend::deliver(index_t dst, Message msg) {
+void ThreadBackend::deliver(index_t dst, ReceivedMessage&& msg) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
-  const index_t src = msg.src;
+  const index_t src = msg.source;
   obs::flight_note(static_cast<std::int32_t>(src), "send",
                    static_cast<std::int64_t>(msg.payload.size()),
                    static_cast<std::int64_t>(dst));
@@ -278,7 +123,7 @@ void ThreadBackend::deliver(index_t dst, Message msg) {
 bool ThreadBackend::drain_rings(Mailbox& mb) {
   if (mb.rings == nullptr) return false;
   bool any = false;
-  Message m;
+  ReceivedMessage m;
   // Visit only the rings whose producers flagged traffic since the last
   // drain.  exchange(0) claims the whole hint word: a bit set *during*
   // the drain is either satisfied now (we pop the item anyway) or re-read
@@ -309,23 +154,10 @@ bool ThreadBackend::drain_queue_locked(Mailbox& mb) {
   return true;
 }
 
-bool ThreadBackend::pop_pending(Mailbox& mb, index_t src, int tag,
-                                Message* out) {
-  for (auto it = mb.pending.begin(); it != mb.pending.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->src == src)) {
-      *out = std::move(*it);
-      mb.pending.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
-                                                 int tag) {
+ReceivedMessage ThreadBackend::take_match(index_t rank, index_t src, int tag) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
-  Message out;
-  if (pop_pending(mb, src, tag, &out)) return out;
+  ReceivedMessage out;
+  if (match_pending(mb.pending, src, tag, &out)) return out;
   // Flight-note only blocking receives (the fast pop above stays silent):
   // when the run dies, the dump shows what each rank was waiting on.
   obs::flight_note(static_cast<std::int32_t>(rank), "recv_wait",
@@ -347,7 +179,7 @@ ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
   for (;;) {
     // Fast path: drain the rings and match from pending.
     if (drain_rings(mb)) {
-      if (pop_pending(mb, src, tag, &out)) return out;
+      if (match_pending(mb.pending, src, tag, &out)) return out;
       idle_rounds = 0;  // traffic is flowing; keep consuming the burst
       continue;
     }
@@ -362,11 +194,11 @@ ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
     // Slow path: fallback queue, then park.
     std::unique_lock<std::mutex> lock(mb.park.mutex());
     drain_queue_locked(mb);
-    if (pop_pending(mb, src, tag, &out)) return out;
+    if (match_pending(mb.pending, src, tag, &out)) return out;
     mb.park.arm();
     if (drain_rings(mb)) {  // consumer half of the Dekker handshake
       mb.park.disarm();
-      if (pop_pending(mb, src, tag, &out)) return out;
+      if (match_pending(mb.pending, src, tag, &out)) return out;
       idle_rounds = 0;
       continue;
     }
@@ -390,7 +222,7 @@ ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
     mb.park.disarm();
     drain_queue_locked(mb);
     drain_rings(mb);
-    if (pop_pending(mb, src, tag, &out)) return out;
+    if (match_pending(mb.pending, src, tag, &out)) return out;
     if (Clock::now() >= deadline) {
       obs::flight_note(static_cast<std::int32_t>(rank), "recv_timeout",
                        static_cast<std::int64_t>(src),
@@ -406,7 +238,7 @@ ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
 }
 
 bool ThreadBackend::take_match_now(index_t rank, index_t src, int tag,
-                                   Message* out) {
+                                   ReceivedMessage* out) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
   drain_rings(mb);
   if (aborted_.load(std::memory_order_acquire)) {
@@ -423,10 +255,10 @@ bool ThreadBackend::take_match_now(index_t rank, index_t src, int tag,
     std::lock_guard<std::mutex> lock(mb.park.mutex());
     drain_queue_locked(mb);
   }
-  return pop_pending(mb, src, tag, out);
+  return match_pending(mb.pending, src, tag, out);
 }
 
-void ThreadBackend::wait_on_mailbox(index_t rank, double seconds) {
+void ThreadBackend::poll_wait(index_t rank, double seconds) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
   // Lock-free early out: arrivals since the caller's last drain mean its
   // next try_recv will find traffic, so skip the mutex and the condvar
@@ -454,7 +286,7 @@ void ThreadBackend::wait_on_mailbox(index_t rank, double seconds) {
   // this wait is supposed to wake early for.
   bool arrivals = !mb.queue.empty();
   if (!arrivals && mb.rings != nullptr) {
-    // Peek (not exchange): wait_on_mailbox does not drain, so consuming
+    // Peek (not exchange): poll_wait does not drain, so consuming
     // the hint here would hide the arrival from the next drain_rings.
     // A stale hint bit causes at worst one early return; the caller's
     // retry loop re-polls and comes back.
@@ -486,7 +318,7 @@ RunStats ThreadBackend::run(const std::function<void(Process&)>& spmd) {
   for (index_t r = 0; r < config_.nprocs; ++r) {
     auto mb = std::make_unique<Mailbox>();
     if (rings_on) {
-      mb->rings = std::make_unique<SpscRing<Message>[]>(
+      mb->rings = std::make_unique<SpscRing<ReceivedMessage>[]>(
           static_cast<std::size_t>(config_.nprocs));
     }
     mailboxes_.push_back(std::move(mb));
@@ -501,7 +333,7 @@ RunStats ThreadBackend::run(const std::function<void(Process&)>& spmd) {
   threads.reserve(static_cast<std::size_t>(config_.nprocs));
   for (index_t r = 0; r < config_.nprocs; ++r) {
     threads.emplace_back([this, r, &spmd, &stats] {
-      RankProcess proc(this, r);
+      WallProcess<ThreadBackend> proc(*this, r, epoch_);
       try {
         spmd(proc);
       } catch (...) {
@@ -518,21 +350,9 @@ RunStats ThreadBackend::run(const std::function<void(Process&)>& spmd) {
   for (auto& t : threads) t.join();
   running_ = false;
 
-  // Propagate the highest-priority user error (root causes beat timeouts
-  // beat secondary deadlock unwinds), ties broken by rank order.  All
-  // threads are already joined at this point, so a crashed rank can never
-  // leave peers running or mailboxes live past this rethrow.
-  std::exception_ptr best_error;
-  int best_priority = 3;
-  for (const auto& err : errors_) {
-    if (!err) continue;
-    const int priority = error_priority(err);
-    if (priority < best_priority) {
-      best_priority = priority;
-      best_error = err;
-    }
-  }
-  if (best_error) std::rethrow_exception(best_error);
+  // All threads are already joined at this point, so a crashed rank can
+  // never leave peers running or mailboxes live past this rethrow.
+  rethrow_root_cause(errors_);
 
   RunStats out;
   out.procs = std::move(stats);

@@ -19,9 +19,10 @@
 //     matches is whatever the drain observed, which the Process contract
 //     permits (the repo's tag discipline keeps in-flight (src,dst,tag)
 //     unique, so matching is unambiguous anyway).
-//   * compute()/compute_at() only count flops: the caller's kernel already
-//     ran for real, so wall time is the truth.  elapse() is a no-op.
-//   * now() is wall-clock seconds since the start of the current run.
+// Ranks get exec::WallProcess (exec/wall_process.hpp) over this backend's
+// transport: the compute/send/idle accounting, counts, comm trace spans
+// and metrics live there; this file keeps the rings, the mailboxes and
+// the parking protocol.
 //
 // Failure handling mirrors simpar::Machine: an exception on one rank
 // aborts the run (waiting ranks unwind with a secondary DeadlockError) and
@@ -44,6 +45,9 @@
 #include "exec/spsc_ring.hpp"
 
 namespace sparts::exec {
+
+template <class Transport>
+class WallProcess;
 
 class ThreadBackend final : public Comm {
  public:
@@ -69,31 +73,24 @@ class ThreadBackend final : public Comm {
   const Topology& topology() const override { return topology_; }
 
  private:
-  class RankProcess;
-  friend class RankProcess;
-
-  struct Message {
-    index_t src;
-    int tag;
-    Payload payload;
-  };
+  friend class WallProcess<ThreadBackend>;
 
   struct Mailbox {
     // --- consumer-private (only the owning rank's thread touches it) ---
-    std::deque<Message> pending;  ///< drained, not-yet-matched messages
+    std::deque<ReceivedMessage> pending;  ///< drained, not-yet-matched
     // --- shared fallback path --------------------------------------
     /// The mutex+condvar+waiting-flag Dekker handshake, extracted to
     /// exec/parking.hpp so the model checker can verify the protocol.
     /// park.mutex() guards `queue`; see take_match for the handshake.
     ParkingSlot<> park;
-    std::deque<Message> queue;  ///< ring overflow / rings-disabled path
+    std::deque<ReceivedMessage> queue;  ///< ring overflow / rings-off path
     /// queue.size(), maintained under park.mutex() but readable without
     /// it: lets the SPSC poll path (try_recv / poll_wait) skip the lock
     /// entirely when the fallback queue is empty — which it almost
     /// always is when the rings are on.
     std::atomic<std::size_t> queue_size{0};
     /// One SPSC ring per source rank; null when the fast path is off.
-    std::unique_ptr<SpscRing<Message>[]> rings;
+    std::unique_ptr<SpscRing<ReceivedMessage>[]> rings;
     /// Producer-set "ring src may be nonempty" bitmask (bit src&63 of
     /// word src>>6; 2 words cover kMaxRingRanks sources).  Senders
     /// fetch_or their bit after a ring push; the consumer exchange(0)'s
@@ -104,22 +101,25 @@ class ThreadBackend final : public Comm {
     std::atomic<std::uint64_t> ring_hint[2]{};
   };
 
+  // --- the transport WallProcess calls (see exec/wall_process.hpp) ---
+
   /// Push `msg` to rank `dst`: ring fast path, locked queue fallback.
-  void deliver(index_t dst, Message msg);
+  void deliver(index_t dst, ReceivedMessage&& msg);
 
   /// Remove and return a pending/queued message for `rank` matching
   /// (src|kAnySource, tag); blocks until one exists.  Throws DeadlockError
   /// on abort, timeout, or when no live peer can still send one.
-  Message take_match(index_t rank, index_t src, int tag);
+  ReceivedMessage take_match(index_t rank, index_t src, int tag);
 
   /// Non-blocking variant: pop a match if one is available right now.
   /// Throws DeadlockError when the run has been aborted (a crashed rank
   /// must not leave pollers spinning on a dead run).
-  bool take_match_now(index_t rank, index_t src, int tag, Message* out);
+  bool take_match_now(index_t rank, index_t src, int tag,
+                      ReceivedMessage* out);
 
   /// Wait up to `seconds` on the rank's mailbox; wakes early on message
   /// delivery, peer exit, or abort (abort throws, as above).
-  void wait_on_mailbox(index_t rank, double seconds);
+  void poll_wait(index_t rank, double seconds);
 
   /// Briefly acquire and release every mailbox lock, then notify: ensures
   /// ranks mid-predicate-check cannot miss an abort / peer-exit signal.
@@ -129,8 +129,6 @@ class ThreadBackend final : public Comm {
   bool drain_rings(Mailbox& mb);
   /// Consumer side, under mb.mutex: splice the fallback queue into pending.
   bool drain_queue_locked(Mailbox& mb);
-  /// Scan pending for the first (src|kAnySource, tag) match and pop it.
-  bool pop_pending(Mailbox& mb, index_t src, int tag, Message* out);
 
   Config config_;
   Topology topology_;

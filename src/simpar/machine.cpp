@@ -21,7 +21,7 @@ class Machine::SimProcess final : public exec::Process {
   index_t rank() const override { return rank_; }
   index_t nprocs() const override { return machine_->nprocs(); }
   double now() const override { return machine_->do_now(rank_); }
-  void compute(double flops, FlopKind kind) override {
+  void compute(double flops, exec::FlopKind kind) override {
     machine_->do_compute(rank_, flops, kind);
   }
   void compute_at(double flops, double seconds_per_flop) override {
@@ -32,17 +32,19 @@ class Machine::SimProcess final : public exec::Process {
             std::span<const std::byte> payload) override {
     machine_->do_send(rank_, dst, tag, payload);
   }
-  ReceivedMessage recv(index_t src, int tag) override {
+  exec::ReceivedMessage recv(index_t src, int tag) override {
     return machine_->do_recv(rank_, src, tag);
   }
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
+  bool try_recv(index_t src, int tag, exec::ReceivedMessage* out) override {
     return machine_->do_try_recv(rank_, src, tag, out);
   }
   void poll_wait(double seconds) override {
     machine_->do_poll_wait(rank_, seconds);
   }
-  const CostModel& cost() const override { return machine_->cost(); }
-  const Topology& topology() const override { return machine_->topology(); }
+  const exec::CostModel& cost() const override { return machine_->cost(); }
+  const exec::Topology& topology() const override {
+    return machine_->topology();
+  }
 
  private:
   Machine* machine_;
@@ -66,7 +68,7 @@ double Machine::do_now(index_t rank) const {
   return procs_[static_cast<std::size_t>(rank)]->clock;
 }
 
-void Machine::do_compute(index_t rank, double flops, FlopKind kind) {
+void Machine::do_compute(index_t rank, double flops, exec::FlopKind kind) {
   do_compute_at(rank, flops, config_.cost.per_flop(kind));
 }
 
@@ -142,7 +144,7 @@ std::ptrdiff_t Machine::find_match(const ProcControl& pc, index_t src,
   for (std::size_t i = 0; i < pc.mailbox.size(); ++i) {
     const Message& m = pc.mailbox[i];
     if (m.tag != tag) continue;
-    if (src != kAnySource && m.src != src) continue;
+    if (src != exec::kAnySource && m.src != src) continue;
     if (arrived_by >= 0.0 && m.arrival > arrived_by) continue;
     if (best == -1) {
       best = static_cast<std::ptrdiff_t>(i);
@@ -158,8 +160,8 @@ std::ptrdiff_t Machine::find_match(const ProcControl& pc, index_t src,
   return best;
 }
 
-ReceivedMessage Machine::do_recv(index_t rank, index_t src, int tag) {
-  SPARTS_CHECK(src == kAnySource || (src >= 0 && src < config_.nprocs),
+exec::ReceivedMessage Machine::do_recv(index_t rank, index_t src, int tag) {
+  SPARTS_CHECK(src == exec::kAnySource || (src >= 0 && src < config_.nprocs),
                "recv source " << src << " out of range");
   std::unique_lock<std::mutex> lock(mutex_);
   auto& pc = *procs_[static_cast<std::size_t>(rank)];
@@ -203,12 +205,12 @@ ReceivedMessage Machine::do_recv(index_t rank, index_t src, int tag) {
     tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
                         "recv", pc.clock);
   }
-  return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
+  return exec::ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
 }
 
 bool Machine::do_try_recv(index_t rank, index_t src, int tag,
-                          ReceivedMessage* out) {
-  SPARTS_CHECK(src == kAnySource || (src >= 0 && src < config_.nprocs),
+                          exec::ReceivedMessage* out) {
+  SPARTS_CHECK(src == exec::kAnySource || (src >= 0 && src < config_.nprocs),
                "recv source " << src << " out of range");
   SPARTS_CHECK(out != nullptr);
   std::unique_lock<std::mutex> lock(mutex_);
@@ -231,7 +233,7 @@ bool Machine::do_try_recv(index_t rank, index_t src, int tag,
   ++pc.stats.messages_received;
   pc.stats.words_received += static_cast<nnz_t>(
       (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-  *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
+  *out = exec::ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
   return true;
 }
 
@@ -304,7 +306,8 @@ void Machine::yield_and_wait(index_t rank,
   pc.cv.wait(lock, [&pc] { return pc.scheduled; });
 }
 
-void Machine::worker(index_t rank, const std::function<void(Proc&)>& spmd) {
+void Machine::worker(index_t rank,
+                     const std::function<void(exec::Process&)>& spmd) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     yield_and_wait(rank, lock);
@@ -314,7 +317,7 @@ void Machine::worker(index_t rank, const std::function<void(Proc&)>& spmd) {
     SimProcess proc(this, rank);
     spmd(proc);
   } catch (...) {
-    pc.error = std::current_exception();
+    errors_[static_cast<std::size_t>(rank)] = std::current_exception();
   }
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -324,7 +327,7 @@ void Machine::worker(index_t rank, const std::function<void(Proc&)>& spmd) {
   }
 }
 
-RunStats Machine::run(const std::function<void(Proc&)>& spmd) {
+exec::RunStats Machine::run(const std::function<void(exec::Process&)>& spmd) {
   SPARTS_CHECK(!running_, "Machine::run is not reentrant");
   running_ = true;
   deadlock_ = false;
@@ -334,6 +337,7 @@ RunStats Machine::run(const std::function<void(Proc&)>& spmd) {
   for (index_t r = 0; r < config_.nprocs; ++r) {
     procs_.push_back(std::make_unique<ProcControl>());
   }
+  errors_.assign(static_cast<std::size_t>(config_.nprocs), nullptr);
 
   if (obs::Tracer::enabled()) obs::Tracer::instance().begin_run();
 
@@ -355,21 +359,9 @@ RunStats Machine::run(const std::function<void(Proc&)>& spmd) {
   for (auto& t : threads) t.join();
   running_ = false;
 
-  // Propagate the highest-priority user error (root causes beat timeouts
-  // beat secondary deadlock unwinds), ties broken by rank order.
-  std::exception_ptr best_error;
-  int best_priority = 3;
-  for (auto& pc : procs_) {
-    if (!pc->error) continue;
-    const int priority = exec::error_priority(pc->error);
-    if (priority < best_priority) {
-      best_priority = priority;
-      best_error = pc->error;
-    }
-  }
-  if (best_error) std::rethrow_exception(best_error);
+  exec::rethrow_root_cause(errors_);
 
-  RunStats stats;
+  exec::RunStats stats;
   stats.procs.reserve(procs_.size());
   for (auto& pc : procs_) {
     pc->stats.clock = pc->clock;

@@ -35,27 +35,12 @@
 
 namespace sparts::simpar {
 
-// The message-passing vocabulary moved to the backend-agnostic exec layer;
-// these aliases keep simulator-era spellings working.
-using exec::kAnySource;
-using exec::CostModel;
-using exec::FlopKind;
-using exec::ProcStats;
-using exec::ReceivedMessage;
-using exec::RunStats;
-using exec::Topology;
-using exec::TopologyKind;
-
-/// Historical name for the rank handle; SPMD code written against the
-/// simulator runs unchanged on any exec backend.
-using Proc = exec::Process;
-
 class Machine final : public exec::Comm {
  public:
   struct Config {
     index_t nprocs = 1;
-    CostModel cost{};
-    TopologyKind topology = TopologyKind::hypercube;
+    exec::CostModel cost{};
+    exec::TopologyKind topology = exec::TopologyKind::hypercube;
   };
 
   explicit Machine(const Config& config);
@@ -63,11 +48,11 @@ class Machine final : public exec::Comm {
   /// Run `spmd` on every rank to completion; returns per-rank statistics.
   /// Rethrows the first exception thrown by user code (by rank order).
   /// Throws DeadlockError if every unfinished rank blocks in recv forever.
-  RunStats run(const std::function<void(Proc&)>& spmd) override;
+  exec::RunStats run(const std::function<void(exec::Process&)>& spmd) override;
 
   index_t nprocs() const override { return config_.nprocs; }
-  const CostModel& cost() const override { return config_.cost; }
-  const Topology& topology() const override { return topology_; }
+  const exec::CostModel& cost() const override { return config_.cost; }
+  const exec::Topology& topology() const override { return topology_; }
 
  private:
   class SimProcess;
@@ -91,18 +76,18 @@ class Machine final : public exec::Comm {
     int want_tag = 0;
     std::condition_variable cv;
     std::vector<Message> mailbox;
-    ProcStats stats;
-    std::exception_ptr error;
+    exec::ProcStats stats;
   };
 
   // Process entry points (called from worker threads).
-  void do_compute(index_t rank, double flops, FlopKind kind);
+  void do_compute(index_t rank, double flops, exec::FlopKind kind);
   void do_compute_at(index_t rank, double flops, double per_flop);
   void do_elapse(index_t rank, double seconds);
   void do_send(index_t rank, index_t dst, int tag,
                std::span<const std::byte> payload);
-  ReceivedMessage do_recv(index_t rank, index_t src, int tag);
-  bool do_try_recv(index_t rank, index_t src, int tag, ReceivedMessage* out);
+  exec::ReceivedMessage do_recv(index_t rank, index_t src, int tag);
+  bool do_try_recv(index_t rank, index_t src, int tag,
+                   exec::ReceivedMessage* out);
   void do_poll_wait(index_t rank, double seconds);
   double do_now(index_t rank) const;
 
@@ -114,7 +99,7 @@ class Machine final : public exec::Comm {
                             double arrived_by = -1.0) const;
 
   /// Worker thread trampoline.
-  void worker(index_t rank, const std::function<void(Proc&)>& spmd);
+  void worker(index_t rank, const std::function<void(exec::Process&)>& spmd);
 
   /// Scheduler: picks and wakes the next runnable rank.  Returns false when
   /// every rank is done.  Must hold `mutex_`.
@@ -124,12 +109,13 @@ class Machine final : public exec::Comm {
   void yield_and_wait(index_t rank, std::unique_lock<std::mutex>& lock);
 
   Config config_;
-  Topology topology_;
+  exec::Topology topology_;
 
   std::mutex mutex_;
   std::condition_variable scheduler_cv_;
   // unique_ptr because ProcControl owns a condition_variable (immovable).
   std::vector<std::unique_ptr<ProcControl>> procs_;
+  std::vector<std::exception_ptr> errors_;  ///< per rank, set by worker()
   nnz_t send_seq_ = 0;
   bool deadlock_ = false;
   bool running_ = false;

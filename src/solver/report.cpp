@@ -10,7 +10,7 @@
 #include "mapping/load_balance.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "ordering/etree.hpp"
-#include "simpar/cost_model.hpp"
+#include "exec/cost_model.hpp"
 
 namespace sparts::solver {
 
@@ -22,7 +22,7 @@ namespace {
 double projected_solve_seconds(const symbolic::SupernodePartition& part,
                                const mapping::SubcubeMapping& map,
                                index_t m) {
-  const simpar::CostModel cost = simpar::CostModel::t3d();
+  const exec::CostModel cost = exec::CostModel::t3d();
   const auto weights = mapping::solve_work_weights(part, m);
   const mapping::LoadBalance lb =
       mapping::analyze_load_balance(part, map, weights);

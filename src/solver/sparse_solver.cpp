@@ -145,12 +145,6 @@ std::unique_ptr<exec::Comm> make_backend(ExecutionBackend backend, index_t p,
                                                           options.fault_plan);
       exec::ReliableConfig rcfg = sim ? exec::ReliableConfig::for_simulated()
                                       : exec::ReliableConfig::for_threads();
-      // NACK-driven retransmission plus the FIN linger make per-delivery
-      // acks redundant for correctness; skipping them halves the control
-      // traffic (the dominant clean-run envelope cost) at the price of
-      // retaining retransmit buffers for the phase, which is bounded.
-      // SPARTS_RELIABLE_ACKS=1 re-enables them.
-      rcfg.acks = false;
       rcfg.from_env();
       return std::make_unique<exec::ReliableBackend>(std::move(faulty), rcfg);
     }
@@ -171,7 +165,6 @@ std::unique_ptr<exec::Comm> make_backend(ExecutionBackend backend, index_t p,
       auto sock = std::make_unique<exec::SocketBackend>(scfg);
       exec::ReliableConfig rcfg =
           exec::ReliableConfig::for_wire(sock->measured_rtt());
-      rcfg.acks = false;
       rcfg.from_env();
       return std::make_unique<exec::ReliableBackend>(std::move(sock), rcfg);
     }

@@ -25,8 +25,8 @@ namespace {
 simpar::Machine make_machine(index_t p) {
   simpar::Machine::Config cfg;
   cfg.nprocs = p;
-  cfg.cost = simpar::CostModel::t3d();
-  cfg.topology = simpar::TopologyKind::hypercube;
+  cfg.cost = exec::CostModel::t3d();
+  cfg.topology = exec::TopologyKind::hypercube;
   return simpar::Machine(cfg);
 }
 
@@ -56,18 +56,18 @@ TEST(DeterministicReplay, AnySourceFanInIsReplayedBitIdentically) {
 
   auto run_once = [&](std::vector<index_t>* order) {
     simpar::Machine machine = make_machine(p);
-    return machine.run([&](simpar::Proc& proc) {
+    return machine.run([&](exec::Process& proc) {
       if (proc.rank() == 0) {
         for (int i = 0; i < rounds * (p - 1); ++i) {
-          const auto msg = proc.recv(simpar::kAnySource, /*tag=*/1);
+          const auto msg = proc.recv(exec::kAnySource, /*tag=*/1);
           if (order != nullptr) order->push_back(msg.source);
-          proc.compute(100.0, simpar::FlopKind::blas1);
+          proc.compute(100.0, exec::FlopKind::blas1);
         }
       } else {
         for (int i = 0; i < rounds; ++i) {
           // Desynchronize the senders so ties and near-ties both occur.
           proc.compute(50.0 * static_cast<double>(proc.rank()),
-                       simpar::FlopKind::blas1);
+                       exec::FlopKind::blas1);
           const std::vector<real_t> payload(
               static_cast<std::size_t>(proc.rank()), 1.0);
           proc.send_values<real_t>(0, 1, payload);

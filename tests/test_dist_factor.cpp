@@ -16,7 +16,7 @@
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "trisolve/trisolve.hpp"
-#include "simpar/collectives.hpp"
+#include "exec/collectives.hpp"
 #include "simpar/machine.hpp"
 
 namespace sparts {
@@ -25,8 +25,8 @@ namespace {
 simpar::Machine make_machine(index_t p) {
   simpar::Machine::Config cfg;
   cfg.nprocs = p;
-  cfg.cost = simpar::CostModel::t3d();
-  cfg.topology = simpar::TopologyKind::hypercube;
+  cfg.cost = exec::CostModel::t3d();
+  cfg.topology = exec::TopologyKind::hypercube;
   return simpar::Machine(cfg);
 }
 
@@ -52,7 +52,7 @@ TEST(DistFactor, PackCoversEveryEntry) {
 
   const auto& part = prob.l.partition();
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
-    const simpar::Group& g = map.group[static_cast<std::size_t>(s)];
+    const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     const partrisolve::Layout lay{g.count, b, part.height(s), part.width(s)};
     const auto block = prob.l.block(s);
     for (index_t i = 0; i < lay.ns; ++i) {
@@ -81,7 +81,7 @@ TEST(DistFactor, BlocksExistExactlyForGroupMembers) {
   const partrisolve::DistributedFactor df(prob.l.partition(), map, b);
   const auto& part = prob.l.partition();
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
-    const simpar::Group& g = map.group[static_cast<std::size_t>(s)];
+    const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     const partrisolve::Layout lay{g.count, b, part.height(s), part.width(s)};
     for (index_t w = 0; w < p; ++w) {
       ASSERT_EQ(df.has_block(w, s), g.contains(w)) << "s=" << s << " w=" << w;
@@ -157,7 +157,7 @@ TEST(DistFactor, RedistributionProducesPackedStorage) {
 
   const auto& part = prob.l.partition();
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
-    const simpar::Group& g = map.group[static_cast<std::size_t>(s)];
+    const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     for (index_t r = 0; r < g.count; ++r) {
       const index_t w = g.world(r);
       const auto& a = via_network.local_block(w, s);

@@ -377,13 +377,14 @@ TEST(MsgpathCounters, EveryDeliveryIsRingHitOrSpillOnBothBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// TaskBackend RunStats plumbing (regression for the mark_started fix)
+// TaskBackend RunStats plumbing (regression for the body-start clock fix)
 // ---------------------------------------------------------------------------
 
 TEST(TaskBackendStats, PerRankClocksAreLiveNotZero) {
-  // The fiber backend restarts each rank's compute clock on every
-  // resume (mark_started); a regression there reports zero-duration
-  // ranks and the phase profiler prints an all-idle timeline.
+  // The fiber backend starts each rank's compute clock when its SPMD
+  // body starts (the WallProcess is built on the fiber); a regression
+  // there reports zero-duration ranks and the phase profiler prints an
+  // all-idle timeline.
   exec::TaskBackend::Config cfg;
   cfg.nprocs = 2;
   cfg.scheduler.workers = 2;

@@ -17,8 +17,8 @@ namespace {
 simpar::Machine make_machine(index_t p) {
   simpar::Machine::Config cfg;
   cfg.nprocs = p;
-  cfg.cost = simpar::CostModel::t3d();
-  cfg.topology = simpar::TopologyKind::hypercube;
+  cfg.cost = exec::CostModel::t3d();
+  cfg.topology = exec::TopologyKind::hypercube;
   return simpar::Machine(cfg);
 }
 

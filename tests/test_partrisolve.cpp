@@ -46,8 +46,8 @@ Problem make_grid_problem(index_t k, bool three_d = false) {
 simpar::Machine make_machine(index_t p) {
   simpar::Machine::Config cfg;
   cfg.nprocs = p;
-  cfg.cost = simpar::CostModel::t3d();
-  cfg.topology = simpar::TopologyKind::hypercube;
+  cfg.cost = exec::CostModel::t3d();
+  cfg.topology = exec::TopologyKind::hypercube;
   return simpar::Machine(cfg);
 }
 

@@ -38,11 +38,13 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "conformance_program.hpp"
 #include "exec/collectives.hpp"
 #include "exec/reliable.hpp"
 #include "exec/socket_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "exec/wire.hpp"
+#include "simpar/machine.hpp"
 #include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
 
@@ -415,6 +417,37 @@ TEST(ProcCohort, CollectivesAndRepeatedRuns) {
   EXPECT_EQ(codes, std::vector<int>(p, 0));
 }
 
+/// The proc backend's rank accounting: for the stats-conformance program
+/// every rank's flops and message/word counts equal a simulator run's,
+/// and its compute/send/idle split fits in its clock.
+TEST(ProcCohort, StatsCountsMatchSimulator) {
+  TempDir dir;
+  constexpr index_t p = 4;
+  simpar::Machine::Config sim_cfg;
+  sim_cfg.nprocs = p;
+  simpar::Machine sim(sim_cfg);
+  const RunStats want = sim.run(conformance_program);
+  const auto codes = fork_ranks(p, dir.path, [&](index_t r) -> int {
+    SocketBackend machine(cohort_config(r, p, dir.path));
+    const auto slot = static_cast<std::size_t>(r);
+    const ProcStats got = machine.run(conformance_program).procs[slot];
+    const ProcStats& w = want.procs[slot];
+    if (got.flops != w.flops || got.messages_sent != w.messages_sent ||
+        got.words_sent != w.words_sent ||
+        got.messages_received != w.messages_received ||
+        got.words_received != w.words_received) {
+      return 30;
+    }
+    if (got.compute_time < 0.0 || got.send_time < 0.0 ||
+        got.idle_time < 0.0 ||
+        got.compute_time + got.send_time + got.idle_time > got.clock + 1e-9) {
+      return 31;
+    }
+    return 0;
+  });
+  EXPECT_EQ(codes, std::vector<int>(p, 0));
+}
+
 /// The conformance leg: parallel_solve over the socket cohort must be
 /// BIT-identical to the simulator's x for the same problem, at several
 /// processor counts.  Children write x to per-rank files; the parent
@@ -506,7 +539,6 @@ TEST(ProcCohort, ChaosCorruptionRecoversUnderEnvelope) {
     setenv("SPARTS_CHAOS", "seed=21,corrupt=0.2", 1);
     auto sock = std::make_unique<SocketBackend>(cohort_config(r, p, dir.path));
     ReliableConfig rcfg = ReliableConfig::for_wire(sock->measured_rtt());
-    rcfg.acks = false;
     ReliableBackend machine(std::move(sock), rcfg);
     machine.run([](Process& proc) {
       constexpr int kTag = 2;

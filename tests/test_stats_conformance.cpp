@@ -3,15 +3,16 @@
 // identical per-rank *event counts* (messages/words sent and received,
 // flops) on the simulated backend, the threaded backend, and both
 // wrapped in the checked decorator.  Times differ by design (virtual
-// cost-model seconds vs wall clock); counts may not.
-// Registered under the CTest label `obs`.
+// cost-model seconds vs wall clock); counts may not.  On the wall-clock
+// backends the compute/send/idle split must also fit inside each rank's
+// clock.  Registered under the CTest label `obs`.
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
+#include "conformance_program.hpp"
 #include "exec/checked_backend.hpp"
-#include "exec/collectives.hpp"
 #include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "simpar/machine.hpp"
@@ -20,32 +21,6 @@ namespace sparts {
 namespace {
 
 constexpr index_t kProcs = 4;
-
-void conformance_program(exec::Process& proc) {
-  const index_t p = proc.nprocs();
-  const index_t r = proc.rank();
-
-  proc.compute(100.0 * static_cast<double>(r + 1));
-
-  // Ring exchange with rank-dependent payload sizes.
-  std::vector<real_t> ring(static_cast<std::size_t>(r + 1) * 4,
-                           static_cast<double>(r));
-  proc.send_values<real_t>((r + 1) % p, 10, ring);
-  (void)proc.recv_values<real_t>((r + p - 1) % p, 10);
-
-  // Collectives: every wrapper must feed stats identically on both
-  // backends (they are layered on the same send/recv, but the checked
-  // decorator and the tracer hook them too).
-  const exec::Group g{0, p};
-  std::vector<real_t> bcast;
-  if (r == 0) bcast.assign(32, 1.0);
-  exec::broadcast(proc, g, bcast, 100);
-  std::vector<real_t> acc(16, static_cast<double>(r));
-  exec::reduce_sum(proc, g, acc, 200);
-  exec::barrier(proc, g, 300);
-
-  proc.compute(50.0);
-}
 
 /// The count fields of one rank (everything except times).
 using RankCounts = std::tuple<nnz_t, nnz_t, nnz_t, nnz_t, nnz_t>;
@@ -68,6 +43,20 @@ void expect_same_counts(const exec::RunStats& expected,
     EXPECT_EQ(want[r], got[r]) << what << ": rank " << r
                                << " count mismatch (flops, msgs_sent, "
                                   "words_sent, msgs_recv, words_recv)";
+  }
+}
+
+/// Wall-clock time split: each part is non-negative and together they
+/// fit in the rank's clock (seconds since the run started).  The slack
+/// absorbs the rounding of summing nanosecond intervals as doubles.
+void expect_wall_split(const exec::RunStats& rs, const char* what) {
+  for (std::size_t r = 0; r < rs.procs.size(); ++r) {
+    const exec::ProcStats& p = rs.procs[r];
+    EXPECT_GE(p.compute_time, 0.0) << what << ": rank " << r;
+    EXPECT_GE(p.send_time, 0.0) << what << ": rank " << r;
+    EXPECT_GE(p.idle_time, 0.0) << what << ": rank " << r;
+    EXPECT_LE(p.compute_time + p.send_time + p.idle_time, p.clock + 1e-9)
+        << what << ": rank " << r << " compute+send+idle exceeds its clock";
   }
 }
 
@@ -101,6 +90,7 @@ TEST(StatsConformance, ThreadBackendMatchesSimulator) {
   const exec::RunStats thr = threads.run(conformance_program);
 
   expect_same_counts(sim, thr, "threads vs sim");
+  expect_wall_split(thr, "threads");
   EXPECT_EQ(thr.total_messages_received(), thr.total_messages());
 }
 
@@ -117,6 +107,7 @@ TEST(StatsConformance, TaskBackendMatchesSimulator) {
     exec::TaskBackend tasks(cfg);
     const exec::RunStats rs = tasks.run(conformance_program);
     expect_same_counts(sim, rs, "tasks vs sim");
+    expect_wall_split(rs, "tasks");
     EXPECT_EQ(rs.total_messages_received(), rs.total_messages());
     EXPECT_EQ(tasks.last_scheduler_stats().workers, workers);
   }
