@@ -12,10 +12,12 @@
 //     then parks on a condition variable; submit() wakes parked workers.
 //
 // The scheduler runs two kinds of clients: explicit TaskGraph executions
-// (run_graph: atomically count down predecessors, release successors) and
-// the fiber resume-jobs of TaskBackend.  It knows nothing about either —
-// a job is just a callable receiving the worker it landed on and whether
-// it was stolen, which is what the tracing layer wants to know.
+// (run_graph: atomically count down predecessors, release successors —
+// the factor/solve DAG lowerings and the per-level subgraph tasks of
+// ordering::nested_dissection) and the fiber resume-jobs of TaskBackend.
+// It knows nothing about either — a job is just a callable receiving the
+// worker it landed on and whether it was stolen, which is what the
+// tracing layer wants to know.
 #pragma once
 
 #include <atomic>

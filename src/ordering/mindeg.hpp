@@ -1,5 +1,7 @@
 // Minimum-degree fill-reducing ordering via the quotient-graph (element
-// absorption) model, in the style of the MMD/AMD family.  Serves two roles:
+// absorption) model: one vertex at a time with exact external degrees, not
+// the multiple-elimination (MMD) or approximate-degree (AMD) variants.
+// Serves two roles:
 //   * baseline ordering in fill comparisons, and
 //   * leaf-subgraph ordering inside nested dissection.
 #pragma once
@@ -9,8 +11,10 @@
 
 namespace sparts::ordering {
 
-/// Minimum exterior-degree ordering using a quotient graph.  Deterministic
-/// (ties broken by vertex id).
+/// Exact minimum exterior-degree ordering, ties broken by vertex id.  A
+/// graph of at most 64 vertices (every nested-dissection leaf) is
+/// eliminated on its elimination graph held as one 64-bit row per vertex;
+/// larger ones use a quotient graph.  Both give the same order.
 sparse::Permutation minimum_degree(const sparse::Graph& g);
 
 /// Convenience overload over the matrix pattern.

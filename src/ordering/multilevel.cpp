@@ -1,7 +1,6 @@
 #include "ordering/multilevel.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
@@ -56,19 +55,27 @@ WGraph lift(const sparse::Graph& g) {
 WGraph coarsen(const WGraph& g, std::vector<index_t>& cmap) {
   const index_t n = g.n;
   cmap.assign(static_cast<std::size_t>(n), -1);
+  const auto degree = [&g](index_t v) {
+    return static_cast<std::size_t>(g.xadj[static_cast<std::size_t>(v) + 1] -
+                                    g.xadj[static_cast<std::size_t>(v)]);
+  };
 
-  // Visit vertices in ascending degree (low-degree first matches better).
+  // Visit vertices in ascending degree, ties by id (low-degree first
+  // matches better): a counting sort over the ids in ascending order.
+  std::size_t max_degree = 0;
+  for (index_t v = 0; v < n; ++v) max_degree = std::max(max_degree, degree(v));
+  std::vector<index_t> start(max_degree + 2, 0);
+  for (index_t v = 0; v < n; ++v) ++start[degree(v) + 1];
+  for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
   std::vector<index_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), index_t{0});
-  std::sort(order.begin(), order.end(), [&g](index_t a, index_t b) {
-    const nnz_t da = g.xadj[static_cast<std::size_t>(a) + 1] -
-                     g.xadj[static_cast<std::size_t>(a)];
-    const nnz_t db = g.xadj[static_cast<std::size_t>(b) + 1] -
-                     g.xadj[static_cast<std::size_t>(b)];
-    return da != db ? da < db : a < b;
-  });
+  for (index_t v = 0; v < n; ++v) {
+    order[static_cast<std::size_t>(start[degree(v)]++)] = v;
+  }
 
-  index_t nc = 0;
+  // members[cv]: the one or two fine vertices of coarse vertex cv,
+  // ascending (second = -1 for an unmatched vertex).
+  std::vector<std::pair<index_t, index_t>> members;
+  members.reserve(static_cast<std::size_t>(n));
   for (index_t v : order) {
     if (cmap[static_cast<std::size_t>(v)] != -1) continue;
     // Heaviest unmatched neighbor.
@@ -84,10 +91,16 @@ WGraph coarsen(const WGraph& g, std::vector<index_t>& cmap) {
         best = u;
       }
     }
-    cmap[static_cast<std::size_t>(v)] = nc;
-    if (best != -1) cmap[static_cast<std::size_t>(best)] = nc;
-    ++nc;
+    const index_t cv = static_cast<index_t>(members.size());
+    cmap[static_cast<std::size_t>(v)] = cv;
+    if (best == -1) {
+      members.emplace_back(v, -1);
+    } else {
+      cmap[static_cast<std::size_t>(best)] = cv;
+      members.emplace_back(std::min(v, best), std::max(v, best));
+    }
   }
+  const index_t nc = static_cast<index_t>(members.size());
 
   // Contract.
   WGraph c;
@@ -97,59 +110,40 @@ WGraph coarsen(const WGraph& g, std::vector<index_t>& cmap) {
     c.vwgt[static_cast<std::size_t>(cmap[static_cast<std::size_t>(v)])] +=
         g.vwgt[static_cast<std::size_t>(v)];
   }
+  // One pass: coarse vertex cv visits its fine members in ascending id and
+  // lists each distinct coarse neighbor once, at its first appearance,
+  // summing the weights of the fine edges it aggregates.  The fine edge
+  // count bounds the coarse one.
   c.xadj.assign(static_cast<std::size_t>(nc) + 1, 0);
+  c.adjncy.reserve(g.adjncy.size());
+  c.ewgt.reserve(g.adjncy.size());
   std::vector<index_t> mark(static_cast<std::size_t>(nc), -1);
-  std::vector<index_t> slot(static_cast<std::size_t>(nc), 0);
-  // Two passes: count distinct coarse neighbors, then fill with weights.
-  for (int pass = 0; pass < 2; ++pass) {
-    std::fill(mark.begin(), mark.end(), -1);
-    // Group fine vertices by coarse id.
-    std::vector<std::vector<index_t>> members(static_cast<std::size_t>(nc));
-    for (index_t v = 0; v < n; ++v) {
-      members[static_cast<std::size_t>(cmap[static_cast<std::size_t>(v)])]
-          .push_back(v);
-    }
-    if (pass == 1) {
-      for (index_t cv = 0; cv < nc; ++cv) {
-        c.xadj[static_cast<std::size_t>(cv) + 1] +=
-            c.xadj[static_cast<std::size_t>(cv)];
-      }
-      c.adjncy.assign(static_cast<std::size_t>(c.xadj.back()), 0);
-      c.ewgt.assign(static_cast<std::size_t>(c.xadj.back()), 0);
-      for (index_t cv = 0; cv < nc; ++cv) {
-        slot[static_cast<std::size_t>(cv)] =
-            static_cast<index_t>(c.xadj[static_cast<std::size_t>(cv)]);
-      }
-      std::fill(mark.begin(), mark.end(), -1);
-    }
-    std::vector<index_t> pos(static_cast<std::size_t>(nc), -1);
-    for (index_t cv = 0; cv < nc; ++cv) {
-      for (index_t v : members[static_cast<std::size_t>(cv)]) {
-        auto nb = g.neighbors(v);
-        auto wt = g.weights(v);
-        for (std::size_t i = 0; i < nb.size(); ++i) {
-          const index_t cu = cmap[static_cast<std::size_t>(nb[i])];
-          if (cu == cv) continue;  // contracted or self edge
-          if (mark[static_cast<std::size_t>(cu)] != cv) {
-            mark[static_cast<std::size_t>(cu)] = cv;
-            if (pass == 0) {
-              ++c.xadj[static_cast<std::size_t>(cv) + 1];
-            } else {
-              pos[static_cast<std::size_t>(cu)] =
-                  slot[static_cast<std::size_t>(cv)]++;
-              c.adjncy[static_cast<std::size_t>(
-                  pos[static_cast<std::size_t>(cu)])] = cu;
-              c.ewgt[static_cast<std::size_t>(
-                  pos[static_cast<std::size_t>(cu)])] = wt[i];
-            }
-          } else if (pass == 1) {
-            c.ewgt[static_cast<std::size_t>(
-                pos[static_cast<std::size_t>(cu)])] += wt[i];
-          }
+  std::vector<std::size_t> pos(static_cast<std::size_t>(nc), 0);
+  for (index_t cv = 0; cv < nc; ++cv) {
+    const auto [first, second] = members[static_cast<std::size_t>(cv)];
+    for (const index_t v : {first, second}) {
+      if (v == -1) break;
+      auto nb = g.neighbors(v);
+      auto wt = g.weights(v);
+      for (std::size_t i = 0; i < nb.size(); ++i) {
+        const index_t cu = cmap[static_cast<std::size_t>(nb[i])];
+        if (cu == cv) continue;  // contracted or self edge
+        if (mark[static_cast<std::size_t>(cu)] != cv) {
+          mark[static_cast<std::size_t>(cu)] = cv;
+          pos[static_cast<std::size_t>(cu)] = c.adjncy.size();
+          c.adjncy.push_back(cu);
+          c.ewgt.push_back(wt[i]);
+        } else {
+          c.ewgt[pos[static_cast<std::size_t>(cu)]] += wt[i];
         }
       }
     }
+    c.xadj[static_cast<std::size_t>(cv) + 1] =
+        static_cast<nnz_t>(c.adjncy.size());
   }
+  // Every level stays alive until uncoarsening ends: keep it exact-size.
+  c.adjncy.shrink_to_fit();
+  c.ewgt.shrink_to_fit();
   return c;
 }
 

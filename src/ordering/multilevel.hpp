@@ -8,8 +8,16 @@
 //   3. UNCOARSEN: project the (side, separator) labels back one level at a
 //      time, re-extracting and greedily refining the separator at each.
 //
-// Used by nested_dissection() for large subgraphs; small ones fall through
-// to the single-level BFS separator.
+// Coarsening matches vertices in ascending (degree, id) order (a counting
+// sort), and a coarse vertex lists its neighbors by visiting its one or
+// two fine vertices in ascending id; these two orders fix every later
+// tie-break.  Refinement is a greedy sweep of single-vertex moves out of
+// the separator, not Fiduccia-Mattheyses.
+//
+// nested_dissection() computes it beside the single-level BFS separator
+// for every subgraph above NdOptions::multilevel_threshold and keeps the
+// smaller balanced one; it may run on several scheduler workers at once
+// for different subgraphs, so it keeps no shared state.
 #pragma once
 
 #include "ordering/nested_dissection.hpp"

@@ -1,10 +1,11 @@
 #include "ordering/nested_dissection.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 #include "common/error.hpp"
+#include "exec/task_scheduler.hpp"
+#include "exec/taskgraph.hpp"
 #include "ordering/mindeg.hpp"
 #include "ordering/multilevel.hpp"
 #include "ordering/rcm.hpp"
@@ -101,8 +102,7 @@ sparse::Permutation nested_dissection_grid3d(index_t kx, index_t ky,
   return sparse::Permutation(std::move(order));
 }
 
-Separator find_vertex_separator(const sparse::Graph& g,
-                                const NdOptions& opts) {
+Separator find_vertex_separator(const sparse::Graph& g) {
   const index_t n = g.n();
   SPARTS_CHECK(n > 0);
 
@@ -132,9 +132,7 @@ Separator find_vertex_separator(const sparse::Graph& g,
   const index_t reached = static_cast<index_t>(bfs_order.size());
 
   // 2. Partition: first half of the BFS order (by vertex count) = side A.
-  const index_t half = std::max<index_t>(
-      1, static_cast<index_t>(static_cast<double>(reached) *
-                              (0.5 - 0.0)));  // exact half; slack used below
+  const index_t half = std::max<index_t>(1, reached / 2);
   std::vector<int> side(static_cast<std::size_t>(n), 1);  // 1 = B
   for (index_t k = 0; k < half; ++k) {
     side[static_cast<std::size_t>(bfs_order[static_cast<std::size_t>(k)])] = 0;
@@ -222,25 +220,29 @@ Separator find_vertex_separator(const sparse::Graph& g,
     }
     s.left = std::move(new_left);
   }
-  (void)opts;
   return s;
 }
 
 namespace {
 
-void general_nd(const sparse::Graph& g, std::span<const index_t> global_ids,
-                const NdOptions& opts, std::vector<index_t>& order) {
+/// Subgraphs of at least this many vertices are dissected as their own
+/// task; smaller ones recurse inline inside the task that split them.
+constexpr index_t kSpawnCutoff = 2048;
+
+/// A subgraph waiting to be dissected, and where its slice of the output
+/// starts.
+struct Piece {
+  sparse::Graph g;
+  std::vector<index_t> ids;  ///< original vertex id of each vertex of g
+  std::size_t offset = 0;
+};
+
+/// The separator of one dissection: the single-level BFS separator, or the
+/// multilevel one when that is balanced and smaller.  Empty when g cannot
+/// be split.
+Separator choose_separator(const sparse::Graph& g, const NdOptions& opts) {
   const index_t n = g.n();
-  if (n == 0) return;
-  if (n <= opts.leaf_size) {
-    // Minimum degree on the leaf subgraph.
-    const sparse::Permutation p = minimum_degree(g);
-    for (index_t k = 0; k < n; ++k) {
-      order.push_back(global_ids[static_cast<std::size_t>(p.old_of_new(k))]);
-    }
-    return;
-  }
-  Separator s = find_vertex_separator(g, opts);
+  Separator s = find_vertex_separator(g);
   if (opts.multilevel && n > opts.multilevel_threshold) {
     // Multilevel shines on irregular graphs; the single-level BFS
     // heuristic is hard to beat on mesh-like ones.  Compute both and keep
@@ -255,35 +257,48 @@ void general_nd(const sparse::Graph& g, std::span<const index_t> global_ids,
       s = std::move(ml);
     }
   }
-  if (s.sep.empty() || s.left.empty() || s.right.empty()) {
-    // Could not split (e.g. clique): fall back to minimum degree.
+  if (s.sep.empty() || s.left.empty() || s.right.empty()) return {};
+  return s;
+}
+
+/// One dissection step: orders g (whose vertex v is original vertex
+/// ids[v]) into order[offset, offset + g.n()).  A leaf, or a subgraph that
+/// cannot be split, is ordered by minimum degree.  Otherwise the separator
+/// fills the tail of the slice and the two halves its head, left before
+/// right.  A half of at least kSpawnCutoff vertices is appended to
+/// `spawned` when that is given; every other half recurses inline.  The
+/// slices are fixed by the separator alone, so the order in which pieces
+/// run cannot change the result.
+void dissect(const sparse::Graph& g, std::span<const index_t> ids,
+             std::size_t offset, const NdOptions& opts,
+             std::span<index_t> order, std::vector<Piece>* spawned) {
+  const index_t n = g.n();
+  if (n == 0) return;
+  const Separator s =
+      n <= opts.leaf_size ? Separator{} : choose_separator(g, opts);
+  if (s.sep.empty()) {
     const sparse::Permutation p = minimum_degree(g);
     for (index_t k = 0; k < n; ++k) {
-      order.push_back(global_ids[static_cast<std::size_t>(p.old_of_new(k))]);
+      order[offset + static_cast<std::size_t>(k)] =
+          ids[static_cast<std::size_t>(p.old_of_new(k))];
     }
     return;
   }
+  std::size_t next = offset + s.left.size() + s.right.size();
+  for (index_t v : s.sep) order[next++] = ids[static_cast<std::size_t>(v)];
   std::vector<index_t> scratch;
-  {
-    const sparse::Graph gl = g.induced(s.left, scratch);
-    std::vector<index_t> ids;
-    ids.reserve(s.left.size());
-    for (index_t v : s.left) {
-      ids.push_back(global_ids[static_cast<std::size_t>(v)]);
+  for (const std::vector<index_t>* half : {&s.left, &s.right}) {
+    Piece piece{g.induced(*half, scratch), {}, offset};
+    offset += half->size();
+    piece.ids.reserve(half->size());
+    for (index_t v : *half) {
+      piece.ids.push_back(ids[static_cast<std::size_t>(v)]);
     }
-    general_nd(gl, ids, opts, order);
-  }
-  {
-    const sparse::Graph gr = g.induced(s.right, scratch);
-    std::vector<index_t> ids;
-    ids.reserve(s.right.size());
-    for (index_t v : s.right) {
-      ids.push_back(global_ids[static_cast<std::size_t>(v)]);
+    if (spawned != nullptr && piece.g.n() >= kSpawnCutoff) {
+      spawned->push_back(std::move(piece));
+    } else {
+      dissect(piece.g, piece.ids, piece.offset, opts, order, spawned);
     }
-    general_nd(gr, ids, opts, order);
-  }
-  for (index_t v : s.sep) {
-    order.push_back(global_ids[static_cast<std::size_t>(v)]);
   }
 }
 
@@ -291,12 +306,33 @@ void general_nd(const sparse::Graph& g, std::span<const index_t> global_ids,
 
 sparse::Permutation nested_dissection(const sparse::Graph& g,
                                       const NdOptions& opts) {
-  std::vector<index_t> all(static_cast<std::size_t>(g.n()));
-  std::iota(all.begin(), all.end(), index_t{0});
-  std::vector<index_t> order;
-  order.reserve(all.size());
-  general_nd(g, all, opts, order);
-  SPARTS_CHECK(order.size() == all.size());
+  std::vector<index_t> ids(static_cast<std::size_t>(g.n()));
+  std::iota(ids.begin(), ids.end(), index_t{0});
+  std::vector<index_t> order(ids.size(), -1);
+  // The top dissection runs here.  The halves it spawns run as tasks, one
+  // level of the dissection tree per run_graph: a task's own spawns join
+  // the next level, and a throwing task cancels the rest of its level and
+  // is rethrown by run_graph.
+  std::vector<Piece> frontier;
+  dissect(g, ids, 0, opts, order, &frontier);
+  if (!frontier.empty()) {
+    exec::TaskScheduler scheduler;
+    while (!frontier.empty()) {
+      std::vector<std::vector<Piece>> spawned(frontier.size());
+      exec::TaskGraph level;
+      for (std::size_t i = 0; i < frontier.size(); ++i) {
+        level.add_task("nd_dissect", [&, i] {
+          const Piece piece = std::move(frontier[i]);
+          dissect(piece.g, piece.ids, piece.offset, opts, order, &spawned[i]);
+        });
+      }
+      scheduler.run_graph(level);
+      frontier.clear();
+      for (auto& pieces : spawned) {
+        for (Piece& piece : pieces) frontier.push_back(std::move(piece));
+      }
+    }
+  }
   return sparse::Permutation(std::move(order));
 }
 

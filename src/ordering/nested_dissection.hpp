@@ -10,8 +10,18 @@
 //     bisection with cross-line separators.  Produces perfectly balanced
 //     trees; the workhorse for the scalability experiments.
 //   * General-graph ND: BFS-based vertex separators with boundary
-//     minimization, minimum-degree on small leaves.  Handles the
-//     unstructured workloads (jittered meshes, random SPD).
+//     minimization, compared against the multilevel separator
+//     (ordering/multilevel.hpp) on large subgraphs, and exact minimum
+//     degree on leaves of at most 64 vertices (one machine word per
+//     adjacency row, ordering/mindeg.hpp).  Handles the unstructured
+//     workloads (jittered meshes, random SPD).
+//
+// General ND runs the two halves of each dissection as tasks on an
+// exec::TaskScheduler with the scheduler's default worker count
+// ($SPARTS_TASK_WORKERS, else the host's hardware concurrency); small
+// subgraphs recurse inline.  A subgraph's slice of the output (left |
+// right | separator) is fixed once its separator is chosen, so the
+// permutation does not depend on the worker count or the task order.
 #pragma once
 
 #include "sparse/formats.hpp"
@@ -23,9 +33,6 @@ namespace sparts::ordering {
 struct NdOptions {
   /// Subgraphs of at most this many vertices are ordered by minimum degree.
   index_t leaf_size = 64;
-  /// Balance tolerance: each side of a bisection gets at least
-  /// (0.5 - balance_slack) of the vertices before separator extraction.
-  double balance_slack = 0.2;
   /// Use the multilevel separator engine (ordering/multilevel.hpp) for
   /// subgraphs larger than `multilevel_threshold`; smaller ones use the
   /// single-level BFS heuristic directly.
@@ -43,7 +50,9 @@ sparse::Permutation nested_dissection_grid2d(index_t kx, index_t ky);
 sparse::Permutation nested_dissection_grid3d(index_t kx, index_t ky,
                                              index_t kz);
 
-/// General-graph nested dissection.
+/// General-graph nested dissection.  Deterministic: the same graph gives
+/// the same permutation at every worker count.  An exception thrown while
+/// ordering a half is rethrown here.
 sparse::Permutation nested_dissection(const sparse::Graph& g,
                                       const NdOptions& opts = {});
 
@@ -61,7 +70,6 @@ struct Separator {
 
 /// Compute a vertex separator by BFS level bisection + boundary extraction
 /// + one-sided shrink refinement.  `g` must be non-empty.
-Separator find_vertex_separator(const sparse::Graph& g,
-                                const NdOptions& opts = {});
+Separator find_vertex_separator(const sparse::Graph& g);
 
 }  // namespace sparts::ordering

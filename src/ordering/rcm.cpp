@@ -7,48 +7,38 @@
 
 namespace sparts::ordering {
 
-namespace {
-
-/// BFS from `start`; returns (levels, last vertex of the deepest level with
-/// minimal degree).  `levels` is -1 for unreached vertices.
-std::pair<std::vector<index_t>, index_t> bfs_levels(const sparse::Graph& g,
-                                                    index_t start) {
-  std::vector<index_t> level(static_cast<std::size_t>(g.n()), -1);
-  std::vector<index_t> frontier{start};
-  level[static_cast<std::size_t>(start)] = 0;
-  index_t depth = 0;
-  std::vector<index_t> last_frontier = frontier;
-  while (!frontier.empty()) {
-    last_frontier = frontier;
-    std::vector<index_t> next;
-    for (index_t v : frontier) {
-      for (index_t u : g.neighbors(v)) {
-        if (level[static_cast<std::size_t>(u)] == -1) {
-          level[static_cast<std::size_t>(u)] = depth + 1;
-          next.push_back(u);
-        }
-      }
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-  index_t best = last_frontier.front();
-  for (index_t v : last_frontier) {
-    if (g.degree(v) < g.degree(best)) best = v;
-  }
-  return {std::move(level), best};
-}
-
-}  // namespace
-
 index_t pseudo_peripheral_vertex(const sparse::Graph& g, index_t start) {
   SPARTS_CHECK(start >= 0 && start < g.n());
+  // One BFS per iteration over a reused queue and level array; only the
+  // vertices a sweep reached are reset before the next one.
+  std::vector<index_t> level(static_cast<std::size_t>(g.n()), -1);
+  std::vector<index_t> queue;
+  queue.reserve(static_cast<std::size_t>(g.n()));
   index_t v = start;
   index_t last_depth = -1;
   for (int iter = 0; iter < 8; ++iter) {  // converges in a few iterations
-    auto [levels, far] = bfs_levels(g, v);
-    const index_t depth =
-        *std::max_element(levels.begin(), levels.end());
+    queue.assign(1, v);
+    level[static_cast<std::size_t>(v)] = 0;
+    std::size_t deepest = 0;  // queue position where the deepest level starts
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const index_t w = queue[head];
+      const index_t d = level[static_cast<std::size_t>(w)];
+      if (d != level[static_cast<std::size_t>(queue[deepest])]) deepest = head;
+      for (index_t u : g.neighbors(w)) {
+        if (level[static_cast<std::size_t>(u)] == -1) {
+          level[static_cast<std::size_t>(u)] = d + 1;
+          queue.push_back(u);
+        }
+      }
+    }
+    const index_t depth = level[static_cast<std::size_t>(queue.back())];
+    // The far end: a vertex of minimal degree in the deepest level, the
+    // first one in BFS order.
+    index_t far = queue[deepest];
+    for (std::size_t k = deepest; k < queue.size(); ++k) {
+      if (g.degree(queue[k]) < g.degree(far)) far = queue[k];
+    }
+    for (index_t w : queue) level[static_cast<std::size_t>(w)] = -1;
     if (depth <= last_depth) break;
     last_depth = depth;
     v = far;

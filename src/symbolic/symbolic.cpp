@@ -16,8 +16,11 @@ SymbolicFactor symbolic_cholesky(const sparse::SymmetricCsc& a) {
   f.etree = ordering::elimination_tree(a);
   auto children = ordering::tree_children(f.etree);
 
-  // Build column structures bottom-up.  A marker array deduplicates the
-  // merge of A's column with the children's structures.
+  // Build column structures bottom-up: j, then the rows below j of its
+  // first child (already sorted), then the other children's rows and A's
+  // column, deduplicated by a marker array.  Only rows merged after the
+  // first child can break the order, so a column is sorted only when one
+  // was added; along a supernode chain none is.
   std::vector<std::vector<index_t>> cols(static_cast<std::size_t>(n));
   std::vector<index_t> mark(static_cast<std::size_t>(n), -1);
   nnz_t total = 0;
@@ -25,21 +28,22 @@ SymbolicFactor symbolic_cholesky(const sparse::SymmetricCsc& a) {
     std::vector<index_t>& out = cols[static_cast<std::size_t>(j)];
     mark[static_cast<std::size_t>(j)] = j;
     out.push_back(j);
-    for (index_t i : a.col_rows(j)) {
-      if (i > j && mark[static_cast<std::size_t>(i)] != j) {
-        mark[static_cast<std::size_t>(i)] = j;
-        out.push_back(i);
-      }
-    }
-    for (index_t c : children[static_cast<std::size_t>(j)]) {
-      for (index_t i : cols[static_cast<std::size_t>(c)]) {
+    const auto merge = [&](std::span<const index_t> rows) {
+      for (index_t i : rows) {
         if (i > j && mark[static_cast<std::size_t>(i)] != j) {
           mark[static_cast<std::size_t>(i)] = j;
           out.push_back(i);
         }
       }
+    };
+    const auto& kids = children[static_cast<std::size_t>(j)];
+    if (!kids.empty()) merge(cols[static_cast<std::size_t>(kids.front())]);
+    const std::size_t sorted_end = out.size();
+    for (std::size_t k = 1; k < kids.size(); ++k) {
+      merge(cols[static_cast<std::size_t>(kids[k])]);
     }
-    std::sort(out.begin(), out.end());
+    merge(a.col_rows(j));
+    if (out.size() > sorted_end) std::sort(out.begin(), out.end());
     SPARTS_DCHECK(out.front() == j);
     total += static_cast<nnz_t>(out.size());
   }

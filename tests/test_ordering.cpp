@@ -2,13 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <set>
+#include <string>
 
 #include "ordering/etree.hpp"
 #include "ordering/mindeg.hpp"
 #include "ordering/multilevel.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "ordering/rcm.hpp"
+#include "solver/workloads.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "symbolic/symbolic.hpp"
@@ -265,6 +272,215 @@ TEST(NestedDissection, HandlesDisconnectedGraphs) {
   EXPECT_EQ(nested_dissection(a).n(), 18);
   EXPECT_EQ(rcm(a).n(), 18);
   EXPECT_EQ(minimum_degree(a).n(), 18);
+}
+
+/// FNV-1a over the new -> old map, eight bytes per entry.
+std::uint64_t perm_hash(const sparse::Permutation& p) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const index_t x : p.perm()) {
+    const auto u = static_cast<std::uint64_t>(x);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (u >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct GoldenGraph {
+  std::string name;
+  std::function<sparse::SymmetricCsc()> make;
+  std::uint64_t hash;
+};
+
+/// Graphs whose nested-dissection permutations are pinned.  The first
+/// four spawn halves as tasks three or more levels deep, the next five one
+/// or two levels deep; BCSSTK15 and the rest stay below the spawn cutoff.
+std::vector<GoldenGraph> golden_graphs() {
+  std::vector<GoldenGraph> g = {
+      {"grid2d 160x160", [] { return sparse::grid2d(160, 160); },
+       0x917b301a2e9a46e3ULL},
+      {"grid3d 30^3", [] { return sparse::grid3d(30, 30, 30); },
+       0x811fff80321f8367ULL},
+      {"jittered 160x160",
+       [] {
+         Rng rng(7);
+         return sparse::jittered_mesh2d(160, 160, rng);
+       },
+       0x8b467991f9166033ULL},
+      {"random_spd 20000",
+       [] {
+         Rng rng(11);
+         return sparse::random_spd(20000, 3, rng);
+       },
+       0xbccadc318e0ae6cfULL},
+      {"grid2d 100x100", [] { return sparse::grid2d(100, 100); },
+       0xc61ac525f75ca817ULL},
+      {"grid3d 20^3", [] { return sparse::grid3d(20, 20, 20); },
+       0x580b1b06e5c2ca1bULL},
+      {"jittered 80x80",
+       [] {
+         Rng rng(7);
+         return sparse::jittered_mesh2d(80, 80, rng);
+       },
+       0x9e70b54a23fdf93bULL},
+      {"random_spd 5000",
+       [] {
+         Rng rng(11);
+         return sparse::random_spd(5000, 3, rng);
+       },
+       0x1d6d01a024dda6e3ULL},
+      {"grid2d 9-point 100x80", [] { return sparse::grid2d(100, 80, 9); },
+       0x2aa48d2184320e2fULL},
+      {"BCSSTK15", [] { return solver::paper_problem("BCSSTK15").matrix; },
+       0x30d094f729d09afbULL},
+      {"grid2d 31x31", [] { return sparse::grid2d(31, 31); },
+       0x00612f96ebdb169eULL},
+  };
+  // random_spd seeds 1..6, then jittered seeds 1..6.
+  const std::uint64_t small[12] = {
+      0x7e18cce53b8ed102ULL, 0x5f1165a11897de67ULL, 0x4cc5d911d126004aULL,
+      0xdf95b70e5ca1d39fULL, 0xf9def71995020b16ULL, 0x94eaceed7a27c52bULL,
+      0x5e0b5406a1b11d7bULL, 0xec7a8f16af66a0a2ULL, 0x48c3453e9783c7fbULL,
+      0x4847df547556fc67ULL, 0xd5e4b9f7886c2719ULL, 0xe963e0eec1a80fe6ULL};
+  for (int s = 1; s <= 6; ++s) {
+    g.push_back({"random_spd seed " + std::to_string(s),
+                 [s] {
+                   Rng rng(static_cast<std::uint64_t>(s));
+                   return sparse::random_spd(100 + 150 * s, 3, rng);
+                 },
+                 small[s - 1]});
+    g.push_back({"jittered seed " + std::to_string(s),
+                 [s] {
+                   Rng rng(static_cast<std::uint64_t>(100 + s));
+                   return sparse::jittered_mesh2d(8 + 3 * s, 7 + 4 * s, rng);
+                 },
+                 small[s + 5]});
+  }
+  return g;
+}
+
+TEST(NestedDissection, MatchesParentGolden) {
+  // Every fill-reducing choice downstream (nnz(L), flops, the maps and the
+  // message counts) follows from these permutations, so a speed-up of the
+  // ordering must leave them bit-identical.
+  for (const GoldenGraph& gg : golden_graphs()) {
+    const sparse::Permutation p = nested_dissection(gg.make());
+    EXPECT_EQ(perm_hash(p), gg.hash)
+        << gg.name << ": got 0x" << std::hex << perm_hash(p);
+  }
+}
+
+/// Runs `fn` with SPARTS_TASK_WORKERS set to `workers`, then restores the
+/// variable as it was.
+template <typename Fn>
+void with_task_workers(int workers, Fn fn) {
+  const char* old = std::getenv("SPARTS_TASK_WORKERS");
+  const std::optional<std::string> saved =
+      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
+  ::setenv("SPARTS_TASK_WORKERS", std::to_string(workers).c_str(), 1);
+  fn();
+  if (saved) {
+    ::setenv("SPARTS_TASK_WORKERS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("SPARTS_TASK_WORKERS");
+  }
+}
+
+TEST(NestedDissection, IndependentOfWorkerCount) {
+  // Each subgraph fills a slice of the output fixed by its parent's
+  // separator, so neither the worker count nor the order in which the
+  // halves run can move a vertex.
+  Rng rng(7);
+  const std::vector<sparse::SymmetricCsc> mats = {
+      sparse::grid2d(160, 160), sparse::jittered_mesh2d(160, 160, rng),
+      sparse::grid3d(30, 30, 30)};
+  for (const sparse::SymmetricCsc& a : mats) {
+    const sparse::Permutation ref = nested_dissection(a);
+    for (const int workers : {1, 2, 3, 8}) {
+      with_task_workers(workers, [&] {
+        const sparse::Permutation p = nested_dissection(a);
+        EXPECT_TRUE(std::equal(p.perm().begin(), p.perm().end(),
+                               ref.perm().begin(), ref.perm().end()))
+            << "n = " << a.n() << ", " << workers << " workers";
+      });
+    }
+  }
+}
+
+/// Exact minimum degree by brute force: the elimination graph as std::set
+/// adjacency, the vertex of least (degree, id) eliminated first.
+std::vector<index_t> oracle_minimum_degree(const sparse::Graph& g) {
+  const index_t n = g.n();
+  std::vector<std::set<index_t>> adj(static_cast<std::size_t>(n));
+  for (index_t v = 0; v < n; ++v) {
+    for (index_t u : g.neighbors(v)) adj[static_cast<std::size_t>(v)].insert(u);
+  }
+  std::vector<bool> gone(static_cast<std::size_t>(n), false);
+  std::vector<index_t> order;
+  for (index_t step = 0; step < n; ++step) {
+    index_t best = -1;
+    for (index_t v = 0; v < n; ++v) {
+      if (gone[static_cast<std::size_t>(v)]) continue;
+      if (best == -1 || adj[static_cast<std::size_t>(v)].size() <
+                            adj[static_cast<std::size_t>(best)].size()) {
+        best = v;
+      }
+    }
+    order.push_back(best);
+    gone[static_cast<std::size_t>(best)] = true;
+    const std::set<index_t> clique = adj[static_cast<std::size_t>(best)];
+    for (index_t u : clique) {
+      auto& au = adj[static_cast<std::size_t>(u)];
+      au.erase(best);
+      for (index_t w : clique) {
+        if (w != u) au.insert(w);
+      }
+    }
+    adj[static_cast<std::size_t>(best)].clear();
+  }
+  return order;
+}
+
+/// Random simple graph on n vertices with expected degree about d.
+sparse::Graph random_graph(index_t n, double d, Rng& rng) {
+  std::vector<std::vector<index_t>> adj(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = i + 1; j < n; ++j) {
+      if (rng.next_double() * static_cast<double>(n) < d) {
+        adj[static_cast<std::size_t>(i)].push_back(j);
+        adj[static_cast<std::size_t>(j)].push_back(i);
+      }
+    }
+  }
+  std::vector<nnz_t> xadj{0};
+  std::vector<index_t> adjncy;
+  for (auto& nbrs : adj) {
+    std::sort(nbrs.begin(), nbrs.end());
+    adjncy.insert(adjncy.end(), nbrs.begin(), nbrs.end());
+    xadj.push_back(static_cast<nnz_t>(adjncy.size()));
+  }
+  return sparse::Graph(n, std::move(xadj), std::move(adjncy));
+}
+
+TEST(MinimumDegree, MatchesEliminationGraphOracle) {
+  // Graphs of at most 64 vertices take the one-word-per-row path, larger
+  // ones the quotient graph; both must be exact minimum degree with the
+  // (degree, id) tie-break.
+  Rng rng(21);
+  for (int trial = 0; trial < 240; ++trial) {
+    const index_t n =
+        trial < 200 ? 2 + static_cast<index_t>(rng.next_below(63))
+                    : 65 + static_cast<index_t>(rng.next_below(236));
+    const double d = trial % 10 == 0 ? 0.7 * static_cast<double>(n)
+                                     : 1.0 + 7.0 * rng.next_double();
+    const sparse::Graph g = random_graph(trial < 8 ? 64 : n, d, rng);
+    const sparse::Permutation p = minimum_degree(g);
+    const std::vector<index_t> want = oracle_minimum_degree(g);
+    EXPECT_TRUE(std::equal(p.perm().begin(), p.perm().end(), want.begin(),
+                           want.end()))
+        << "trial " << trial << ", n = " << g.n();
+  }
 }
 
 }  // namespace

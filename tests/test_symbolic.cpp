@@ -1,10 +1,14 @@
 // Symbolic factorization and supernode detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "numeric/simplicial.hpp"
+#include "ordering/etree.hpp"
 #include "ordering/nested_dissection.hpp"
+#include "solver/workloads.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "symbolic/supernodes.hpp"
@@ -163,6 +167,56 @@ TEST(Supernodes, FlopAccountingConsistent) {
   }
   EXPECT_GE(supernodal, 2 * f.nnz());
   EXPECT_LE(supernodal, 8 * f.nnz());
+}
+
+
+/// The column structures of L the plain way: every column merges A's
+/// column and all its children's structures, then is sorted.
+std::vector<std::vector<index_t>> sorted_merge_oracle(
+    const sparse::SymmetricCsc& a) {
+  const ordering::EliminationTree t = ordering::elimination_tree(a);
+  const auto children = ordering::tree_children(t);
+  std::vector<std::vector<index_t>> cols(static_cast<std::size_t>(a.n()));
+  for (index_t j = 0; j < a.n(); ++j) {
+    std::set<index_t> rows;
+    for (index_t i : a.col_rows(j)) rows.insert(i);
+    for (index_t c : children[static_cast<std::size_t>(j)]) {
+      for (index_t i : cols[static_cast<std::size_t>(c)]) {
+        if (i >= j) rows.insert(i);
+      }
+    }
+    cols[static_cast<std::size_t>(j)].assign(rows.begin(), rows.end());
+  }
+  return cols;
+}
+
+TEST(Symbolic, MatchesSortedMergeOracle) {
+  // symbolic_cholesky sorts a column only when a row arrives after its
+  // first child's; the result must equal sorting every column.
+  sparse::Triplets chain(500, 500);
+  for (index_t i = 0; i < 500; ++i) chain.add(i, i, 4.0);
+  for (index_t i = 0; i + 1 < 500; ++i) chain.add(i + 1, i, -1.0);
+  const sparse::SymmetricCsc grid = sparse::grid2d(40, 40);
+  const sparse::SymmetricCsc bcsstk =
+      solver::paper_problem("BCSSTK15", 0.5).matrix;
+  const sparse::SymmetricCsc grid3 = sparse::grid3d(12, 12, 12);
+  const std::vector<sparse::SymmetricCsc> mats = {
+      sparse::permute_symmetric(grid, ordering::nested_dissection(grid)),
+      sparse::permute_symmetric(bcsstk, ordering::nested_dissection(bcsstk)),
+      sparse::permute_symmetric(grid3, ordering::nested_dissection(grid3)),
+      sparse::SymmetricCsc::from_triplets(chain),
+      grid};
+  for (const sparse::SymmetricCsc& a : mats) {
+    const SymbolicFactor f = symbolic_cholesky(a);
+    const auto want = sorted_merge_oracle(a);
+    ASSERT_EQ(f.n, a.n());
+    for (index_t j = 0; j < a.n(); ++j) {
+      const auto got = f.col_rows(j);
+      const auto& w = want[static_cast<std::size_t>(j)];
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), w.begin(), w.end()))
+          << "n = " << a.n() << ", column " << j;
+    }
+  }
 }
 
 }  // namespace
