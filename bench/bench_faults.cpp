@@ -6,7 +6,7 @@
 // clocks and the envelope's timeouts are physical:
 //
 //   * clean_threads      — plain exec::ThreadBackend, no envelope.
-//   * envelope_threads   — the faulty stack with an empty fault plan: every
+//   * envelope_threads   — the fault stack with an empty fault plan: every
 //     message pays the wire trailer and sequence bookkeeping, but no
 //     fault is injected.  `overhead_pct` vs clean_threads is the headline;
 //     the budget is < 5% on a compute-dominated workload.
@@ -46,12 +46,8 @@ struct Measurement {
 Measurement measure(const sparse::SymmetricCsc& a,
                     const std::vector<real_t>& b, const Scenario& sc) {
   solver::Options opt;
-  if (sc.plan.empty()) {
-    opt.backend = solver::ExecutionBackend::threads;
-  } else {
-    opt.backend = solver::ExecutionBackend::faulty_threads;
-    opt.fault_plan = exec::FaultPlan::parse(sc.plan);
-  }
+  opt.backend = solver::ExecutionBackend::threads;
+  if (!sc.plan.empty()) opt.faults = exec::FaultPlan::parse(sc.plan);
   Measurement best;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto r = solver::parallel_solve(a, b, 1, 4, opt);

@@ -164,11 +164,6 @@ struct CheckedBackend::Checker {
     t.push_back(std::move(line));
   }
 
-  void on_ctrl_message() {
-    std::lock_guard<std::mutex> lock(mutex);
-    ++report.ctrl_messages;
-  }
-
   void on_send(index_t rank, index_t dst, int tag, std::size_t bytes,
                double ts = -1.0) {
     std::lock_guard<std::mutex> lock(mutex);
@@ -394,88 +389,67 @@ struct CheckedBackend::Checker {
   }
 };
 
-/// Per-rank Process decorator: forwards everything, tells the checker
-/// about message traffic.
-class CheckedBackend::CheckedProcess final : public Process {
+/// Per-rank Process decorator: tells the checker about message traffic.
+class CheckedBackend::CheckedProcess final : public ForwardingProcess {
  public:
-  CheckedProcess(Checker* checker, Process* inner)
-      : checker_(checker), inner_(inner) {}
-
-  index_t rank() const override { return inner_->rank(); }
-  index_t nprocs() const override { return inner_->nprocs(); }
-  double now() const override { return inner_->now(); }
-  void compute(double flops, FlopKind kind) override {
-    inner_->compute(flops, kind);
-  }
-  void compute_at(double flops, double seconds_per_flop) override {
-    inner_->compute_at(flops, seconds_per_flop);
-  }
-  void elapse(double seconds) override { inner_->elapse(seconds); }
-  const CostModel& cost() const override { return inner_->cost(); }
-  const Topology& topology() const override { return inner_->topology(); }
+  CheckedProcess(Checker* checker, Process& inner)
+      : ForwardingProcess(inner), checker_(checker) {}
 
   void send(index_t dst, int tag, std::span<const std::byte> payload) override {
-    if (tag == kCtrlTag) {
-      // Control-plane traffic (reliability envelope nacks/fins) is
-      // at-least-once by design; auditing it against the solver's
-      // unique-tag discipline would only produce noise.
-      checker_->on_ctrl_message();
-      inner_->send(dst, tag, payload);
-      return;
+    // Control-plane traffic (reliability envelope nacks/fins, when the
+    // audit sits below the envelope) is at-least-once by design; auditing
+    // it against the solver's unique-tag discipline would only produce
+    // noise.  Data is recorded before forwarding so the receiver always
+    // finds the record.
+    if (tag != kCtrlTag) {
+      const double ts = obs::Tracer::enabled() ? inner_.now() : -1.0;
+      checker_->on_send(inner_.rank(), dst, tag, payload.size(), ts);
     }
-    // Record before forwarding so the receiver always finds the record.
-    const double ts = obs::Tracer::enabled() ? inner_->now() : -1.0;
-    checker_->on_send(inner_->rank(), dst, tag, payload.size(), ts);
-    inner_->send(dst, tag, payload);
+    inner_.send(dst, tag, payload);
   }
 
   ReceivedMessage recv(index_t src, int tag) override {
-    const index_t self = inner_->rank();
-    if (tag == kCtrlTag) return inner_->recv(src, tag);
+    const index_t self = inner_.rank();
+    if (tag == kCtrlTag) return inner_.recv(src, tag);
     checker_->on_recv_blocked(self, src, tag);
     ReceivedMessage msg;
     try {
-      msg = inner_->recv(src, tag);
+      msg = inner_.recv(src, tag);
     } catch (const DeadlockError&) {
       checker_->on_deadlock(self);
       throw;
     }
-    const double ts = obs::Tracer::enabled() ? inner_->now() : -1.0;
+    const double ts = obs::Tracer::enabled() ? inner_.now() : -1.0;
     checker_->on_recv_matched(self, src, tag, msg.source, msg.payload.size(),
                               ts);
     return msg;
   }
 
   bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    if (!inner_->try_recv(src, tag, out)) return false;
+    if (!inner_.try_recv(src, tag, out)) return false;
     if (tag != kCtrlTag) {
-      const double ts = obs::Tracer::enabled() ? inner_->now() : -1.0;
-      checker_->on_recv_matched(inner_->rank(), src, tag, out->source,
+      const double ts = obs::Tracer::enabled() ? inner_.now() : -1.0;
+      checker_->on_recv_matched(inner_.rank(), src, tag, out->source,
                                 out->payload.size(), ts);
     }
     return true;
   }
 
-  void poll_wait(double seconds) override { inner_->poll_wait(seconds); }
-
  private:
   Checker* checker_;
-  Process* inner_;
 };
 
 CheckedBackend::CheckedBackend(Comm& inner)
     : CheckedBackend(inner, Options{}) {}
 
 CheckedBackend::CheckedBackend(Comm& inner, Options options)
-    : inner_(&inner), options_(options) {}
+    : ForwardingComm(inner), options_(options) {}
 
 CheckedBackend::CheckedBackend(std::unique_ptr<Comm> inner)
     : CheckedBackend(std::move(inner), Options{}) {}
 
 CheckedBackend::CheckedBackend(std::unique_ptr<Comm> inner, Options options)
-    : inner_(inner.get()), owned_(std::move(inner)), options_(options) {
-  SPARTS_CHECK(inner_ != nullptr, "checked backend needs an inner backend");
-}
+    : ForwardingComm(std::move(inner)), options_(options) {}
 
 CheckedBackend::~CheckedBackend() = default;
 
@@ -487,7 +461,7 @@ RunStats CheckedBackend::run(const std::function<void(Process&)>& spmd) {
   std::exception_ptr error;
   try {
     stats = inner_->run([checker, &spmd](Process& p) {
-      CheckedProcess cp(checker, &p);
+      CheckedProcess cp(checker, p);
       spmd(cp);
     });
   } catch (...) {

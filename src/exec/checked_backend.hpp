@@ -70,12 +70,6 @@ struct AnalysisReport {
   std::int64_t sends = 0;
   std::int64_t recvs = 0;
   std::int64_t wildcard_recvs = 0;
-  /// Messages on the reserved control tag (exec::kCtrlTag).  The
-  /// reliability envelope's ack/nack/fin traffic is at-least-once by
-  /// design, so it is counted here but exempt from the FIFO/race/orphan
-  /// bookkeeping that assumes the solver's one-message-per-(edge, tag)
-  /// discipline.
-  std::int64_t ctrl_messages = 0;
   /// True if the finding-deduplication table hit Options::max_findings
   /// and later findings were dropped.
   bool findings_truncated = false;
@@ -90,7 +84,7 @@ struct AnalysisReport {
 };
 
 /// Decorator Comm: forwards to an inner backend and checks the traffic.
-class CheckedBackend final : public Comm {
+class CheckedBackend final : public ForwardingComm {
  public:
   struct Options {
     /// Cap on distinct (kind, src, dst, tag) findings kept.
@@ -112,10 +106,6 @@ class CheckedBackend final : public Comm {
   ~CheckedBackend() override;
 
   RunStats run(const std::function<void(Process&)>& spmd) override;
-  index_t nprocs() const override { return inner_->nprocs(); }
-  const CostModel& cost() const override { return inner_->cost(); }
-  const Topology& topology() const override { return inner_->topology(); }
-  bool distributed() const override { return inner_->distributed(); }
 
   /// Report of the most recent run() (empty before the first run).
   const AnalysisReport& report() const { return report_; }
@@ -124,8 +114,6 @@ class CheckedBackend final : public Comm {
   class CheckedProcess;
   struct Checker;
 
-  Comm* inner_;
-  std::unique_ptr<Comm> owned_;
   Options options_;
   std::unique_ptr<Checker> checker_;  ///< live during run()
   AnalysisReport report_;

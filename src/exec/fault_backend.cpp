@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -63,6 +64,9 @@ double parse_prob(const std::string& key, const std::string& v) {
 }
 
 void record_fault(const char* name, index_t rank, index_t peer, int tag) {
+  // Always on: the simulator records no transport events of its own, so
+  // these are all a simulated crash's postmortem has to show.
+  obs::flight_note(static_cast<std::int32_t>(rank), name, peer, tag);
   if (obs::metrics_enabled()) {
     obs::metrics().counter(std::string("faults.injected.") + name).add();
   }
@@ -177,23 +181,10 @@ std::string FaultStats::summary() const {
 
 /// Per-rank Process decorator.  All state is owned by the rank's thread;
 /// the backend only reads the stats after merge() under its mutex.
-class FaultyBackend::FaultyProcess final : public Process {
+class FaultyBackend::FaultyProcess final : public ForwardingProcess {
  public:
-  FaultyProcess(FaultyBackend* backend, Process* inner)
-      : backend_(backend), plan_(backend->plan_), inner_(inner) {}
-
-  index_t rank() const override { return inner_->rank(); }
-  index_t nprocs() const override { return inner_->nprocs(); }
-  double now() const override { return inner_->now(); }
-  void compute(double flops, FlopKind kind) override {
-    inner_->compute(flops, kind);
-  }
-  void compute_at(double flops, double seconds_per_flop) override {
-    inner_->compute_at(flops, seconds_per_flop);
-  }
-  void elapse(double seconds) override { inner_->elapse(seconds); }
-  const CostModel& cost() const override { return inner_->cost(); }
-  const Topology& topology() const override { return inner_->topology(); }
+  FaultyProcess(FaultyBackend* backend, Process& inner)
+      : ForwardingProcess(inner), backend_(backend), plan_(backend->plan_) {}
 
   void send(index_t dst, int tag,
             std::span<const std::byte> payload) override {
@@ -211,8 +202,8 @@ class FaultyBackend::FaultyProcess final : public Process {
     if (r < plan_.drop + plan_.dup) {
       ++stats_.dups;
       record_fault("dup", rank(), dst, tag);
-      inner_->send(dst, tag, payload);
-      inner_->send(dst, tag, payload);
+      inner_.send(dst, tag, payload);
+      inner_.send(dst, tag, payload);
       release_reorder_slot();
       return;
     }
@@ -233,7 +224,7 @@ class FaultyBackend::FaultyProcess final : public Process {
                                                   payload.end())};
       return;
     }
-    inner_->send(dst, tag, payload);
+    inner_.send(dst, tag, payload);
     // A message was waiting to be overtaken: it goes out after this one,
     // completing the swap.
     release_reorder_slot();
@@ -245,16 +236,16 @@ class FaultyBackend::FaultyProcess final : public Process {
     // held messages; release everything rather than risk a deadlock the
     // plan did not ask for.
     release_all();
-    return inner_->recv(src, tag);
+    return inner_.recv(src, tag);
   }
 
   bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
     release_due(now());
-    return inner_->try_recv(src, tag, out);
+    return inner_.try_recv(src, tag, out);
   }
 
   void poll_wait(double seconds) override {
-    inner_->poll_wait(seconds);
+    inner_.poll_wait(seconds);
     release_due(now());
   }
 
@@ -286,7 +277,7 @@ class FaultyBackend::FaultyProcess final : public Process {
       stalled_ = true;
       ++stats_.stalls;
       record_fault("stall", rank(), rank(), 0);
-      inner_->poll_wait(plan_.stall_seconds);
+      inner_.poll_wait(plan_.stall_seconds);
     }
     if (plan_.crash_rank == rank() && ops_ >= plan_.crash_after) {
       ++stats_.crashes;
@@ -303,7 +294,7 @@ class FaultyBackend::FaultyProcess final : public Process {
   void release_due(double time_now) {
     for (std::size_t i = 0; i < held_.size();) {
       if (held_[i].release_at <= time_now) {
-        inner_->send(held_[i].dst, held_[i].tag, held_[i].payload);
+        inner_.send(held_[i].dst, held_[i].tag, held_[i].payload);
         held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -313,20 +304,19 @@ class FaultyBackend::FaultyProcess final : public Process {
 
   void release_reorder_slot() {
     if (!reorder_slot_.has_value()) return;
-    inner_->send(reorder_slot_->dst, reorder_slot_->tag,
-                 reorder_slot_->payload);
+    inner_.send(reorder_slot_->dst, reorder_slot_->tag,
+                reorder_slot_->payload);
     reorder_slot_.reset();
   }
 
   void release_all() {
     release_reorder_slot();
-    for (const Held& h : held_) inner_->send(h.dst, h.tag, h.payload);
+    for (const Held& h : held_) inner_.send(h.dst, h.tag, h.payload);
     held_.clear();
   }
 
   FaultyBackend* backend_;
   const FaultPlan plan_;
-  Process* inner_;
   FaultStats stats_;
   std::int64_t ops_ = 0;
   std::int64_t sends_ = 0;
@@ -340,8 +330,7 @@ class FaultyBackend::FaultyProcess final : public Process {
 // ---------------------------------------------------------------------------
 
 FaultyBackend::FaultyBackend(std::unique_ptr<Comm> inner, FaultPlan plan)
-    : inner_(std::move(inner)), plan_(plan) {
-  SPARTS_CHECK(inner_ != nullptr, "faulty backend needs an inner backend");
+    : ForwardingComm(std::move(inner)), plan_(plan) {
   if (plan_.crash_rank >= 0) {
     SPARTS_CHECK(plan_.crash_rank < inner_->nprocs(),
                  "FaultPlan crash rank " << plan_.crash_rank
@@ -373,7 +362,7 @@ RunStats FaultyBackend::run(const std::function<void(Process&)>& spmd) {
   }
   FaultyBackend* self = this;
   return inner_->run([self, &spmd](Process& p) {
-    FaultyProcess fp(self, &p);
+    FaultyProcess fp(self, p);
     try {
       spmd(fp);
       fp.finish();

@@ -9,10 +9,10 @@
 // on the simulator and, up to wall-clock timing, on the thread backend.
 //
 // Faults are injected *below* the reliability envelope (exec/reliable.hpp)
-// in the solver's faulty stack, so the envelope sees drops/dups/delays and
-// must recover from them; control traffic (nacks/fins) passes through the
-// fault layer too and can itself be lost, which is what the bounded-retry
-// budget is for.
+// in the solver's fault stack (solver::Options::faults), so the envelope
+// sees drops/dups/delays and must recover from them; control traffic
+// (nacks/fins) passes through the fault layer too and can itself be lost,
+// which is what the bounded-retry budget is for.
 //
 // Delay semantics: a delayed message is held inside the *sender's* fault
 // layer and released on a later envelope operation once the sender's clock
@@ -87,18 +87,13 @@ struct FaultStats {
 
 /// Decorator Comm: forwards to an inner backend while injecting the
 /// FaultPlan's events into the traffic.
-class FaultyBackend final : public Comm {
+class FaultyBackend final : public ForwardingComm {
  public:
   FaultyBackend(std::unique_ptr<Comm> inner, FaultPlan plan);
   ~FaultyBackend() override;
 
   RunStats run(const std::function<void(Process&)>& spmd) override;
-  index_t nprocs() const override { return inner_->nprocs(); }
-  const CostModel& cost() const override { return inner_->cost(); }
-  const Topology& topology() const override { return inner_->topology(); }
-  bool distributed() const override { return inner_->distributed(); }
 
-  const FaultPlan& plan() const { return plan_; }
   /// Injection counts of the most recent run() (zero before the first).
   const FaultStats& stats() const { return stats_; }
 
@@ -108,7 +103,6 @@ class FaultyBackend final : public Comm {
 
   void merge(const FaultStats& rank_stats);
 
-  std::unique_ptr<Comm> inner_;
   FaultPlan plan_;
   FaultStats stats_;
   std::mutex stats_mutex_;

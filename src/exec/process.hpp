@@ -16,6 +16,9 @@
 // The three wall-clock backends hand SPMD code the same Process,
 // exec::WallProcess (exec/wall_process.hpp), which does their
 // compute/send/idle accounting once over each backend's own transport.
+// The message audit, the fault injector and the reliability envelope are
+// Comm decorators over any of them, built on ForwardingComm and
+// ForwardingProcess below.
 //
 // SPMD code must not assume more than the contract gives it:
 //   * send() is asynchronous and never blocks waiting for the receiver
@@ -33,6 +36,7 @@
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -109,11 +113,12 @@ class Process {
   /// and task backends; payloads under kZeroCopyThreshold stay on the
   /// copy lane).  Semantics are identical to send() — same matching, same
   /// buffered-send guarantee — so the default forwards to send(), which
-  /// is also what makes decorators compose unchanged: CheckedBackend and
-  /// ReliableBackend override only send() and inherit this forwarding, so
-  /// an owned send through them is audited / enveloped exactly like a
-  /// plain one (at the cost of the copy; the envelope appends a wire
-  /// trailer and could never be zero-copy anyway).
+  /// is also what makes decorators compose unchanged: ForwardingProcess
+  /// pins this forwarding, so an owned send through the audit, the fault
+  /// injector or the envelope reaches that layer's own send() and is
+  /// audited / perturbed / enveloped exactly like a plain one (at the
+  /// cost of the copy; the envelope appends a wire trailer and could
+  /// never be zero-copy anyway).
   virtual void send_owned(index_t dst, int tag, Payload&& payload) {
     send(dst, tag, {payload.data(), payload.size()});
   }
@@ -254,6 +259,70 @@ class Comm {
   /// with exec::allmerge_nonzero).  Decorators forward to their inner
   /// backend.
   virtual bool distributed() const { return false; }
+};
+
+/// Base of the per-rank Process of every Comm decorator (the audit, the
+/// fault injector, the reliability envelope): forwards everything to the
+/// inner Process, so a decorator overrides only the message operations it
+/// changes.  try_recv keeps the throwing default, so a layer that cannot
+/// poll (the envelope) never hands out raw inner frames.
+class ForwardingProcess : public Process {
+ public:
+  explicit ForwardingProcess(Process& inner) : inner_(inner) {}
+
+  /// The Process this layer wraps (ProgressNotes walks the chain).
+  Process& inner() const { return inner_; }
+
+  index_t rank() const override { return inner_.rank(); }
+  index_t nprocs() const override { return inner_.nprocs(); }
+  double now() const override { return inner_.now(); }
+  void compute(double flops, FlopKind kind) override {
+    inner_.compute(flops, kind);
+  }
+  void compute_at(double flops, double seconds_per_flop) override {
+    inner_.compute_at(flops, seconds_per_flop);
+  }
+  void elapse(double seconds) override { inner_.elapse(seconds); }
+  void send(index_t dst, int tag, std::span<const std::byte> payload) override {
+    inner_.send(dst, tag, payload);
+  }
+  /// Final: an owned send must reach this layer's send(), never the inner
+  /// send_owned, or it would bypass the audit and the envelope.
+  void send_owned(index_t dst, int tag, Payload&& payload) final {
+    Process::send_owned(dst, tag, std::move(payload));
+  }
+  ReceivedMessage recv(index_t src, int tag) override {
+    return inner_.recv(src, tag);
+  }
+  void poll_wait(double seconds) override { inner_.poll_wait(seconds); }
+  const CostModel& cost() const override { return inner_.cost(); }
+  const Topology& topology() const override { return inner_.topology(); }
+
+ protected:
+  Process& inner_;
+};
+
+/// Base of the Comm decorators: holds the inner backend (owned, or
+/// borrowed for the caller to keep alive) and forwards the machine's
+/// shape, so a decorator overrides only run().
+class ForwardingComm : public Comm {
+ public:
+  explicit ForwardingComm(std::unique_ptr<Comm> inner)
+      : inner_(inner.get()), owned_(std::move(inner)) {
+    SPARTS_CHECK(inner_ != nullptr, "a Comm decorator needs an inner backend");
+  }
+  explicit ForwardingComm(Comm& inner) : inner_(&inner) {}
+
+  index_t nprocs() const override { return inner_->nprocs(); }
+  const CostModel& cost() const override { return inner_->cost(); }
+  const Topology& topology() const override { return inner_->topology(); }
+  bool distributed() const override { return inner_->distributed(); }
+
+ protected:
+  Comm* inner_;
+
+ private:
+  std::unique_ptr<Comm> owned_;
 };
 
 }  // namespace sparts::exec

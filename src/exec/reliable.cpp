@@ -107,14 +107,12 @@ std::string ReliableStats::summary() const {
 
 /// Per-rank envelope state; owned by the rank's thread, merged into the
 /// backend under its mutex when the rank finishes or dies.
-class ReliableBackend::ReliableProcess final : public Process {
+class ReliableBackend::ReliableProcess final : public ForwardingProcess {
  public:
-  ReliableProcess(ReliableBackend* backend, Process* inner)
-      : backend_(backend),
-        cfg_(backend->config_),
-        inner_(inner),
-        rank_(inner->rank()),
-        p_(inner->nprocs()) {
+  ReliableProcess(ReliableBackend* backend, Process& inner)
+      : ForwardingProcess(inner),
+        backend_(backend),
+        cfg_(backend->config_) {
     tick_ = cfg_.poll_tick > 0.0 ? cfg_.poll_tick : cfg_.timeout / 16.0;
     if (cfg_.fin_timeout > 0.0) {
       fin_timeout_ = cfg_.fin_timeout;
@@ -132,19 +130,6 @@ class ReliableBackend::ReliableProcess final : public Process {
     }
   }
 
-  index_t rank() const override { return rank_; }
-  index_t nprocs() const override { return p_; }
-  double now() const override { return inner_->now(); }
-  void compute(double flops, FlopKind kind) override {
-    inner_->compute(flops, kind);
-  }
-  void compute_at(double flops, double seconds_per_flop) override {
-    inner_->compute_at(flops, seconds_per_flop);
-  }
-  void elapse(double seconds) override { inner_->elapse(seconds); }
-  const CostModel& cost() const override { return inner_->cost(); }
-  const Topology& topology() const override { return inner_->topology(); }
-
   void send(index_t dst, int tag,
             std::span<const std::byte> payload) override {
     SPARTS_CHECK(tag != kCtrlTag,
@@ -155,7 +140,7 @@ class ReliableBackend::ReliableProcess final : public Process {
       std::memcpy(wire.data(), payload.data(), payload.size());
     }
     std::memcpy(wire.data() + payload.size(), &h, sizeof(WireHeader));
-    inner_->send(dst, tag, wire);
+    inner_.send(dst, tag, wire);
     ++stats_.data_sends;
     ++prog_.sends;
     buffer_.emplace(BufferKey{dst, tag, h.seq}, std::move(wire));
@@ -182,7 +167,7 @@ class ReliableBackend::ReliableProcess final : public Process {
     for (;;) {
       service_ctrl();
       ReceivedMessage m;
-      if (inner_->try_recv(src, tag, &m)) {
+      if (inner_.try_recv(src, tag, &m)) {
         WireHeader h;
         SPARTS_CHECK(m.payload.size() >= sizeof(WireHeader),
                      "reliable envelope: short data frame on tag " << tag);
@@ -195,7 +180,7 @@ class ReliableBackend::ReliableProcess final : public Process {
         if (!delivered_[{m.source, tag}].insert(h.seq).second) {
           ++stats_.dup_discarded;
           ++prog_.dup_discarded;
-          record_instant("dup_discarded", rank_, m.source, tag);
+          record_instant("dup_discarded", rank(), m.source, tag);
           continue;
         }
         ++prog_.recvs;
@@ -206,9 +191,9 @@ class ReliableBackend::ReliableProcess final : public Process {
       if (waited >= wait) {
         if (attempts >= cfg_.max_retry) {
           ++stats_.timeouts;
-          record_instant("recv_timeout", rank_, src, tag);
+          record_instant("recv_timeout", rank(), src, tag);
           std::ostringstream oss;
-          oss << "reliable envelope: rank " << rank_
+          oss << "reliable envelope: rank " << rank()
               << " gave up waiting for " << prog_.last_wait << " after "
               << attempts << " retransmit request(s)";
           if (!prog_.note.empty()) oss << " (progress: " << prog_.note << ")";
@@ -219,7 +204,7 @@ class ReliableBackend::ReliableProcess final : public Process {
         waited = 0.0;
         wait = backed_off(wait);
       } else {
-        inner_->poll_wait(tick_);
+        inner_.poll_wait(tick_);
         waited += tick_;
       }
     }
@@ -227,31 +212,39 @@ class ReliableBackend::ReliableProcess final : public Process {
 
   void set_note(std::string note) { prog_.note = std::move(note); }
 
+  /// The envelope at any depth of the decorator chain under `proc` (e.g.
+  /// below the message audit); null when the rank runs without one.
+  static ReliableProcess* find(Process& proc) {
+    if (auto* rp = dynamic_cast<ReliableProcess*>(&proc)) return rp;
+    const auto* layer = dynamic_cast<const ForwardingProcess*>(&proc);
+    return layer != nullptr ? find(layer->inner()) : nullptr;
+  }
+
   /// Post-body termination protocol: announce FIN, linger servicing
   /// retransmit requests until every peer announced theirs (bounded).
   void finish_body() {
     prog_.finished = true;
-    if (p_ > 1) {
+    if (nprocs() > 1) {
       CtrlMsg fin{kMagic, kFin, 0, 0, 0};
-      for (index_t q = 0; q < p_; ++q) {
-        if (q != rank_) send_ctrl(q, fin);
+      for (index_t q = 0; q < nprocs(); ++q) {
+        if (q != rank()) send_ctrl(q, fin);
       }
       double waited = 0.0;
-      while (static_cast<index_t>(fins_.size()) < p_ - 1 &&
+      while (static_cast<index_t>(fins_.size()) < nprocs() - 1 &&
              waited < fin_timeout_) {
         // A serviced NACK proves a peer is still blocked on one of my
         // messages: restart the linger clock rather than abandoning it
         // mid-recovery.  (A crashed or absent peer sends no NACKs, so
         // the linger still expires in bounded time.)
         if (service_ctrl() > 0) waited = 0.0;
-        if (static_cast<index_t>(fins_.size()) >= p_ - 1) break;
-        inner_->poll_wait(tick_);
+        if (static_cast<index_t>(fins_.size()) >= nprocs() - 1) break;
+        inner_.poll_wait(tick_);
         waited += tick_;
       }
     }
   }
 
-  void merge_into_backend() { backend_->merge(rank_, stats_, prog_); }
+  void merge_into_backend() { backend_->merge(rank(), stats_, prog_); }
 
  private:
   using BufferKey = std::tuple<index_t, int, std::uint64_t>;
@@ -267,19 +260,19 @@ class ReliableBackend::ReliableProcess final : public Process {
   }
 
   void send_ctrl(index_t dst, const CtrlMsg& c) {
-    inner_->send(dst, kCtrlTag,
-                 {reinterpret_cast<const std::byte*>(&c), sizeof(CtrlMsg)});
+    inner_.send(dst, kCtrlTag,
+                {reinterpret_cast<const std::byte*>(&c), sizeof(CtrlMsg)});
   }
 
   void send_nack(index_t src, int tag) {
     const CtrlMsg nack{kMagic, kNack, tag, 0, 0};
     ++stats_.nacks_sent;
-    record_instant("nack", rank_, src, tag);
+    record_instant("nack", rank(), src, tag);
     if (src == kAnySource) {
       // Wildcard recv: the sender is unknown, so ask everyone; peers with
       // nothing buffered on this (dst, tag) edge ignore it.
-      for (index_t q = 0; q < p_; ++q) {
-        if (q != rank_) send_ctrl(q, nack);
+      for (index_t q = 0; q < nprocs(); ++q) {
+        if (q != rank()) send_ctrl(q, nack);
       }
     } else {
       send_ctrl(src, nack);
@@ -292,7 +285,7 @@ class ReliableBackend::ReliableProcess final : public Process {
   int service_ctrl() {
     int nacks = 0;
     ReceivedMessage m;
-    while (inner_->try_recv(kAnySource, kCtrlTag, &m)) {
+    while (inner_.try_recv(kAnySource, kCtrlTag, &m)) {
       CtrlMsg c;
       SPARTS_CHECK(m.payload.size() == sizeof(CtrlMsg),
                    "reliable envelope: malformed control message");
@@ -321,18 +314,15 @@ class ReliableBackend::ReliableProcess final : public Process {
     for (; it != buffer_.end(); ++it) {
       const auto& [key_dst, key_tag, key_seq] = it->first;
       if (key_dst != dst || key_tag != tag) break;
-      inner_->send(dst, tag, it->second);
+      inner_.send(dst, tag, it->second);
       ++stats_.retransmits;
       ++prog_.retransmits;
-      record_instant("retransmit", rank_, dst, tag);
+      record_instant("retransmit", rank(), dst, tag);
     }
   }
 
   ReliableBackend* backend_;
   const ReliableConfig cfg_;
-  Process* inner_;
-  index_t rank_;
-  index_t p_;
   double tick_ = 0.0;
   double fin_timeout_ = 0.0;
 
@@ -350,8 +340,7 @@ class ReliableBackend::ReliableProcess final : public Process {
 
 ReliableBackend::ReliableBackend(std::unique_ptr<Comm> inner,
                                  ReliableConfig config)
-    : inner_(std::move(inner)), config_(config) {
-  SPARTS_CHECK(inner_ != nullptr, "reliable backend needs an inner backend");
+    : ForwardingComm(std::move(inner)), config_(config) {
   SPARTS_CHECK(config_.timeout > 0.0, "envelope timeout must be positive");
   SPARTS_CHECK(config_.backoff >= 1.0, "envelope backoff must be >= 1");
   SPARTS_CHECK(config_.max_retry >= 0, "envelope max_retry must be >= 0");
@@ -403,7 +392,7 @@ RunStats ReliableBackend::run(const std::function<void(Process&)>& spmd) {
   ReliableBackend* self = this;
   try {
     return inner_->run([self, &spmd](Process& p) {
-      ReliableProcess rp(self, &p);
+      ReliableProcess rp(self, p);
       try {
         spmd(rp);
         rp.finish_body();
@@ -422,13 +411,13 @@ RunStats ReliableBackend::run(const std::function<void(Process&)>& spmd) {
 }
 
 void note_progress(Process& proc, const std::string& note) {
-  if (auto* rp = dynamic_cast<ReliableBackend::ReliableProcess*>(&proc)) {
+  if (auto* rp = ReliableBackend::ReliableProcess::find(proc)) {
     rp->set_note(note);
   }
 }
 
 ProgressNotes::ProgressNotes(Process& proc)
-    : envelope_(dynamic_cast<ReliableBackend::ReliableProcess*>(&proc)) {}
+    : envelope_(ReliableBackend::ReliableProcess::find(proc)) {}
 
 void ProgressNotes::set(const char* what, index_t id) const {
   envelope_->set_note(std::string(what) + " " + std::to_string(id));

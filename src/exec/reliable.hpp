@@ -30,8 +30,9 @@
 // because its sender had already exited.
 //
 // The envelope changes simulated timings (polling advances the virtual
-// clock), so the solver only applies it on the fault-injecting backends;
-// the paper-reproduction backends stay byte-identical to earlier PRs.
+// clock), so the solver applies it only under a fault plan
+// (solver::Options::faults) and on the proc backend's real wire; plain
+// sim, threads and tasks runs carry no envelope.
 #pragma once
 
 #include <cstdint>
@@ -105,16 +106,12 @@ struct RankProgress {
   std::string last_wait;     ///< "src=.. tag=.." if the rank died waiting
 };
 
-class ReliableBackend final : public Comm {
+class ReliableBackend final : public ForwardingComm {
  public:
   ReliableBackend(std::unique_ptr<Comm> inner, ReliableConfig config);
   ~ReliableBackend() override;
 
   RunStats run(const std::function<void(Process&)>& spmd) override;
-  index_t nprocs() const override { return inner_->nprocs(); }
-  const CostModel& cost() const override { return inner_->cost(); }
-  const Topology& topology() const override { return inner_->topology(); }
-  bool distributed() const override { return inner_->distributed(); }
 
   const ReliableConfig& config() const { return config_; }
   /// Envelope totals of the most recent run().
@@ -123,8 +120,6 @@ class ReliableBackend final : public Comm {
   const std::vector<RankProgress>& progress() const { return progress_; }
   /// Multi-line per-rank progress report (one line per rank).
   std::string progress_report() const;
-  /// The wrapped backend (e.g. to reach a FaultyBackend's stats()).
-  const Comm& inner() const { return *inner_; }
 
   class ReliableProcess;
 
@@ -134,7 +129,6 @@ class ReliableBackend final : public Comm {
   void merge(index_t rank, const ReliableStats& stats,
              const RankProgress& prog);
 
-  std::unique_ptr<Comm> inner_;
   ReliableConfig config_;
   ReliableStats stats_;
   std::vector<RankProgress> progress_;
@@ -148,7 +142,8 @@ class ReliableBackend final : public Comm {
 void note_progress(Process& proc, const std::string& note);
 
 /// note_progress for per-supernode loops: built once per rank body, it
-/// resolves up front whether the rank runs under the envelope, so note()
+/// resolves up front whether the rank runs under the envelope (at any
+/// depth of the decorator stack, e.g. below the message audit), so note()
 /// is a null test on every other backend and builds "<what> <id>" (e.g.
 /// "fw supernode 12") only under the envelope.
 class ProgressNotes {

@@ -44,14 +44,10 @@ struct UpdateMatrix {
 /// and write the factored pivot columns into `factor.block(s)`.  `front`
 /// is (re)allocated to hold the frontal matrix; `pos_of_row` is scratch of
 /// size >= n with every entry -1 on entry and on return.  Returns the
-/// Cholesky flop count.
-///
-/// The sequential loop and the task-DAG lowering
-/// (parfact::taskdag_factor) are both built from this step plus
-/// supernode_schur_update — sharing the exact arithmetic is what makes
-/// their factors bit-identical: a front's content depends only on A and on
-/// the children's update matrices combined in children order, never on
-/// when other supernodes run.
+/// Cholesky flop count.  multifrontal_cholesky runs this step and then
+/// supernode_schur_update for each supernode in postorder; a front's
+/// content depends only on A and on the children's update matrices
+/// combined in children order.
 nnz_t factor_supernode_panel(const sparse::SymmetricCsc& a,
                              const symbolic::SupernodePartition& p, index_t s,
                              std::span<const index_t> children,

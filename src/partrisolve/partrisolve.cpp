@@ -863,18 +863,6 @@ LView make_view(const numeric::SupernodalFactor& factor,
 
 }  // namespace
 
-int DistributedTrisolver::tag_limit() const {
-  const auto& part = factor_.partition();
-  const index_t nsup = part.num_supernodes();
-  if (nsup == 0) return 0;
-  // Every solver tag is 4 * <global block id> + {0..3} (contribution and
-  // copy tags use the supernode id, which is <= its first block id), so
-  // 4 * total blocks bounds them all.
-  const index_t b = options_.block_size;
-  const index_t total = block_base_.back() + (part.width(nsup - 1) + b - 1) / b;
-  return static_cast<int>(4 * total);
-}
-
 PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
                                           std::span<const real_t> b_in,
                                           std::span<real_t> y_out,
@@ -942,10 +930,6 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
-      // Fusion hook: runs before any factor block of s is read, so a
-      // fused redistribution can deliver the supernode's 1-D fragments
-      // just in time for the solve below (tags disjoint by tag_limit()).
-      if (forward_prologue_) forward_prologue_(proc, s);
       const Layout lay = layout_of(ctx, s);
       const LocalStep& ls = local_[static_cast<std::size_t>(s)];
       if (ls.root != -1) {

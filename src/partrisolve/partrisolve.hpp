@@ -32,7 +32,6 @@
 // nothing but outgoing payloads.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -119,27 +118,6 @@ class DistributedTrisolver {
     index_t backward = 0;
   };
   FragmentStackRows fragment_stack_rows(index_t rank) const;
-
-  /// First tag value strictly above every tag forward()/backward() can
-  /// emit (contribution, copy, and token tags are all derived from global
-  /// block ids below the total pivot-block count).  Traffic injected into
-  /// a solve phase from outside the solver — e.g. the fused 2-D -> 1-D
-  /// redistribution — must use tags >= this so it cannot collide with the
-  /// solver's own messages.
-  int tag_limit() const;
-
-  /// Install a per-supernode prologue that forward() invokes at each
-  /// rank's first (and only) touch of supernode s — after the rank is
-  /// known to belong to s's group, before any factor block of s is read.
-  /// This is the hook for pipeline fusion: the solver-level driver uses
-  /// it to run redist::redistribute_supernode inside the forward sweep,
-  /// so the 2-D -> 1-D conversion overlaps the solve instead of running
-  /// as a separate barrier phase.  The prologue's messages must use tags
-  /// >= tag_limit().
-  void set_forward_prologue(
-      std::function<void(exec::Process&, index_t)> prologue) {
-    forward_prologue_ = std::move(prologue);
-  }
 
  private:
   /// How a shared supernode or a subtree root reaches its parent.
@@ -231,8 +209,6 @@ class DistributedTrisolver {
   /// of supernode s's first pivot block.  Token tags are derived from
   /// global block ids so every in-flight token has a unique tag.
   std::vector<index_t> block_base_;
-  /// Optional fusion hook; see set_forward_prologue().
-  std::function<void(exec::Process&, index_t)> forward_prologue_;
 };
 
 }  // namespace sparts::partrisolve

@@ -1,13 +1,11 @@
 #include "partrisolve/solve_dag.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/checks.hpp"
-#include "common/timer.hpp"
+#include "common/error.hpp"
 #include "dense/kernels.hpp"
 
 namespace sparts::partrisolve {
@@ -152,99 +150,6 @@ SolveDagStats solve_dag_stats(const symbolic::SupernodePartition& part) {
     bw.add_task(exec::TaskKind::bwd_solve, cost, lvl, path[i]);
   }
   return {fw.finish(), bw.finish()};
-}
-
-void taskdag_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
-                   const exec::TaskScheduler::Config& workers,
-                   TaskSolveReport* report) {
-  const auto& part = l.partition();
-  const index_t nsup = part.num_supernodes();
-  const index_t n = part.n();
-  const auto incoming = contribution_segments(part);
-
-  // contrib[c] = c's rectangle product (below x m column-major), buffered
-  // instead of scattered; readers[c] counts the targets yet to apply it.
-  std::vector<std::vector<real_t>> contrib(static_cast<std::size_t>(nsup));
-  std::vector<std::atomic<index_t>> readers(static_cast<std::size_t>(nsup));
-  for (index_t s = 0; s < nsup; ++s) {
-    for (const ContribSegment& seg : incoming[static_cast<std::size_t>(s)]) {
-      readers[static_cast<std::size_t>(seg.source)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
-  std::atomic<nnz_t> flops{0};
-
-  exec::TaskGraph fw = build_forward_dag(part);
-  for (exec::TaskId id = 0; id < fw.num_tasks(); ++id) {
-    const index_t s = fw.node(id).item;
-    fw.node(id).body = [&, s] {
-      // Apply buffered subtractions destined to my rows, ascending source
-      // order — the sequential scatter sequence for every entry.
-      for (const ContribSegment& seg :
-           incoming[static_cast<std::size_t>(s)]) {
-        const auto srows = part.row_indices(seg.source);
-        const index_t st = part.width(seg.source);
-        const index_t sbelow = part.height(seg.source) - st;
-        const auto& tv = contrib[static_cast<std::size_t>(seg.source)];
-        for (index_t c = 0; c < m; ++c) {
-          real_t* bc = b + c * n;
-          const real_t* tc =
-              tv.data() + static_cast<std::size_t>(c) * sbelow;
-          for (index_t i = seg.lo; i < seg.hi; ++i) {
-            bc[srows[static_cast<std::size_t>(st + i)]] -= tc[i];
-          }
-        }
-        if (readers[static_cast<std::size_t>(seg.source)].fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-          contrib[static_cast<std::size_t>(seg.source)] = {};
-        }
-      }
-
-      const index_t t = part.width(s);
-      const index_t ns = part.height(s);
-      const index_t j0 = part.first_col[static_cast<std::size_t>(s)];
-      auto block = l.block(s);
-      nnz_t f =
-          dense::panel_trsm_lower(t, m, block.data(), ns, b + j0, n);
-      const index_t below = ns - t;
-      if (below > 0) {
-        auto& tv = contrib[static_cast<std::size_t>(s)];
-        tv.assign(static_cast<std::size_t>(below) * m, 0.0);
-        dense::panel_gemm(below, m, t, 1.0, block.data() + t, ns, b + j0, n,
-                          tv.data(), below);
-        f += dense::gemm_flops(below, m, t);
-      }
-      flops.fetch_add(f, std::memory_order_relaxed);
-    };
-  }
-
-  exec::TaskGraph bw = build_backward_dag(part);
-  for (exec::TaskId id = 0; id < bw.num_tasks(); ++id) {
-    const index_t s = bw.node(id).item;
-    bw.node(id).body = [&, s] {
-      // Reads only rows its ancestors have finalized, writes only its own:
-      // the sequential step verbatim.
-      std::vector<real_t> temp;
-      flops.fetch_add(
-          trisolve::backward_step(trisolve::sequential_step(l, s), b, n, m,
-                                  temp),
-          std::memory_order_relaxed);
-    };
-  }
-
-  WallTimer timer;
-  exec::TaskScheduler scheduler(workers);
-  scheduler.run_graph(fw);
-  scheduler.run_graph(bw);
-  const double seconds = timer.seconds();
-
-  if (report != nullptr) {
-    report->forward = fw.analyze();
-    report->backward = bw.analyze();
-    report->scheduler = scheduler.stats();
-    report->stats.flops = flops.load(std::memory_order_relaxed);
-    report->seconds = seconds;
-  }
 }
 
 }  // namespace sparts::partrisolve

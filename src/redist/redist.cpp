@@ -58,18 +58,16 @@ void validate_maps(const symbolic::SupernodePartition& part,
   }
 }
 
-}  // namespace
-
+/// Validate the maps, size `out` for the 1-D distribution, and pack the
+/// sequential supernodes, which do not move between the distributions (a
+/// single owner holds the whole trapezoid either way).
 void prepack_sequential(const numeric::SupernodalFactor& factor,
                         const mapping::SubcubeMapping& map,
                         const Options& options,
                         partrisolve::DistributedFactor* out) {
   const auto& part = factor.partition();
-  SPARTS_CHECK(out != nullptr, "prepack_sequential needs output storage");
   validate_maps(part, map, options);
   *out = partrisolve::DistributedFactor(part, map, options.block_1d);
-  // Sequential supernodes do not move between the distributions (a
-  // single owner holds the whole trapezoid either way): pack directly.
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     if (g.count != 1) continue;
@@ -79,12 +77,13 @@ void prepack_sequential(const numeric::SupernodalFactor& factor,
   }
 }
 
+}  // namespace
+
 void redistribute_supernode(exec::Process& proc,
                             const numeric::SupernodalFactor& factor,
                             const mapping::SubcubeMapping& map,
                             const Options& options, index_t s,
-                            partrisolve::DistributedFactor* out,
-                            int tag_base) {
+                            partrisolve::DistributedFactor* out) {
   const auto& part = factor.partition();
   const index_t w = proc.rank();
   const exec::Group g = map.group[static_cast<std::size_t>(s)];
@@ -128,7 +127,7 @@ void redistribute_supernode(exec::Process& proc,
   proc.compute_at(static_cast<double>(pack_words), proc.cost().t_mem);
 
   auto incoming = exec::all_to_all_personalized(
-      proc, g, std::move(outgoing), tag_base + static_cast<int>(8 * s));
+      proc, g, std::move(outgoing), static_cast<int>(8 * s));
 
   // Receive side: rebuild my 1-D rows and verify against the factor.
   real_t* local = out != nullptr ? out->local_block(w, s).data() : nullptr;
@@ -176,8 +175,7 @@ Report redistribute_factor(exec::Comm& machine,
 
   auto spmd = [&](exec::Process& proc) {
     for (index_t s = 0; s < nsup; ++s) {
-      redistribute_supernode(proc, factor, map, options, s, out,
-                             /*tag_base=*/0);
+      redistribute_supernode(proc, factor, map, options, s, out);
     }
   };
 

@@ -47,30 +47,16 @@ Report redistribute_factor(exec::Comm& machine,
                            const Options& options = {},
                            partrisolve::DistributedFactor* out = nullptr);
 
-/// Host-side half of the *fused* redistribution: validate the maps,
-/// size `out` for the 1-D distribution, and pack the sequential
-/// supernodes (which do not move — a single owner holds the whole
-/// trapezoid under either distribution).  The shared supernodes are then
-/// converted in place by redistribute_supernode calls issued from inside
-/// a running solve phase.
-void prepack_sequential(const numeric::SupernodalFactor& factor,
-                        const mapping::SubcubeMapping& map,
-                        const Options& options,
-                        partrisolve::DistributedFactor* out);
-
 /// Convert one shared supernode 2-D -> 1-D from within a running SPMD
 /// region.  No-op for ranks outside supernode s's group and for
-/// sequential supernodes (see prepack_sequential).  All message tags are
-/// offset by `tag_base` so the exchange can share a machine phase with
-/// other traffic (pass the solver's tag_limit() when fusing into the
-/// forward sweep; redistribute_factor itself uses tag_base 0).  Each rank
-/// writes only its own fragment of `out`, so concurrent calls from
-/// different ranks of the group are safe.
+/// sequential supernodes (a single owner holds the whole trapezoid under
+/// either distribution; redistribute_factor packs those on the host).
+/// Each rank writes only its own fragment of `out`, so concurrent calls
+/// from different ranks of the group are safe.
 void redistribute_supernode(exec::Process& proc,
                             const numeric::SupernodalFactor& factor,
                             const mapping::SubcubeMapping& map,
                             const Options& options, index_t s,
-                            partrisolve::DistributedFactor* out,
-                            int tag_base);
+                            partrisolve::DistributedFactor* out);
 
 }  // namespace sparts::redist

@@ -37,9 +37,9 @@ namespace sparts::solver {
 
 namespace {
 
-// The single registry the CLI help text, the parser, and make_backend all
+// The single registry the CLI help text, the parser, and make_stack all
 // read; adding a backend means adding exactly one row here (plus its
-// make_backend case, which the compiler enforces via the enum switch).
+// make_stack case, which the compiler enforces via the enum switch).
 constexpr BackendInfo kBackends[] = {
     {"sim", ExecutionBackend::simulated,
      "deterministic simulator, T3D cost model"},
@@ -47,16 +47,6 @@ constexpr BackendInfo kBackends[] = {
      "one std::thread per rank, wall clock"},
     {"tasks", ExecutionBackend::tasks,
      "rank fibers on a work-stealing task-DAG scheduler, wall clock"},
-    {"checked", ExecutionBackend::checked,
-     "sim audited for races / tag collisions / orphaned sends / deadlock "
-     "cycles; findings fail the run"},
-    {"checked-threads", ExecutionBackend::checked_threads,
-     "the same audit over the threaded backend"},
-    {"faulty", ExecutionBackend::faulty,
-     "sim with the --faults scenario injected under the reliability "
-     "envelope"},
-    {"faulty-threads", ExecutionBackend::faulty_threads,
-     "the same fault stack over threads"},
     {"proc", ExecutionBackend::proc,
      "each rank an OS process over TCP (tools/sparts_launch forks the "
      "cohort); CRC-checked frames under the reliability envelope, "
@@ -96,57 +86,65 @@ symbolic::SupernodePartition analyze(const sparse::SymmetricCsc& a_perm,
   return part;
 }
 
-/// One fresh backend per phase, so each phase's stats start from zero (the
+/// The layers Options asks for must compose with its backend; rejected
+/// before any rank starts.  The envelope over the fiber scheduler runs out
+/// of retransmits at several workers, and a proc rank's audit would see
+/// only its own sends (every remote send would look orphaned).
+void check_layers(const Options& options) {
+  const ExecutionBackend b = options.backend;
+  if (options.faults && b != ExecutionBackend::simulated &&
+      b != ExecutionBackend::threads) {
+    throw InvalidArgument(std::string("fault injection composes over sim "
+                                      "and threads, not ") +
+                          execution_backend_info(b).name);
+  }
+  if (options.check && b == ExecutionBackend::proc) {
+    throw InvalidArgument(
+        "the message audit composes over sim, threads and tasks, not proc");
+  }
+}
+
+/// One phase's backend stack, with typed handles on the layers it holds
+/// (null when absent) so the result accounting reads them directly.
+struct Stack {
+  std::unique_ptr<exec::Comm> comm;  ///< the outermost layer
+  const exec::TaskBackend* tasks = nullptr;
+  const exec::CheckedBackend* audit = nullptr;
+  const exec::ReliableBackend* envelope = nullptr;
+  const exec::FaultyBackend* injector = nullptr;
+};
+
+/// One fresh stack per phase, so each phase's stats start from zero (the
 /// simulator additionally requires a fresh Machine per run for determinism
-/// of message sequence numbers).
-std::unique_ptr<exec::Comm> make_backend(ExecutionBackend backend, index_t p,
-                                         const Options& options) {
-  switch (backend) {
+/// of message sequence numbers).  Layers, innermost first: the backend,
+/// then Reliable(Faulty(.)) under a fault plan, then the audit — above the
+/// envelope, where the injected duplicates are already gone.
+Stack make_stack(index_t p, const Options& options) {
+  Stack st;
+  switch (options.backend) {
     case ExecutionBackend::simulated: {
       simpar::Machine::Config cfg;
       cfg.nprocs = p;
       cfg.cost = exec::CostModel::t3d();
       cfg.topology = exec::TopologyKind::hypercube;
-      return std::make_unique<simpar::Machine>(cfg);
+      st.comm = std::make_unique<simpar::Machine>(cfg);
+      break;
     }
     case ExecutionBackend::threads: {
       exec::ThreadBackend::Config cfg;
       cfg.nprocs = p;
       cfg.cost = exec::CostModel::t3d();
-      return std::make_unique<exec::ThreadBackend>(cfg);
+      st.comm = std::make_unique<exec::ThreadBackend>(cfg);
+      break;
     }
     case ExecutionBackend::tasks: {
       exec::TaskBackend::Config cfg;
       cfg.nprocs = p;
       cfg.cost = exec::CostModel::t3d();
-      return std::make_unique<exec::TaskBackend>(cfg);
-    }
-    case ExecutionBackend::checked:
-    case ExecutionBackend::checked_threads: {
-      auto inner = make_backend(backend == ExecutionBackend::checked
-                                    ? ExecutionBackend::simulated
-                                    : ExecutionBackend::threads,
-                                p, options);
-      exec::CheckedBackend::Options copts;
-      copts.throw_on_findings = true;
-      return std::make_unique<exec::CheckedBackend>(std::move(inner), copts);
-    }
-    case ExecutionBackend::faulty:
-    case ExecutionBackend::faulty_threads: {
-      // Reliable(Faulty(base)): faults are injected below the envelope so
-      // the envelope has to recover from them.  No CheckedBackend in this
-      // stack — its FIFO bookkeeping would (correctly) flag the injected
-      // duplicates as protocol violations.
-      const bool sim = backend == ExecutionBackend::faulty;
-      auto inner = make_backend(
-          sim ? ExecutionBackend::simulated : ExecutionBackend::threads, p,
-          options);
-      auto faulty = std::make_unique<exec::FaultyBackend>(std::move(inner),
-                                                          options.fault_plan);
-      exec::ReliableConfig rcfg = sim ? exec::ReliableConfig::for_simulated()
-                                      : exec::ReliableConfig::for_threads();
-      rcfg.from_env();
-      return std::make_unique<exec::ReliableBackend>(std::move(faulty), rcfg);
+      auto tasks = std::make_unique<exec::TaskBackend>(cfg);
+      st.tasks = tasks.get();
+      st.comm = std::move(tasks);
+      break;
     }
     case ExecutionBackend::proc: {
       // Reliable(Socket): the wire delivers only frames whose CRC checks
@@ -166,53 +164,75 @@ std::unique_ptr<exec::Comm> make_backend(ExecutionBackend backend, index_t p,
       exec::ReliableConfig rcfg =
           exec::ReliableConfig::for_wire(sock->measured_rtt());
       rcfg.from_env();
-      return std::make_unique<exec::ReliableBackend>(std::move(sock), rcfg);
+      auto envelope =
+          std::make_unique<exec::ReliableBackend>(std::move(sock), rcfg);
+      st.envelope = envelope.get();
+      st.comm = std::move(envelope);
+      break;
     }
   }
-  throw InvalidArgument("unknown execution backend");
+  if (st.comm == nullptr) throw InvalidArgument("unknown execution backend");
+  if (options.faults) {
+    auto injector = std::make_unique<exec::FaultyBackend>(std::move(st.comm),
+                                                          *options.faults);
+    st.injector = injector.get();
+    exec::ReliableConfig rcfg =
+        options.backend == ExecutionBackend::simulated
+            ? exec::ReliableConfig::for_simulated()
+            : exec::ReliableConfig::for_threads();
+    rcfg.from_env();
+    auto envelope =
+        std::make_unique<exec::ReliableBackend>(std::move(injector), rcfg);
+    st.envelope = envelope.get();
+    st.comm = std::move(envelope);
+  }
+  if (options.check) {
+    exec::CheckedBackend::Options copts;
+    copts.throw_on_findings = true;
+    auto audit =
+        std::make_unique<exec::CheckedBackend>(std::move(st.comm), copts);
+    st.audit = audit.get();
+    st.comm = std::move(audit);
+  }
+  return st;
 }
 
-/// Fold a checked backend's per-phase report into the result totals.
-void accumulate_report(const exec::Comm& machine, ParallelSolveResult* r) {
-  if (const auto* checked =
-          dynamic_cast<const exec::CheckedBackend*>(&machine)) {
+/// Fold the layers' per-phase reports into the result totals.
+void accumulate_report(const Stack& st, ParallelSolveResult* r) {
+  if (st.audit != nullptr) {
     r->analysis_findings +=
-        static_cast<std::int64_t>(checked->report().findings.size());
-    r->checked_messages += checked->report().sends;
+        static_cast<std::int64_t>(st.audit->report().findings.size());
+    r->checked_messages += st.audit->report().sends;
   }
-  if (const auto* tasks = dynamic_cast<const exec::TaskBackend*>(&machine)) {
-    const exec::SchedulerStats s = tasks->last_scheduler_stats();
+  if (st.tasks != nullptr) {
+    const exec::SchedulerStats s = st.tasks->last_scheduler_stats();
     r->task_scheduler.workers = s.workers;
     r->task_scheduler.jobs_run += s.jobs_run;
     r->task_scheduler.steals += s.steals;
     r->task_scheduler.parks += s.parks;
   }
-  if (const auto* reliable =
-          dynamic_cast<const exec::ReliableBackend*>(&machine)) {
-    r->retransmits += reliable->stats().retransmits;
-    r->dup_discarded += reliable->stats().dup_discarded;
-    if (const auto* faulty =
-            dynamic_cast<const exec::FaultyBackend*>(&reliable->inner())) {
-      r->faults_injected += faulty->stats().injected();
-    }
+  if (st.envelope != nullptr) {
+    r->retransmits += st.envelope->stats().retransmits;
+    r->dup_discarded += st.envelope->stats().dup_discarded;
+  }
+  if (st.injector != nullptr) {
+    r->faults_injected += st.injector->stats().injected();
   }
 }
 
-/// Per-rank progress of an enveloped run, empty for other backends.
-std::string progress_of(const exec::Comm& machine) {
-  const auto* reliable = dynamic_cast<const exec::ReliableBackend*>(&machine);
-  return reliable != nullptr ? reliable->progress_report() : std::string();
+/// Per-rank progress of an enveloped run, empty without an envelope.
+std::string progress_of(const Stack& st) {
+  return st.envelope != nullptr ? st.envelope->progress_report()
+                                : std::string();
 }
 
 /// Critical-path analysis of the phase the tasks backend just executed
 /// (its measured fiber-segment DAG); an invalid report for every other
 /// backend, which records no executed profile.
-obs::CriticalPathReport critical_path_of(const exec::Comm& machine) {
-  if (const auto* tasks = dynamic_cast<const exec::TaskBackend*>(&machine)) {
-    return obs::critical_path(tasks->last_executed_profile(),
-                              tasks->last_scheduler_stats().workers);
-  }
-  return {};
+obs::CriticalPathReport critical_path_of(const Stack& st) {
+  if (st.tasks == nullptr) return {};
+  return obs::critical_path(st.tasks->last_executed_profile(),
+                            st.tasks->last_scheduler_stats().workers);
 }
 
 /// Tag plane of the post-phase cohort mirrors (allmerge_nonzero uses
@@ -372,36 +392,36 @@ void maybe_arm_test_kill(const Options& options, const char* phase) {
 /// deadline, deadlock) become a structured SolveError naming the phase,
 /// carrying the flight recorder's recent-event window as the postmortem.
 template <typename Fn>
-auto run_phase(const char* phase, const exec::Comm& machine,
+auto run_phase(const char* phase, const Stack& st,
                ParallelSolveResult* result, Fn&& fn) {
   try {
     return fn();
   } catch (const InjectedFault& e) {
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
+    accumulate_report(st, result);
+    throw SolveError(phase, e.what(), progress_of(st),
                      obs::FlightRecorder::instance().dump_text());
   } catch (const TimeoutError& e) {
-    accumulate_report(machine, result);
+    accumulate_report(st, result);
     // The envelope already appended its progress report to the message.
     throw SolveError(phase, e.what(), "",
                      obs::FlightRecorder::instance().dump_text());
   } catch (const DeadlockError& e) {
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
+    accumulate_report(st, result);
+    throw SolveError(phase, e.what(), progress_of(st),
                      obs::FlightRecorder::instance().dump_text());
   } catch (const exec::PeerFailure& e) {
     // Socket backend: a peer stopped heartbeating (crashed, was killed,
     // or sits behind a partition past the suspicion window).  The message
     // names the suspected rank and its last-contact age.
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
+    accumulate_report(st, result);
+    throw SolveError(phase, e.what(), progress_of(st),
                      obs::FlightRecorder::instance().dump_text());
   } catch (const exec::RemoteAbort& e) {
     // A peer rank aborted first (its exception was broadcast); surface
     // the originating rank's cause here so every survivor reports the
     // same root cause instead of a cascade of secondary timeouts.
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
+    accumulate_report(st, result);
+    throw SolveError(phase, e.what(), progress_of(st),
                      obs::FlightRecorder::instance().dump_text());
   }
 }
@@ -529,6 +549,7 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
                                    index_t p, const Options& options) {
   const index_t n = a.n();
   SPARTS_CHECK(static_cast<index_t>(b.size()) == n * m);
+  check_layers(options);
 
   dense::set_kernel_impl(options.kernels);
   dense::set_pivot_policy({options.pivot_mode, options.pivot_rel_floor});
@@ -566,18 +587,19 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
   if (!result.factor_from_checkpoint) {
     obs::PhaseScope phase("factorization");
     maybe_arm_test_kill(options, "factorization");
-    auto machine = make_backend(options.backend, p, options);
+    const Stack st = make_stack(p, options);
+    exec::Comm& machine = *st.comm;
     const parfact::Report report = run_phase(
-        "factorization", *machine, &result, [&] {
-          return parfact::parallel_multifrontal(*machine, a_perm, part,
+        "factorization", st, &result, [&] {
+          return parfact::parallel_multifrontal(machine, a_perm, part,
                                                 fact_map, factor);
         });
     result.factor_time = report.time();
     result.factor_dag = report.graph;
-    result.factor_critical_path = critical_path_of(*machine);
+    result.factor_critical_path = critical_path_of(st);
     phase.set_parallel(exec::to_phase_stats(report.stats));
-    accumulate_report(*machine, &result);
-    if (machine->distributed()) {
+    accumulate_report(st, &result);
+    if (machine.distributed()) {
       // Process-separated ranks hold only the factor entries their own
       // rank computed, but everything downstream — redistribution
       // senders, the sequential prepack, host-side refinement — reads
@@ -586,8 +608,8 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
       // and order-independent.  The piggybacked allreduce makes the
       // perturbed-pivot count (and hence the degraded-status refinement
       // decision) identical on every rank.
-      run_phase("factor-mirror", *machine, &result, [&] {
-        machine->run([&](exec::Process& pr) {
+      run_phase("factor-mirror", st, &result, [&] {
+        machine.run([&](exec::Process& pr) {
           const exec::Group g{0, p, 1};
           exec::allmerge_nonzero(pr, g, factor.values(), kMirrorTagBase);
           std::vector<real_t> perturbed{static_cast<real_t>(
@@ -607,30 +629,22 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
 
   // Phase 2: redistribute the factor 2-D -> 1-D for the solvers.  The
   // rank-local storage produced here is what the solve phase reads.
-  // Under fusion the conversion of shared supernodes moves into the
-  // forward sweep (phase 3); only the host-side prepack of sequential
-  // supernodes — which never travel — happens here.
   const mapping::SubcubeMapping solve_map =
       mapping::subtree_to_subcube(part, p);
   const redist::Options redist_options;
   partrisolve::DistributedFactor local_factor;
-  if (options.fuse_redistribution) {
-    obs::PhaseScope phase("redistribution");
-    redist::prepack_sequential(factor, solve_map, redist_options,
-                               &local_factor);
-    result.redist_time = 0.0;
-  } else {
+  {
     obs::PhaseScope phase("redistribution");
     maybe_arm_test_kill(options, "redistribution");
-    auto machine = make_backend(options.backend, p, options);
+    const Stack st = make_stack(p, options);
     const redist::Report report = run_phase(
-        "redistribution", *machine, &result, [&] {
-          return redist::redistribute_factor(*machine, factor, solve_map,
+        "redistribution", st, &result, [&] {
+          return redist::redistribute_factor(*st.comm, factor, solve_map,
                                              redist_options, &local_factor);
         });
     result.redist_time = report.time();
     phase.set_parallel(exec::to_phase_stats(report.stats));
-    accumulate_report(*machine, &result);
+    accumulate_report(st, &result);
   }
 
   // Phase 3: pipelined triangular solves.
@@ -645,55 +659,42 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
   {
     partrisolve::Options solver_options;
     solver_options.block_size = redist_options.block_1d;
-    partrisolve::DistributedTrisolver solver(factor, &local_factor,
-                                             solve_map, solver_options);
-    if (options.fuse_redistribution) {
-      // Fused 2-D -> 1-D conversion: each shared supernode's fragments
-      // are exchanged at its first touch in the forward sweep, on a tag
-      // plane above everything the solver emits.  Each rank fills only
-      // its own slice of local_factor, so the concurrent writes from the
-      // SPMD ranks never alias.
-      const int tag_base = solver.tag_limit();
-      solver.set_forward_prologue(
-          [&factor, &solve_map, redist_options, &local_factor,
-           tag_base](exec::Process& proc, index_t s) {
-            redist::redistribute_supernode(proc, factor, solve_map,
-                                           redist_options, s, &local_factor,
-                                           tag_base);
-          });
-    }
-    auto machine = make_backend(options.backend, p, options);
+    const partrisolve::DistributedTrisolver solver(factor, &local_factor,
+                                                   solve_map, solver_options);
+    const Stack st = make_stack(p, options);
+    exec::Comm& machine = *st.comm;
     std::vector<real_t> y_perm(b.size(), 0.0);
     {
       obs::PhaseScope phase("forward");
       maybe_arm_test_kill(options, "forward");
       const partrisolve::PhaseReport fw = run_phase(
-          "forward", *machine, &result,
-          [&] { return solver.forward(*machine, b_perm, y_perm, m); });
+          "forward", st, &result,
+          [&] { return solver.forward(machine, b_perm, y_perm, m); });
       result.forward_time = fw.time();
       result.forward_dag = fw.graph;
-      result.forward_critical_path = critical_path_of(*machine);
+      result.forward_critical_path = critical_path_of(st);
       phase.set_parallel(exec::to_phase_stats(fw.stats));
+      accumulate_report(st, &result);
     }
     {
       obs::PhaseScope phase("backward");
       maybe_arm_test_kill(options, "backward");
       const partrisolve::PhaseReport bw = run_phase(
-          "backward", *machine, &result,
-          [&] { return solver.backward(*machine, y_perm, x_perm, m); });
+          "backward", st, &result,
+          [&] { return solver.backward(machine, y_perm, x_perm, m); });
       result.backward_time = bw.time();
       result.backward_dag = bw.graph;
-      result.backward_critical_path = critical_path_of(*machine);
+      result.backward_critical_path = critical_path_of(st);
       phase.set_parallel(exec::to_phase_stats(bw.stats));
+      accumulate_report(st, &result);
     }
-    accumulate_report(*machine, &result);
-    if (machine->distributed()) {
+    if (machine.distributed()) {
       // Each process wrote only its own rank's rows of x_perm; mirror so
       // the host-side refinement and the un-permutation below see the
       // complete solution — and every rank of the cohort returns the
       // identical x.
-      run_phase("solution-mirror", *machine, &result, [&] {
-        machine->run([&](exec::Process& pr) {
+      run_phase("solution-mirror", st, &result, [&] {
+        machine.run([&](exec::Process& pr) {
           exec::allmerge_nonzero(pr, exec::Group{0, p, 1},
                                  std::span<real_t>(x_perm), kMirrorTagBase);
         });

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,32 +35,18 @@ enum class OrderingMethod {
   rcm,
 };
 
-/// Which exec backend runs the parallel phases of parallel_solve.
+/// Which exec backend runs the parallel phases of parallel_solve.  The
+/// message audit (Options::check) and the fault stack (Options::faults)
+/// are layers over it, not backends of their own.
 enum class ExecutionBackend {
   simulated,  ///< simpar::Machine: deterministic cost-model clocks
   threads,    ///< exec::ThreadBackend: one std::thread per rank, wall clock
-  /// exec::CheckedBackend over the simulator: every phase is audited for
-  /// wildcard races, tag collisions, orphaned sends and deadlock cycles;
-  /// any finding raises AnalysisError.  Times remain the simulated times.
-  checked,
-  /// exec::CheckedBackend over the threaded backend: same audit on real
-  /// concurrent executions.
-  checked_threads,
-  /// Reliability envelope over fault injection over the simulator: the
-  /// FaultPlan in Options drops/duplicates/delays/reorders messages and
-  /// the envelope (sequence numbers, dedup, NACK-driven retransmission)
-  /// recovers, or aborts with a structured SolveError.  Deterministic.
-  faulty,
-  /// The same stack over the threaded backend, with wall-clock timeouts.
-  faulty_threads,
   /// exec::TaskBackend: every rank is a fiber multiplexed on a
   /// work-stealing task-scheduler pool (as many workers as cores, not as
   /// many as ranks).  A recv with no matching message suspends the fiber —
   /// the wait becomes a dynamic dependency edge of the supernode task DAG
   /// — and the matching send re-readies it on the sender's worker.
   /// Results are bit-identical to `threads`; times are wall clock.
-  /// The checked/faulty decorators are not composed over this backend
-  /// (compose them over `threads` instead — same message semantics).
   tasks,
   /// exec::SocketBackend under the reliability envelope: this process is
   /// ONE rank of a p-process cohort connected over TCP (tools/sparts_launch
@@ -70,9 +57,8 @@ enum class ExecutionBackend {
   /// instead of a hang.  Results are bit-identical to `sim`/`threads`;
   /// phase outputs are mirrored across the cohort after each phase
   /// (exec::allmerge_nonzero), because process-separated ranks share no
-  /// address space.  The checked/faulty decorators are not composed over
-  /// this backend (chaos injection lives below the wire instead —
-  /// SPARTS_CHAOS, docs/robustness.md).
+  /// address space.  Its faults live below the wire (SPARTS_CHAOS,
+  /// docs/robustness.md), and it takes neither layer.
   proc,
 };
 
@@ -107,14 +93,21 @@ struct Options {
   /// are predicted T3D seconds; with `threads` they are measured wall-clock
   /// seconds on this host.
   ExecutionBackend backend = ExecutionBackend::simulated;
+  /// Audit every phase's traffic with exec::CheckedBackend (wildcard
+  /// races, tag collisions, orphaned sends, deadlock cycles); any finding
+  /// raises AnalysisError.  Composes over sim, threads and tasks; times
+  /// stay those of the backend below.
+  bool check = false;
+  /// Inject this fault scenario under the reliability envelope
+  /// (Reliable(Faulty(backend))): the envelope recovers, or the phase
+  /// aborts with a structured SolveError.  Composes over sim and threads;
+  /// with `check` the audit sits above the envelope.
+  std::optional<exec::FaultPlan> faults;
   /// Dense kernel implementation used by every phase (reference loops or
   /// the tiled/vectorized kernels).  Defaults to the SPARTS_KERNELS
   /// environment variable, `tiled` when unset.  Flop counts — and hence
   /// simulated times — are identical for both.
   dense::KernelImpl kernels = dense::kernel_impl_from_env();
-  /// Fault scenario injected by the `faulty` / `faulty_threads` backends;
-  /// ignored by the others.
-  exec::FaultPlan fault_plan;
   /// Pivot handling during factorization: `fail` throws NumericalError on
   /// a non-positive pivot; `perturb` boosts it to a positive floor and
   /// lets iterative refinement absorb the error (result status becomes
@@ -125,14 +118,6 @@ struct Options {
   /// degraded factorization, and the residual it tries to reach.
   int refine_max_iterations = 5;
   real_t refine_tolerance = 1e-10;
-  /// Pipeline fusion: run the 2-D -> 1-D factor redistribution inside the
-  /// forward-solve sweep (each supernode's fragments arrive just before
-  /// its triangular solve) instead of as a separate barrier phase between
-  /// factorization and the solves.  The solution is bit-identical either
-  /// way; only the phase structure changes.  When enabled,
-  /// ParallelSolveResult::redist_time is 0 — the conversion's cost is
-  /// accounted inside forward_time.
-  bool fuse_redistribution = false;
   /// Process backend (--backend proc) wiring, ignored by every other
   /// backend: which rank of the p-process cohort THIS process is (the
   /// launcher sets it per forked child), and how ranks find each other —
@@ -240,15 +225,14 @@ struct ParallelSolveResult {
   double redist_time = 0.0;
   double forward_time = 0.0;
   double backward_time = 0.0;
-  /// Totals from the checked backend, summed over the three parallel
-  /// phases; all zero for the unchecked backends.  With a checked backend
-  /// any finding raises AnalysisError, so on normal return
-  /// analysis_findings is always 0 and checked_messages says how many
-  /// sends were audited.
+  /// Totals from the message audit (Options::check), summed over the
+  /// parallel phases; all zero without it.  Any finding raises
+  /// AnalysisError, so on normal return analysis_findings is always 0 and
+  /// checked_messages says how many sends were audited.
   std::int64_t analysis_findings = 0;
   std::int64_t checked_messages = 0;
   /// Fault-tolerance accounting, summed over the parallel phases; all
-  /// zero unless a faulty backend (or perturbing pivot mode) was used.
+  /// zero unless a fault plan (or perturbing pivot mode) was used.
   SolveStatus status = SolveStatus::ok;
   std::int64_t faults_injected = 0;   ///< drops/dups/delays/... injected
   std::int64_t retransmits = 0;       ///< envelope recoveries

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -144,7 +145,15 @@ SymmetricCsc random_spd(index_t n, index_t avg_off_diag, Rng& rng) {
   std::set<std::pair<index_t, index_t>> seen;
   std::vector<std::pair<index_t, index_t>> edges;
   const nnz_t target = static_cast<nnz_t>(n) * avg_off_diag / 2;
-  while (static_cast<nnz_t>(edges.size()) < target && n > 1) {
+  // The rejection loop below would spin forever past the complete graph.
+  const nnz_t pairs = static_cast<nnz_t>(n) * (n - 1) / 2;
+  if (target > pairs) {
+    throw InvalidArgument("random_spd: n * avg_off_diag / 2 = " +
+                          std::to_string(target) + " off-diagonal pairs, but " +
+                          std::to_string(n) + " vertices have only " +
+                          std::to_string(pairs));
+  }
+  while (static_cast<nnz_t>(edges.size()) < target) {
     index_t i = static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(n)));
     index_t j = static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(n)));
     if (i == j) continue;

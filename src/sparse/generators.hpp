@@ -37,7 +37,8 @@ SymmetricCsc grid3d_dof(index_t kx, index_t ky, index_t kz, int stencil,
                         index_t dof, real_t shift = 1e-2);
 
 /// Random sparse SPD matrix: ~`avg_off_diag` random off-diagonals per
-/// column, strictly diagonally dominant.  Used by property tests.
+/// column, strictly diagonally dominant.  Used by property tests.  Throws
+/// InvalidArgument when n * avg_off_diag / 2 exceeds the n(n-1)/2 pairs.
 SymmetricCsc random_spd(index_t n, index_t avg_off_diag, Rng& rng);
 
 /// Random symmetric *indefinite* but strictly diagonally dominant matrix:

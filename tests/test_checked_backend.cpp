@@ -224,9 +224,9 @@ TEST(CheckedBackend, DeadlockCycleDiagnosedOnThreads) {
 
 // The real workload criterion: a full distributed solve (parallel
 // factorization + redistribution + pipelined triangular solves) under the
-// checked simulator backend finishes with zero findings and the right
-// answer.  throw_on_findings is set inside parallel_solve, so any hazard
-// would abort the run with AnalysisError.
+// message audit on the simulator finishes with zero findings and the same
+// x as the unaudited run.  throw_on_findings is set inside parallel_solve,
+// so any hazard would abort the run with AnalysisError.
 TEST(CheckedBackend, FullParallelSolveRunsCleanUnderChecked) {
   const sparse::SymmetricCsc a = sparse::grid2d(20, 20);
   const index_t m = 2;
@@ -236,10 +236,11 @@ TEST(CheckedBackend, FullParallelSolveRunsCleanUnderChecked) {
   }
 
   solver::Options opt;
-  opt.backend = solver::ExecutionBackend::checked;
+  opt.check = true;
   const auto result = solver::parallel_solve(a, b, m, 8, opt);
   EXPECT_EQ(result.analysis_findings, 0);
   EXPECT_GT(result.checked_messages, 0);
+  EXPECT_EQ(result.x, solver::parallel_solve(a, b, m, 8, {}).x);
 
   const auto reference = solver::SparseSolver::factorize(a).solve(b, m);
   ASSERT_EQ(result.x.size(), reference.size());
@@ -248,17 +249,30 @@ TEST(CheckedBackend, FullParallelSolveRunsCleanUnderChecked) {
   }
 }
 
-// Same audit on real concurrent threads (smaller problem: this one pays
-// for actual thread scheduling).
+// Same audit on real concurrent threads and on the fiber scheduler
+// (smaller problem: these pay for actual scheduling).  x stays
+// bit-identical to plain sim, and the audit layer hides none of the tasks
+// backend's own accounting.
 TEST(CheckedBackend, ParallelSolveRunsCleanUnderCheckedThreads) {
   const sparse::SymmetricCsc a = sparse::grid2d(12, 12);
   std::vector<real_t> b(static_cast<std::size_t>(a.n()), 1.0);
+  const auto plain = solver::parallel_solve(a, b, 1, 4, {});
 
-  solver::Options opt;
-  opt.backend = solver::ExecutionBackend::checked_threads;
-  const auto result = solver::parallel_solve(a, b, 1, 4, opt);
-  EXPECT_EQ(result.analysis_findings, 0);
-  EXPECT_GT(result.checked_messages, 0);
+  for (const auto backend :
+       {solver::ExecutionBackend::threads, solver::ExecutionBackend::tasks}) {
+    solver::Options opt;
+    opt.backend = backend;
+    opt.check = true;
+    const auto result = solver::parallel_solve(a, b, 1, 4, opt);
+    const std::string what = solver::execution_backend_info(backend).name;
+    EXPECT_EQ(result.analysis_findings, 0) << what;
+    EXPECT_GT(result.checked_messages, 0) << what;
+    EXPECT_EQ(result.x, plain.x) << what;
+    if (backend == solver::ExecutionBackend::tasks) {
+      EXPECT_GT(result.task_scheduler.jobs_run, 0);
+      EXPECT_TRUE(result.factor_critical_path.valid());
+    }
+  }
 }
 
 }  // namespace

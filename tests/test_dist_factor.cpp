@@ -12,7 +12,6 @@
 #include "partrisolve/layout.hpp"
 #include "partrisolve/partrisolve.hpp"
 #include "redist/redist.hpp"
-#include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "trisolve/trisolve.hpp"
@@ -125,17 +124,6 @@ TEST_P(StrictSolveTest, MatchesSharedFactorSolve) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(x[i], ref[i], 1e-9);
   }
-
-  // The pipeline's own strict storage, with the 2-D -> 1-D conversion
-  // fused into the forward sweep: single-rank subtrees read the packed
-  // blocks the prologue delivers, bit-identical to the unfused pipeline.
-  const sparse::SymmetricCsc a = sparse::grid2d(13, 13);
-  solver::Options fused;
-  fused.fuse_redistribution = true;
-  const auto r_fused = solver::parallel_solve(a, rhs, m, p, fused);
-  const auto r_plain = solver::parallel_solve(a, rhs, m, p, {});
-  EXPECT_EQ(r_fused.x, r_plain.x);
-  EXPECT_LT(trisolve::relative_residual(a, r_fused.x, rhs, m), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Powers, StrictSolveTest,

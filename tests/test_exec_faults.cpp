@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "exec/checked_backend.hpp"
 #include "exec/fault_backend.hpp"
 #include "exec/reliable.hpp"
 #include "exec/thread_backend.hpp"
@@ -335,23 +336,31 @@ TEST(Reliable, NoteProgressIsANoOpOnPlainBackends) {
 
 TEST(Reliable, ProgressNotesNameTheSupernodeInTheReport) {
   // The per-supernode form renders "<what> <id>", the text the solver's
-  // timeout and crash reports have always carried.
+  // timeout and crash reports have always carried — also when the message
+  // audit wraps the envelope, as it does in the solver's stack.
   exec::ReliableConfig cfg = exec::ReliableConfig::for_simulated();
   cfg.max_retry = 2;
-  exec::ReliableBackend backend(make_sim(2), cfg);
-  try {
-    backend.run([](exec::Process& proc) {
-      if (proc.rank() == 1) {
-        const exec::ProgressNotes notes(proc);
-        notes.note("fw supernode", 111);
-        notes.note("fw supernode", 112);
-        proc.recv_values<real_t>(0, 9);  // rank 0 never sends this
-      }
-    });
-    FAIL() << "expected TimeoutError";
-  } catch (const TimeoutError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("at fw supernode 112"), std::string::npos) << what;
+  for (const bool audited : {false, true}) {
+    std::unique_ptr<exec::Comm> backend =
+        std::make_unique<exec::ReliableBackend>(make_sim(2), cfg);
+    if (audited) {
+      backend = std::make_unique<exec::CheckedBackend>(std::move(backend));
+    }
+    try {
+      backend->run([](exec::Process& proc) {
+        if (proc.rank() == 1) {
+          const exec::ProgressNotes notes(proc);
+          notes.note("fw supernode", 111);
+          notes.note("fw supernode", 112);
+          proc.recv_values<real_t>(0, 9);  // rank 0 never sends this
+        }
+      });
+      ADD_FAILURE() << "expected TimeoutError, audited " << audited;
+    } catch (const TimeoutError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("at fw supernode 112"), std::string::npos)
+          << "audited " << audited << ": " << what;
+    }
   }
 }
 

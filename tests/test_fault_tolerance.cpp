@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,13 +42,35 @@ solver::ParallelSolveResult clean_solve(const Problem& prob) {
 
 solver::ParallelSolveResult faulty_solve(const Problem& prob,
                                          const std::string& plan,
-                                         bool threads = false) {
+                                         bool threads = false,
+                                         bool check = false) {
   solver::Options opt;
-  opt.backend = threads ? solver::ExecutionBackend::faulty_threads
-                        : solver::ExecutionBackend::faulty;
-  opt.fault_plan = exec::FaultPlan::parse(plan);
+  opt.backend = threads ? solver::ExecutionBackend::threads
+                        : solver::ExecutionBackend::simulated;
+  opt.faults = exec::FaultPlan::parse(plan);
+  opt.check = check;
   return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
 }
+
+/// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 TEST(FaultTolerance, EnvelopeWithoutFaultsMatchesCleanRunBitwise) {
   const Problem prob = make_problem();
@@ -73,14 +96,21 @@ TEST(FaultTolerance, RecoversFromDropsBitIdentical) {
 }
 
 TEST(FaultTolerance, RecoversFromMixedFaultsBitIdentical) {
+  // Also under the message audit: it sits above the envelope, so it sees
+  // exactly-once delivery and reports nothing.
   const Problem prob = make_problem();
   const auto clean = clean_solve(prob);
-  const auto r = faulty_solve(
-      prob, "seed=42,drop=0.1,dup=0.1,delay=0.2:0.0005,reorder=0.1");
-  EXPECT_EQ(clean.x, r.x);
-  EXPECT_EQ(r.status, solver::SolveStatus::ok);
-  EXPECT_GT(r.faults_injected, 0);
-  EXPECT_LT(trisolve::relative_residual(prob.a, r.x, prob.b, 1), 1e-9);
+  for (const bool check : {false, true}) {
+    const auto r = faulty_solve(
+        prob, "seed=42,drop=0.1,dup=0.1,delay=0.2:0.0005,reorder=0.1",
+        /*threads=*/false, check);
+    EXPECT_EQ(clean.x, r.x) << "check " << check;
+    EXPECT_EQ(r.status, solver::SolveStatus::ok);
+    EXPECT_GT(r.faults_injected, 0);
+    EXPECT_EQ(r.analysis_findings, 0);
+    EXPECT_EQ(r.checked_messages > 0, check);
+    EXPECT_LT(trisolve::relative_residual(prob.a, r.x, prob.b, 1), 1e-9);
+  }
 }
 
 TEST(FaultTolerance, RecoversFromStall) {
@@ -97,14 +127,54 @@ TEST(FaultTolerance, RecoversFromStall) {
 TEST(FaultTolerance, ThreadsBackendRecoversFromDropsBitIdentical) {
   // Shrink the wall-clock retransmit timeout (SPARTS_TIMEOUT_MS is the
   // documented knob) so the many recovery waits stay fast even under TSan.
-  ::setenv("SPARTS_TIMEOUT_MS", "5", 1);
+  const ScopedEnv timeout("SPARTS_TIMEOUT_MS", "5");
   const Problem prob = make_problem();
   const auto clean = clean_solve(prob);
-  const auto r = faulty_solve(prob, "seed=42,drop=0.15", /*threads=*/true);
-  ::unsetenv("SPARTS_TIMEOUT_MS");
-  EXPECT_EQ(clean.x, r.x);
-  EXPECT_EQ(r.status, solver::SolveStatus::ok);
-  EXPECT_GT(r.retransmits, 0);
+  for (const bool check : {false, true}) {
+    const auto r = faulty_solve(prob, "seed=42,drop=0.15", /*threads=*/true,
+                                check);
+    EXPECT_EQ(clean.x, r.x) << "check " << check;
+    EXPECT_EQ(r.status, solver::SolveStatus::ok);
+    EXPECT_GT(r.faults_injected, 0);
+    EXPECT_GT(r.retransmits, 0);
+    EXPECT_EQ(r.analysis_findings, 0);
+    EXPECT_EQ(r.checked_messages > 0, check);
+  }
+}
+
+TEST(FaultTolerance, TimeoutUnderTheAuditNamesTheSupernode) {
+  // The audit sits above the envelope; the progress note the factorization
+  // leaves per supernode must still reach the envelope's timeout report.
+  const ScopedEnv retry("SPARTS_MAX_RETRY", "1");
+  const Problem prob = make_problem();
+  try {
+    faulty_solve(prob, "seed=3,drop=0.9", /*threads=*/false, /*check=*/true);
+    FAIL() << "expected SolveError";
+  } catch (const solver::SolveError& e) {
+    EXPECT_NE(std::string(e.what()).find("fact supernode"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FaultTolerance, LayersRejectBackendsTheyCannotCompose) {
+  // Rejected before any rank starts: the envelope over the fiber
+  // scheduler, and either layer over separate processes.
+  const Problem prob = make_problem();
+  auto solve = [&](solver::ExecutionBackend backend, bool check,
+                   bool faults) {
+    solver::Options opt;
+    opt.backend = backend;
+    opt.check = check;
+    if (faults) opt.faults = exec::FaultPlan::parse("seed=1");
+    return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
+  };
+  EXPECT_THROW(solve(solver::ExecutionBackend::tasks, false, true),
+               InvalidArgument);
+  EXPECT_THROW(solve(solver::ExecutionBackend::proc, false, true),
+               InvalidArgument);
+  EXPECT_THROW(solve(solver::ExecutionBackend::proc, true, false),
+               InvalidArgument);
 }
 
 TEST(FaultTolerance, CrashProducesStructuredSolveError) {

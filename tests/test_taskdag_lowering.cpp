@@ -1,9 +1,9 @@
-// The second-lowering guarantee (see parfact/factor_dag.hpp and
+// The lowering guarantee (see parfact/factor_dag.hpp and
 // partrisolve/solve_dag.hpp): factorization and the triangular solves are
 // expressed once as supernode task DAGs, and every lowering of those
-// graphs — the sequential loop, the SPMD ranks walking the topological
-// schedule, and the work-stealing task scheduler — must produce
-// bit-identical numbers.  These tests pin that contract:
+// graphs — the sequential loop, and the SPMD ranks walking the topological
+// schedule on threads or on the work-stealing task scheduler's fibers —
+// must produce bit-identical numbers.  These tests pin that contract:
 //
 //   * the coarse/forward DAG schedules are exactly 0..nsup-1 (all edges go
 //     small -> large id), which is what makes walking the schedule
@@ -12,16 +12,14 @@
 //     parallel_multifrontal) equal analyze() of the built graphs, field
 //     for field, and a solver's reused plan carries no state between
 //     solves;
-//   * taskdag_factor == multifrontal_cholesky bit for bit (values and
-//     stats), at every worker count;
-//   * taskdag_solve == trisolve::full_solve bit for bit;
 //   * DistributedTrisolver at p = 1 == trisolve::full_solve bit for bit
 //     (every supernode is a single-rank step in place), on every backend
 //     and from the shared factor or rank-local storage alike;
 //   * parallel_solve(--backend tasks) == parallel_solve(--backend threads)
 //     bit for bit on a corpus of matrices and processor counts;
-//   * the --backend registry round-trips and rejects junk with a message
-//     that enumerates every registered name.
+//   * the --backend registry holds the four machines, round-trips, and
+//     rejects junk (and the retired layer spellings) with a message that
+//     enumerates every registered name.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -66,15 +64,6 @@ sparse::SymmetricCsc ordered(const std::string& family) {
 
 symbolic::SupernodePartition partition_of(const sparse::SymmetricCsc& a) {
   return symbolic::fundamental_supernodes(symbolic::symbolic_cholesky(a));
-}
-
-std::vector<real_t> all_blocks(const numeric::SupernodalFactor& f) {
-  std::vector<real_t> v;
-  for (index_t s = 0; s < f.num_supernodes(); ++s) {
-    const auto b = f.block(s);
-    v.insert(v.end(), b.begin(), b.end());
-  }
-  return v;
 }
 
 const char* kFamilies[] = {"grid2d", "grid3d", "chain", "random",
@@ -188,65 +177,6 @@ TEST(TaskDagLowering, ReusedSolvePlanMatchesFreshSolverBitwise) {
   }
 }
 
-TEST(TaskDagLowering, TaskFactorMatchesSequentialBitwise) {
-  for (const char* family : kFamilies) {
-    const sparse::SymmetricCsc a = ordered(family);
-    const symbolic::SupernodePartition part = partition_of(a);
-    numeric::FactorizationStats seq_stats;
-    const numeric::SupernodalFactor seq =
-        numeric::multifrontal_cholesky(a, part, &seq_stats);
-    for (const int workers : {1, 2, 4, 8}) {
-      parfact::TaskFactorReport report;
-      const numeric::SupernodalFactor par = parfact::taskdag_factor(
-          a, part, {.workers = workers}, &report);
-      EXPECT_EQ(all_blocks(seq), all_blocks(par))
-          << family << " workers=" << workers;
-      // The stats are exact too: same flop count and the same peak front /
-      // update-stack high-water marks (taskdag_factor samples them at the
-      // same points the sequential loop does).
-      EXPECT_EQ(report.stats.flops, seq_stats.flops) << family;
-      EXPECT_EQ(report.stats.peak_front_entries, seq_stats.peak_front_entries)
-          << family << " workers=" << workers;
-      // The update-stack high-water mark depends on execution order (the
-      // fine-grained schedule interleaves panel and update tasks
-      // differently from the sequential postorder), so it is only pinned
-      // to be live whenever the sequential run saw a non-empty stack.
-      if (seq_stats.peak_stack_entries > 0) {
-        EXPECT_GT(report.stats.peak_stack_entries, 0)
-            << family << " workers=" << workers;
-      }
-      EXPECT_EQ(report.graph.tasks, report.scheduler.jobs_run)
-          << family << " workers=" << workers;
-    }
-  }
-}
-
-TEST(TaskDagLowering, TaskSolveMatchesSequentialBitwise) {
-  for (const char* family : kFamilies) {
-    const sparse::SymmetricCsc a = ordered(family);
-    const symbolic::SupernodePartition part = partition_of(a);
-    const numeric::SupernodalFactor l =
-        numeric::multifrontal_cholesky(a, part);
-    for (const index_t m : {index_t{1}, index_t{3}}) {
-      Rng rng(42);
-      const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
-      std::vector<real_t> x_seq = b;
-      trisolve::full_solve(l, x_seq.data(), m);
-      for (const int workers : {1, 2, 4, 8}) {
-        std::vector<real_t> x_par = b;
-        partrisolve::TaskSolveReport report;
-        partrisolve::taskdag_solve(l, x_par.data(), m, {.workers = workers},
-                                   &report);
-        EXPECT_EQ(x_seq, x_par) << family << " m=" << m
-                                << " workers=" << workers;
-        EXPECT_EQ(report.forward.tasks + report.backward.tasks,
-                  report.scheduler.jobs_run)
-            << family;
-      }
-    }
-  }
-}
-
 TEST(TaskDagLowering, OneRankDistributedSolveMatchesSequentialBitwise) {
   // At p = 1 the distributed solver runs trisolve's per-supernode steps
   // in trisolve's order, in place: y and x must equal the sequential
@@ -328,21 +258,24 @@ TEST(TaskDagLowering, ParallelSolveTasksMatchesThreadsBitwise) {
 }
 
 TEST(TaskDagLowering, BackendRegistryRoundTripsAndRejectsJunk) {
+  EXPECT_EQ(solver::execution_backend_names(), "sim | threads | tasks | proc");
   for (const solver::BackendInfo& info : solver::execution_backends()) {
     EXPECT_EQ(solver::parse_execution_backend(info.name), info.backend);
     EXPECT_EQ(solver::execution_backend_info(info.backend).name,
               std::string(info.name));
   }
-  EXPECT_NE(solver::execution_backend_names().find("tasks"),
-            std::string::npos);
-  try {
-    solver::parse_execution_backend("bogus");
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    // The error enumerates every registered spelling.
-    const std::string what = e.what();
-    for (const solver::BackendInfo& info : solver::execution_backends()) {
-      EXPECT_NE(what.find(info.name), std::string::npos) << info.name;
+  // The audit and the fault stack are layers (--check, --faults), not
+  // backends; their old spellings are junk like any other.
+  for (const char* junk : {"bogus", "checked", "faulty-threads"}) {
+    try {
+      solver::parse_execution_backend(junk);
+      ADD_FAILURE() << "expected InvalidArgument for " << junk;
+    } catch (const InvalidArgument& e) {
+      // The error enumerates every registered spelling.
+      const std::string what = e.what();
+      for (const solver::BackendInfo& info : solver::execution_backends()) {
+        EXPECT_NE(what.find(info.name), std::string::npos) << info.name;
+      }
     }
   }
 }

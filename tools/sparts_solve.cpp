@@ -56,7 +56,10 @@ options:
               << info.summary << "\n";
   }
   std::cout <<
-      R"(  --kernels NAME        tiled (cache-blocked dense kernels) | ref (naive
+      R"(  --check               audit every phase's messages for wildcard races,
+                        tag collisions, orphaned sends and deadlock cycles;
+                        findings fail the run (sim, threads, tasks)
+  --kernels NAME        tiled (cache-blocked dense kernels) | ref (naive
                         loops; conformance oracle)  (default: SPARTS_KERNELS
                         environment variable, else tiled)
   --refine N            iterative-refinement steps        (default 0)
@@ -65,7 +68,8 @@ options:
   --amalgamate W,Z      relaxed supernodes: max width W, relax Z zeros/col
 
 robustness (see docs/robustness.md):
-  --faults SPEC         fault scenario for the faulty backends, e.g.
+  --faults SPEC         inject this fault scenario under the reliability
+                        envelope (sim, threads), e.g.
                         seed=42,drop=0.05,dup=0.02,delay=0.1:0.01,
                         reorder=0.05,stall=2@0.5,crash=1@40,max_faults=100
   --pivot MODE          fail (throw on a non-positive pivot, default) |
@@ -91,9 +95,9 @@ observability:
   --trace FILE.json     record per-rank event traces and write them as
                         Chrome trace_event JSON (open in Perfetto or
                         chrome://tracing).  Timestamps are virtual
-                        cost-model seconds on sim/checked backends, wall
-                        seconds on threads.  SPARTS_TRACE=FILE.json does
-                        the same; the flag wins.
+                        cost-model seconds on sim, wall seconds on
+                        threads, tasks and proc.  SPARTS_TRACE=FILE.json
+                        does the same; the flag wins.
   --metrics FILE.json   collect counters / gauges / histograms (message
                         sizes, kernel flop rates, per-phase splits) and
                         write them plus the phase profile as JSON
@@ -210,8 +214,10 @@ int main(int argc, char** argv) {
         options.backend = solver::parse_execution_backend(next());
       } else if (arg == "--kernels") {
         options.kernels = parse_kernels(next());
+      } else if (arg == "--check") {
+        options.check = true;
       } else if (arg == "--faults") {
-        options.fault_plan = exec::FaultPlan::parse(next());
+        options.faults = exec::FaultPlan::parse(next());
       } else if (arg == "--pivot") {
         options.pivot_mode = parse_pivot(next());
       } else if (arg == "--proc-rank") {
@@ -298,15 +304,7 @@ int main(int argc, char** argv) {
       const solver::BackendInfo& binfo =
           solver::execution_backend_info(options.backend);
       const bool sim =
-          options.backend == solver::ExecutionBackend::simulated ||
-          options.backend == solver::ExecutionBackend::checked ||
-          options.backend == solver::ExecutionBackend::faulty;
-      const bool checked =
-          options.backend == solver::ExecutionBackend::checked ||
-          options.backend == solver::ExecutionBackend::checked_threads;
-      const bool faulty =
-          options.backend == solver::ExecutionBackend::faulty ||
-          options.backend == solver::ExecutionBackend::faulty_threads;
+          options.backend == solver::ExecutionBackend::simulated;
       const bool tasks = options.backend == solver::ExecutionBackend::tasks;
       std::cout << "\nbackend " << binfo.name << " (" << binfo.summary
                 << "): " << procs
@@ -359,13 +357,13 @@ int main(int argc, char** argv) {
         cp_line("forward ", result.forward_critical_path);
         cp_line("backward", result.backward_critical_path);
       }
-      if (checked) {
+      if (options.check) {
         std::cout << "message audit:   " << result.checked_messages
                   << " sends checked, " << result.analysis_findings
                   << " findings\n";
       }
-      if (faulty) {
-        std::cout << "fault injection: " << options.fault_plan.summary()
+      if (options.faults) {
+        std::cout << "fault injection: " << options.faults->summary()
                   << "\n"
                   << "  injected " << result.faults_injected
                   << " fault(s), recovered with " << result.retransmits
