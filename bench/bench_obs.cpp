@@ -86,7 +86,7 @@ int main() {
 
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.disable();
-  run_workload(prob, backend, m);  // warm up pools, caches, arena
+  run_workload(prob, backend, m);  // warm up pools and caches
   tracer.enable();
   run_workload(prob, backend, m);  // first traced run allocates buffers
 

@@ -1,5 +1,5 @@
 // Atomics policy: the seam that lets the lock-free primitives (SpscRing,
-// ParkingSlot, WorkDeque, DonationPool) compile against std::atomic in
+// ParkingSlot, WorkDeque) compile against std::atomic in
 // production and against the model checker's verify::atomic under test —
 // same source lines, zero runtime indirection.
 //

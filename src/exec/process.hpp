@@ -42,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "exec/cost_model.hpp"
@@ -60,10 +59,10 @@ inline constexpr index_t kAnySource = -1;
 /// tags, so this negative plane can never collide with data traffic.
 inline constexpr int kCtrlTag = -1000001;
 
-/// The message payload buffer type, arena-backed (common/arena.hpp) so
-/// panels land in the per-thread NUMA arenas and so an owned buffer can
-/// move through a backend's ring without a copy (send_owned below).
-using Payload = std::vector<std::byte, common::ArenaAllocator<std::byte>>;
+/// The message payload buffer type.  Its allocator is stateless, so an
+/// owned buffer moves through a backend's ring whole, without a copy
+/// (send_owned below).
+using Payload = std::vector<std::byte>;
 
 /// Payloads at least this large take the zero-copy lane when sent with
 /// send_owned on a backend that supports it; smaller ones are copied

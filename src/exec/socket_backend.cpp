@@ -103,6 +103,7 @@ struct PeerState {
   std::condition_variable cv;
   std::shared_ptr<wire::WireConn> conn;
   std::deque<OutFrame> outbox;
+  bool writing = false;    ///< the sender holds a popped, unwritten frame
   bool stop = false;
   bool goodbye = false;    ///< peer announced a clean shutdown
   bool suspected = false;  ///< failure detector fired for this peer
@@ -403,6 +404,7 @@ void SocketSession::sender_loop(PeerState& peer) {
       }
       frame = std::move(peer.outbox.front());
       peer.outbox.pop_front();
+      peer.writing = true;
       conn = peer.conn;
     }
     // Failed writes are deliberately fire-and-forget: a chaos drop or a
@@ -410,6 +412,13 @@ void SocketSession::sender_loop(PeerState& peer) {
     // periodic re-send (heartbeats, barrier), or failure detection.
     (void)conn->write_frame(frame.kind, config_.rank, frame.epoch, frame.tag,
                             {frame.payload.data(), frame.payload.size()});
+    bool drained = false;
+    {
+      std::lock_guard<std::mutex> lock(peer.mx);
+      peer.writing = false;
+      drained = peer.outbox.empty();
+    }
+    if (drained) peer.cv.notify_all();  // shutdown()'s drain wait
   }
 }
 
@@ -902,13 +911,16 @@ void SocketSession::shutdown() {
     }
     slot->cv.notify_all();
   }
-  // Grace period for the outboxes to drain (healthy links take
-  // microseconds; a dead link fails fast).
+  // Grace period for each outbox to drain and its last frame, the
+  // goodbye, to be written before the link is shut below (healthy links
+  // take microseconds; a dead link fails fast).
   const Clock::time_point grace = Clock::now() + std::chrono::seconds(1);
   for (auto& slot : peers_) {
     if (slot == nullptr) continue;
     std::unique_lock<std::mutex> lock(slot->mx);
-    slot->cv.wait_until(lock, grace, [&] { return slot->outbox.empty(); });
+    slot->cv.wait_until(lock, grace, [&] {
+      return slot->outbox.empty() && !slot->writing;
+    });
   }
 
   stopping_.store(true, std::memory_order_release);
@@ -922,10 +934,11 @@ void SocketSession::shutdown() {
   }
   cv_.notify_all();
 
-  // The accept thread polls listener_ with a 0.2 s timeout and re-checks
-  // stopping_ between polls, so it must be joined *before* the listener fd
-  // is closed — closing out from under its poll() is a data race on the fd
-  // (and risks fd reuse hitting the wrong descriptor).
+  // Wake the accept thread's poll, which then sees stopping_.  It must be
+  // joined *before* the listener fd is closed — closing out from under
+  // its poll() is a data race on the fd (and risks fd reuse hitting the
+  // wrong descriptor).
+  listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
 

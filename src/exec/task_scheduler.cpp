@@ -136,6 +136,17 @@ void TaskScheduler::worker_loop(int w) {
   // only by this thread (the tracer's single-writer ring discipline).
   const std::int32_t track = obs::worker_track(w);
   auto& tracer = obs::Tracer::instance();
+  // Open this worker's counter tracks at their initial values, so a
+  // traced run has them even when no worker ever parks.  TaskBackend
+  // starts a scheduler per run, after Tracer::begin_run().
+  if (obs::Tracer::enabled()) {
+    tracer.record_local(track, obs::EventKind::counter, obs::Category::sched,
+                        "sched.deque_depth", tracer.run_elapsed(),
+                        self.depth.load(std::memory_order_relaxed));
+    tracer.record_local(track, obs::EventKind::counter, obs::Category::sched,
+                        "sched.parked_workers", tracer.run_elapsed(),
+                        parked_.load(std::memory_order_relaxed));
+  }
   for (;;) {
     Job job;
     bool found = false;

@@ -88,7 +88,7 @@ class WallProcess final : public Process {
 
   void send(index_t dst, int tag,
             std::span<const std::byte> payload) override {
-    // Copy lane: capture the payload into a fresh (arena) buffer.
+    // Copy lane: capture the payload into a fresh buffer.
     post(dst, tag, Payload(payload.begin(), payload.end()),
          /*copied_bytes=*/payload.size());
   }

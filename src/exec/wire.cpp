@@ -506,6 +506,10 @@ int Listener::accept_fd(double timeout_s) {
   return fd;
 }
 
+void Listener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -208,6 +208,9 @@ class Listener {
   /// Accept one connection, waiting at most `timeout_s` (poll-based).
   /// Returns the connected fd, or -1 on timeout / a closed listener.
   int accept_fd(double timeout_s);
+  /// Stop listening without closing the fd: a thread blocked in
+  /// accept_fd() returns -1 at once, and so does every later call.
+  void shutdown();
   void close();
 
  private:

@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/types.hpp"
 #include "symbolic/supernodes.hpp"
 
@@ -60,9 +59,7 @@ class SupernodalFactor {
  private:
   symbolic::SupernodePartition part_;
   std::vector<nnz_t> offset_;
-  /// Arena-backed (common/arena.hpp): the factor is by far the largest
-  /// allocation in a solve, so it benefits most from huge pages.
-  common::ArenaVector<real_t> values_;
+  std::vector<real_t> values_;
 };
 
 }  // namespace sparts::numeric

@@ -7,7 +7,6 @@
 #include <ostream>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -20,15 +19,6 @@ using SteadyClock = std::chrono::steady_clock;
 
 double seconds_since(SteadyClock::time_point t0) {
   return std::chrono::duration<double>(SteadyClock::now() - t0).count();
-}
-
-/// Sample the arena's live-byte count onto the host track as a counter
-/// event: every phase boundary becomes a point on the Perfetto
-/// "arena.live_bytes" counter track, charting memory across the pipeline.
-void sample_arena_counter(double ts) {
-  Tracer::instance().record(
-      kHostTrack, EventKind::counter, Category::other, "arena.live_bytes", ts,
-      static_cast<std::int64_t>(common::arena_stats().live_bytes));
 }
 
 void write_escaped(std::ostream& out, const std::string& s) {
@@ -78,7 +68,6 @@ void PhaseProfiler::begin(const std::string& name) {
   Tracer::instance().record(kHostTrack, EventKind::span_begin,
                             Category::phase, open.interned,
                             open.timeline_start);
-  sample_arena_counter(open.timeline_start);
   stack_.push_back(std::move(open));
 }
 
@@ -104,7 +93,6 @@ void PhaseProfiler::end() {
   rec.duration = tracer.timeline() - open.timeline_start;
   tracer.record(kHostTrack, EventKind::span_end, Category::phase,
                 open.interned, open.timeline_start + rec.duration);
-  sample_arena_counter(open.timeline_start + rec.duration);
 
   if (metrics_enabled()) {
     metrics().gauge("phase." + rec.name + ".seconds").set(rec.duration);
@@ -135,7 +123,6 @@ void PhaseProfiler::end_parallel(const ParallelPhaseStats& stats) {
       std::max(stats.parallel_time, tracer.timeline() - open.timeline_start);
   tracer.record(kHostTrack, EventKind::span_end, Category::phase,
                 open.interned, open.timeline_start + rec.duration);
-  sample_arena_counter(open.timeline_start + rec.duration);
 
   if (metrics_enabled()) {
     double compute = 0.0, send = 0.0, idle = 0.0;
@@ -195,25 +182,6 @@ void PhaseProfiler::write_json(std::ostream& out, int indent) const {
 }
 
 void write_metrics_report(std::ostream& out) {
-  if (metrics_enabled()) {
-    // Snapshot the arena counters into gauges so the memory subsystem's
-    // size-class/donation behaviour lands in every metrics report.
-    const common::ArenaStats a = common::arena_stats();
-    metrics().gauge("arena.chunks").set(static_cast<double>(a.chunks));
-    metrics().gauge("arena.chunk_bytes")
-        .set(static_cast<double>(a.chunk_bytes));
-    metrics().gauge("arena.live_bytes").set(static_cast<double>(a.live_bytes));
-    metrics().gauge("arena.total_allocs")
-        .set(static_cast<double>(a.total_allocs));
-    metrics().gauge("arena.heap_fallbacks")
-        .set(static_cast<double>(a.heap_fallbacks));
-    metrics().gauge("arena.freelist_hits")
-        .set(static_cast<double>(a.freelist_hits));
-    metrics().gauge("arena.carves").set(static_cast<double>(a.carves));
-    metrics().gauge("arena.pool_refills")
-        .set(static_cast<double>(a.pool_refills));
-    metrics().gauge("arena.donations").set(static_cast<double>(a.donations));
-  }
   out << "{\n\"metrics\":\n";
   Registry::instance().write_json(out);
   out << ",\n\"phases\":\n";

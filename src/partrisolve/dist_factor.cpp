@@ -72,12 +72,12 @@ index_t DistributedFactor::checked_slot(index_t rank, index_t s) const {
   return k;
 }
 
-PanelVector& DistributedFactor::local_block(index_t rank, index_t s) {
+std::vector<real_t>& DistributedFactor::local_block(index_t rank, index_t s) {
   return blocks_[static_cast<std::size_t>(checked_slot(rank, s))];
 }
 
-const PanelVector& DistributedFactor::local_block(index_t rank,
-                                                  index_t s) const {
+const std::vector<real_t>& DistributedFactor::local_block(index_t rank,
+                                                         index_t s) const {
   return blocks_[static_cast<std::size_t>(checked_slot(rank, s))];
 }
 

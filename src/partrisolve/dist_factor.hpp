@@ -12,16 +12,11 @@
 
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/types.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/supernodal_factor.hpp"
 
 namespace sparts::partrisolve {
-
-/// Packed panel values live in the arena: a rank's thread first-touches
-/// (and therefore NUMA-places) exactly the blocks it will consume.
-using PanelVector = common::ArenaVector<real_t>;
 
 class DistributedFactor {
  public:
@@ -42,8 +37,8 @@ class DistributedFactor {
 
   /// Mutable local block of (world rank, supernode): packed owned rows x
   /// width(s), column-major, ld = local row count.
-  PanelVector& local_block(index_t rank, index_t s);
-  const PanelVector& local_block(index_t rank, index_t s) const;
+  std::vector<real_t>& local_block(index_t rank, index_t s);
+  const std::vector<real_t>& local_block(index_t rank, index_t s) const;
 
   bool has_block(index_t rank, index_t s) const;
 
@@ -60,9 +55,9 @@ class DistributedFactor {
   /// SubcubeMapping::participation_slots(): rank w's block of supernode s
   /// is slot slots_[s] + (w - group_base_[s]), an O(1) lookup.
   std::vector<index_t> slots_;
-  std::vector<index_t> group_base_;   ///< per supernode
-  std::vector<PanelVector> blocks_;   ///< per slot: packed values
-  std::vector<index_t> local_rows_;   ///< per slot
+  std::vector<index_t> group_base_;          ///< per supernode
+  std::vector<std::vector<real_t>> blocks_;  ///< per slot: packed values
+  std::vector<index_t> local_rows_;          ///< per slot
 };
 
 }  // namespace sparts::partrisolve

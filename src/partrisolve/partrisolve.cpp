@@ -351,7 +351,7 @@ struct RankScratch {
   /// The fragment at row offset `rows` of the stack (nloc x m, ld nloc).
   real_t* fragment(index_t rows) { return stack.data() + rows * m; }
 
-  PanelVector stack;
+  std::vector<real_t> stack;
   std::vector<real_t> temp;  ///< in-place step scratch
   std::vector<RhsPacket> out;
   RhsPacket in;

@@ -43,8 +43,9 @@ SymmetricCsc random_spd(index_t n, index_t avg_off_diag, Rng& rng);
 
 /// Random symmetric *indefinite* but strictly diagonally dominant matrix:
 /// like random_spd, but each diagonal entry's sign is flipped negative
-/// with probability `negative_fraction`.  L D L^T factors it without
-/// pivoting; Cholesky rejects it.  Used to test the LDL^T path.
+/// with probability `negative_fraction`.  Cholesky rejects it; an
+/// L D L^T factorization would need no pivoting.  Used to test the
+/// factorizations' pivot checks.
 SymmetricCsc random_symmetric_dd(index_t n, index_t avg_off_diag,
                                  double negative_fraction, Rng& rng);
 

@@ -7,11 +7,11 @@
 // protocol that forgets an acquire/release/fence pair FAILS here even
 // though it would pass a lifetime of stress tests on x86.
 //
-// The primitives under test (SpscRing, ParkingSlot, WorkDeque,
-// DonationPool) are templates over an atomics policy
-// (common/atomics_policy.hpp); instantiating them with VerifyAtomics swaps
-// std::atomic / std::mutex / std::condition_variable for the modeled twins
-// below — the exact same source lines production compiles.
+// The primitives under test (SpscRing, ParkingSlot, WorkDeque) are
+// templates over an atomics policy (common/atomics_policy.hpp);
+// instantiating them with VerifyAtomics swaps std::atomic / std::mutex /
+// std::condition_variable for the modeled twins below — the exact same
+// source lines production compiles.
 //
 // Checked properties:
 //   * data races: Cell<T> (non-atomic slots) accesses without a

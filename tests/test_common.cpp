@@ -1,12 +1,9 @@
 // common/ utilities: error machinery, table formatting, timers.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
+#include <chrono>
 #include <thread>
-#include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -71,28 +68,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_si(2'000'000'000.0), "2.00G");
   EXPECT_EQ(format_si(999.0), "999.00");
   EXPECT_EQ(format_si(1200.0), "1.20K");
-}
-
-TEST(Arena, HeapFallbackPayloadsAreCacheLineAligned) {
-  // With the arena off, every block comes from operator new behind the
-  // 64-byte header, and its payload keeps the arena's 64-byte alignment.
-  const bool was_on = common::arena_enabled();
-  common::arena_force_enabled_for_test(false);
-  std::vector<std::size_t> sizes;
-  for (std::size_t bytes = 1; bytes < (std::size_t{3} << 20);
-       bytes = 2 * bytes + 1) {
-    sizes.push_back(bytes);
-  }
-  sizes.push_back(std::size_t{3} << 20);
-  std::vector<void*> blocks;
-  for (const std::size_t bytes : sizes) {
-    void* p = common::arena_alloc(bytes);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u) << bytes;
-    std::memset(p, 0x5a, bytes);
-    blocks.push_back(p);
-  }
-  for (void* p : blocks) common::arena_free(p);
-  common::arena_force_enabled_for_test(was_on);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

@@ -1,15 +1,10 @@
-// LDL^T factorization (symmetric indefinite) and iterative refinement.
+// Iterative refinement on the sequential solver.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
-#include "numeric/ldlt.hpp"
-#include "numeric/simplicial.hpp"
-#include "numeric/multifrontal.hpp"
 #include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
-#include "symbolic/symbolic.hpp"
 #include "trisolve/trisolve.hpp"
 
 namespace sparts {
@@ -19,85 +14,6 @@ real_t residual_general(const sparse::SymmetricCsc& a,
                         std::span<const real_t> x, std::span<const real_t> b,
                         index_t m) {
   return trisolve::relative_residual(a, x, b, m);
-}
-
-TEST(Ldlt, FactorsIndefiniteDiagDominant) {
-  Rng rng(31);
-  const sparse::SymmetricCsc a = sparse::random_symmetric_dd(60, 4, 0.4, rng);
-  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
-  // Cholesky must reject it (some pivots negative)...
-  EXPECT_THROW(numeric::simplicial_cholesky(a, sym), NumericalError);
-  // ...LDL^T must succeed.
-  const numeric::LdltFactor f = numeric::simplicial_ldlt(a, sym);
-  // Both signs occur in D.
-  int neg = 0, pos = 0;
-  for (index_t j = 0; j < a.n(); ++j) (f.d(j) < 0 ? neg : pos) += 1;
-  EXPECT_GT(neg, 0);
-  EXPECT_GT(pos, 0);
-}
-
-TEST(Ldlt, SolveMatchesKnownSolution) {
-  Rng rng(32);
-  const sparse::SymmetricCsc a =
-      sparse::random_symmetric_dd(80, 3, 0.3, rng);
-  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
-  const numeric::LdltFactor f = numeric::simplicial_ldlt(a, sym);
-
-  const index_t n = a.n(), m = 3;
-  std::vector<real_t> x_true = sparse::random_rhs(n, m, rng);
-  std::vector<real_t> b(static_cast<std::size_t>(n * m), 0.0);
-  a.symm(1.0, x_true.data(), b.data(), m);
-  std::vector<real_t> x = b;
-  numeric::ldlt_solve(f, x.data(), m);
-  for (std::size_t z = 0; z < x.size(); ++z) {
-    EXPECT_NEAR(x[z], x_true[z], 1e-8);
-  }
-}
-
-TEST(Ldlt, ReconstructsMatrix) {
-  Rng rng(33);
-  const sparse::SymmetricCsc a = sparse::random_symmetric_dd(25, 3, 0.5, rng);
-  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
-  const numeric::LdltFactor f = numeric::simplicial_ldlt(a, sym);
-  // A(i, j) == sum_k L(i,k) d_k L(j,k).
-  for (index_t j = 0; j < a.n(); ++j) {
-    auto rows = a.col_rows(j);
-    auto vals = a.col_values(j);
-    for (std::size_t z = 0; z < rows.size(); ++z) {
-      const index_t i = rows[z];
-      real_t s = 0.0;
-      // k <= j <= i always holds here (lower-triangle storage).
-      for (index_t k = 0; k <= j; ++k) {
-        s += f.l_at(i, k) * f.d(k) * f.l_at(j, k);
-      }
-      EXPECT_NEAR(s, vals[z], 1e-9) << "(" << i << ", " << j << ")";
-    }
-  }
-}
-
-TEST(Ldlt, AgreesWithCholeskyOnSpd) {
-  // On an SPD matrix, L_ldlt * sqrt(D) must equal the Cholesky factor.
-  const sparse::SymmetricCsc a = sparse::grid2d(7, 7);
-  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
-  const numeric::LdltFactor f = numeric::simplicial_ldlt(a, sym);
-  const numeric::CscFactor l = numeric::simplicial_cholesky(a, sym);
-  for (index_t j = 0; j < a.n(); ++j) {
-    ASSERT_GT(f.d(j), 0.0);
-    const real_t sd = std::sqrt(f.d(j));
-    for (index_t i : sym.col_rows(j)) {
-      EXPECT_NEAR(f.l_at(i, j) * sd, l.at(i, j), 1e-10);
-    }
-  }
-}
-
-TEST(Ldlt, RejectsExactZeroPivot) {
-  sparse::Triplets t(2, 2);
-  t.add(0, 0, 0.0);
-  t.add(1, 1, 1.0);
-  t.add(1, 0, 1.0);
-  sparse::SymmetricCsc a = sparse::SymmetricCsc::from_triplets(t);
-  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
-  EXPECT_THROW(numeric::simplicial_ldlt(a, sym), NumericalError);
 }
 
 TEST(Refinement, ImprovesOrHoldsResidual) {

@@ -1,12 +1,13 @@
 // Message-path tests: the lock-free SPSC ring under adversarial
-// interleavings, the zero-copy owned-send lane's accounting, and the
-// cross-backend conformance promise — simulator, thread backend (rings on
-// AND off), and task backend produce bit-identical solves with the arena
-// allocator active.  Registered under the CTest label `real` so the ring
-// stress runs under -DSPARTS_SANITIZE=thread in CI: the SPSC ordering
-// argument in spsc_ring.hpp is exactly the kind of claim TSan can refute.
+// interleavings, the zero-copy owned-send lane, and the cross-backend
+// conformance promise — simulator, thread backend (rings on AND off), and
+// task backend produce bit-identical solves.  Registered under the CTest
+// label `real` so the ring stress runs under -DSPARTS_SANITIZE=thread in
+// CI: the SPSC ordering argument in spsc_ring.hpp is exactly the kind of
+// claim TSan can refute.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstring>
@@ -15,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "exec/process.hpp"
 #include "exec/spsc_ring.hpp"
@@ -199,22 +199,33 @@ void check_stamp(const exec::Payload& p, unsigned seed, std::size_t len) {
 }
 
 /// Ping-pong `rounds` owned sends of `len` bytes on `comm` and return the
-/// run's total bytes_copied.
+/// run's total bytes_copied.  At or above kZeroCopyThreshold each receiver
+/// also checks that it holds the sender's own buffer, not a copy of it.
 nnz_t owned_pingpong_copied(exec::Comm& comm, std::size_t len, int rounds) {
+  // sent[r][rank]: the buffer rank sent in round r, recorded before the
+  // send, so the message orders the write before the receiver's read.
+  std::vector<std::array<const std::byte*, 2>> sent(
+      static_cast<std::size_t>(rounds));
+  const bool moved = len >= exec::kZeroCopyThreshold;
   const exec::RunStats stats =
-      comm.run([len, rounds](exec::Process& proc) {
+      comm.run([len, rounds, moved, &sent](exec::Process& proc) {
         for (int r = 0; r < rounds; ++r) {
+          auto& buf = sent[static_cast<std::size_t>(r)];
+          const auto seed = static_cast<unsigned>(r);
           if (proc.rank() == 0) {
-            proc.send_owned(1, r, stamped_payload(static_cast<unsigned>(r),
-                                                  len));
+            exec::Payload out = stamped_payload(seed, len);
+            buf[0] = out.data();
+            proc.send_owned(1, r, std::move(out));
             const exec::ReceivedMessage back = proc.recv(1, 1000 + r);
-            check_stamp(back.payload, static_cast<unsigned>(r) + 7, len);
+            check_stamp(back.payload, seed + 7, len);
+            if (moved) EXPECT_EQ(back.payload.data(), buf[1]) << "round " << r;
           } else {
             const exec::ReceivedMessage msg = proc.recv(0, r);
-            check_stamp(msg.payload, static_cast<unsigned>(r), len);
-            proc.send_owned(0, 1000 + r,
-                            stamped_payload(static_cast<unsigned>(r) + 7,
-                                            len));
+            check_stamp(msg.payload, seed, len);
+            if (moved) EXPECT_EQ(msg.payload.data(), buf[0]) << "round " << r;
+            exec::Payload out = stamped_payload(seed + 7, len);
+            buf[1] = out.data();
+            proc.send_owned(0, 1000 + r, std::move(out));
           }
         }
       });
@@ -299,7 +310,7 @@ TEST(ZeroCopy, BurstThroughRingOverflowPreservesEveryPayload) {
 }
 
 // ---------------------------------------------------------------------
-// Cross-backend conformance with the arena on.
+// Cross-backend conformance.
 // ---------------------------------------------------------------------
 
 /// Forward+backward solve of an ND-ordered 13x13 grid on `comm`; returns x.
@@ -315,15 +326,11 @@ std::vector<real_t> solve_on(exec::Comm& comm,
   return x;
 }
 
-TEST(Conformance, AllBackendsBitIdenticalWithArenaOn) {
-  // The PR-wide invariant: the SPSC rings, the zero-copy lane, and the
-  // arena allocator are pure transport/memory changes — the simulator,
-  // the thread backend with rings on, with rings off, and the fiber task
-  // backend must produce the *bit-identical* x for the same program.
-  const bool arena_was_on = common::arena_enabled();
-  common::arena_force_enabled_for_test(true);
-  const std::size_t allocs_before = common::arena_stats().total_allocs;
-
+TEST(Conformance, AllBackendsBitIdentical) {
+  // The SPSC rings and the zero-copy lane are pure transport changes —
+  // the simulator, the thread backend with rings on, with rings off, and
+  // the fiber task backend must produce the *bit-identical* x for the
+  // same program.
   sparse::SymmetricCsc a0 = sparse::grid2d(13, 13);
   const sparse::Permutation perm = ordering::nested_dissection_grid2d(13, 13);
   sparse::SymmetricCsc a = sparse::permute_symmetric(a0, perm);
@@ -355,11 +362,6 @@ TEST(Conformance, AllBackendsBitIdenticalWithArenaOn) {
     exec::TaskBackend tasks(task_cfg);
     EXPECT_EQ(solve_on(tasks, l, a, rhs, m), ref) << "tasks p=" << p;
   }
-
-  // The runs above must actually have exercised the arena (message
-  // payloads are ArenaVector<std::byte>), not silently fallen back.
-  EXPECT_GT(common::arena_stats().total_allocs, allocs_before);
-  common::arena_force_enabled_for_test(arena_was_on);
 }
 
 }  // namespace

@@ -99,6 +99,35 @@ TEST(Multifrontal, RejectsIndefiniteMatrix) {
   EXPECT_THROW(multifrontal_cholesky(a), NumericalError);
 }
 
+TEST(SimplicialCholesky, RejectsIndefiniteMatrix) {
+  // Strictly diagonally dominant with some negative diagonal entries:
+  // the elimination meets a negative pivot and names it.
+  Rng rng(31);
+  const sparse::SymmetricCsc a = sparse::random_symmetric_dd(60, 4, 0.4, rng);
+  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
+  EXPECT_THROW(simplicial_cholesky(a, sym), NumericalError);
+}
+
+TEST(SimplicialCholesky, RejectsExactZeroPivot) {
+  // [[0, 1], [1, 1]]: the first pivot is exactly zero, which is not
+  // positive either, so neither factorization takes its square root.
+  sparse::Triplets t(2, 2);
+  t.add(0, 0, 0.0);
+  t.add(1, 1, 1.0);
+  t.add(1, 0, 1.0);
+  const sparse::SymmetricCsc a = sparse::SymmetricCsc::from_triplets(t);
+  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
+  try {
+    simplicial_cholesky(a, sym);
+    FAIL() << "expected NumericalError";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("pivot at column 0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(multifrontal_cholesky(a), NumericalError);
+}
+
 TEST(Multifrontal, StatsTrackPeaks) {
   sparse::SymmetricCsc a = sparse::permute_symmetric(
       sparse::grid2d(15, 15), ordering::nested_dissection_grid2d(15, 15));

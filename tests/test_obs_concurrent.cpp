@@ -294,6 +294,50 @@ TEST(WorkerTracks, TaskBackendRunEmitsSchedulerTimeline) {
             count_occurrences(json, "\"ph\": \"E\""));
 }
 
+/// Names of the events exported on the track labelled `label`, in order;
+/// empty when the trace has no such track.
+std::vector<std::string> track_event_names(const std::string& json,
+                                           const std::string& label) {
+  std::vector<std::string> names;
+  std::size_t pos = json.find("\"args\": {\"name\": \"" + label + "\"}}");
+  if (pos == std::string::npos) return names;
+  pos = json.find("\"thread_sort_index\"", pos);
+  const std::string key = "{\"name\": \"";
+  for (pos = json.find(key, pos); pos != std::string::npos;
+       pos = json.find(key, pos)) {
+    pos += key.size();
+    const std::string name = json.substr(pos, json.find('"', pos) - pos);
+    if (name == "thread_name") break;  // the next track's metadata
+    names.push_back(name);
+  }
+  return names;
+}
+
+TEST(WorkerTracks, EveryWorkerOpensItsCounterTracksAtStart) {
+  // Each worker writes its counter tracks' initial values before it looks
+  // for work, so every worker track of a traced run starts with both
+  // counters, whether or not that worker ever parks.
+  TracerGuard guard(1 << 14);
+  exec::TaskBackend::Config cfg;
+  cfg.nprocs = 2;
+  cfg.scheduler.workers = 3;
+  exec::TaskBackend backend(cfg);
+  obs::Tracer::instance().begin_run();
+  backend.run([](exec::Process& proc) { proc.compute(10.0); });
+  obs::Tracer::instance().end_run(0.0);
+
+  std::ostringstream out;
+  obs::Tracer::instance().write_chrome_trace(out);
+  const std::string json = out.str();
+  for (int w = 0; w < cfg.scheduler.workers; ++w) {
+    const std::vector<std::string> names =
+        track_event_names(json, "worker " + std::to_string(w));
+    ASSERT_GE(names.size(), 2u) << "worker " << w << "\n" << json;
+    EXPECT_EQ(names[0], "sched.deque_depth") << "worker " << w;
+    EXPECT_EQ(names[1], "sched.parked_workers") << "worker " << w;
+  }
+}
+
 TEST(WorkerTracks, SingleWorkerSpanStructureIsDeterministic) {
   // With one worker the schedule is sequential, so two identical runs
   // must emit the identical number of run spans and fiber instants

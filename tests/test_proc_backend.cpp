@@ -5,8 +5,8 @@
 //   * Wire-level units in-process: CRC32C test vectors, header
 //     encode/decode with corruption, full frames over a socketpair
 //     (including a payload flip -> bad_payload with the stream still
-//     framed), the chaos-spec and host:port parsers, and the
-//     RTT-derived envelope timeout.
+//     framed), the listener's shutdown wake-up, the chaos-spec and
+//     host:port parsers, and the RTT-derived envelope timeout.
 //
 //   * Cohort tests that fork REAL OS processes: each child builds its
 //     rank's SocketBackend over a rendezvous directory, runs the SPMD
@@ -33,6 +33,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +200,40 @@ TEST(WireConn, GarbageHeaderClosesConnection) {
   wire::Frame f;
   EXPECT_EQ(b.read_frame(&f), wire::ReadStatus::closed);
   close(fds[0]);
+}
+
+TEST(WireListener, ShutdownWakesBlockedAccept) {
+  // SocketSession::shutdown() wakes its accept thread this way instead of
+  // waiting out the poll: a blocked accept_fd() returns -1 at once, so
+  // does every later call, and the fd stays open until close().
+  constexpr double kWait = 10.0;  // seconds accept_fd() would poll
+  constexpr double kBound = 2.0;  // seconds a woken call may take
+  wire::Listener listener;
+  listener.open(wire::Endpoint{"127.0.0.1", 0});
+  int accepted = 0;
+  double took = -1.0;
+  std::thread acceptor([&] {  // sparts-lint: allow(raw-thread)
+    const auto t0 = std::chrono::steady_clock::now();
+    accepted = listener.accept_fd(kWait);
+    took = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+               .count();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  listener.shutdown();
+  acceptor.join();
+  EXPECT_EQ(accepted, -1);
+  EXPECT_LT(took, kBound);
+
+  EXPECT_TRUE(listener.valid());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(listener.accept_fd(kWait), -1);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            kBound);
+  listener.close();
+  EXPECT_FALSE(listener.valid());
 }
 
 // ---------------------------------------------------------------------------
@@ -415,6 +450,38 @@ TEST(ProcCohort, CollectivesAndRepeatedRuns) {
     return 0;
   });
   EXPECT_EQ(codes, std::vector<int>(p, 0));
+}
+
+/// Teardown of a healthy cohort is prompt on every rank: each outbox
+/// drains in microseconds and the accept thread is woken, so
+/// socket_session_shutdown() sits out neither the 1 s drain grace nor the
+/// accept poll.
+TEST(ProcCohort, HealthyShutdownIsPromptOnEveryRank) {
+  TempDir dir;
+  constexpr index_t p = 4;
+  constexpr double kBound = 0.5;  // seconds
+  const auto codes = fork_ranks(p, dir.path, [&](index_t r) -> int {
+    {
+      SocketBackend machine(cohort_config(r, p, dir.path));
+      machine.run([&](Process& proc) {
+        std::vector<real_t> v{static_cast<real_t>(proc.rank())};
+        allreduce_sum(proc, Group{0, p, 1}, v, 10);
+      });
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    socket_session_shutdown();
+    const double took =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    std::ofstream(dir.path + "/shutdown" + std::to_string(r)) << took;
+    return took <= kBound ? 0 : 40;
+  });
+  for (index_t r = 0; r < p; ++r) {
+    double took = -1.0;
+    std::ifstream(dir.path + "/shutdown" + std::to_string(r)) >> took;
+    EXPECT_EQ(codes[static_cast<std::size_t>(r)], 0)
+        << "rank " << r << " took " << took << " s to shut down";
+  }
 }
 
 /// The proc backend's rank accounting: for the stats-conformance program

@@ -11,7 +11,8 @@
 #include <new>  // sparts-lint: allow(naked-new)
 #include <vector>
 
-#include "common/arena.hpp"
+#include "exec/task_backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -36,12 +37,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace sparts {
 namespace {
 
-/// Heap allocations so far: operator new plus arena blocks it did not
-/// serve (arena heap fallbacks already went through operator new).
+/// Heap allocations so far.
 std::size_t allocations() {
-  const common::ArenaStats a = common::arena_stats();
-  return g_heap_allocs.load(std::memory_order_relaxed) + a.total_allocs -
-         a.heap_fallbacks;
+  return g_heap_allocs.load(std::memory_order_relaxed);
 }
 
 struct Problem {
@@ -68,8 +66,7 @@ Counted count_solve(const partrisolve::DistributedTrisolver& solver,
   Rng rng(17);
   const std::vector<real_t> b = sparse::random_rhs(n, m, rng);
   std::vector<real_t> y(b.size()), x(b.size());
-  // Warm-up: first-use allocations of the backend and the arena's
-  // per-thread caches are not the sweep's.
+  // Warm-up: the backend's first-use allocations are not the sweep's.
   solver.solve(comm, b, x, m);
   Counted c;
   std::size_t before = allocations();
@@ -108,22 +105,19 @@ TEST(SolveAllocations, SequentialSweepAllocatesOncePerPhase) {
   }
 }
 
-TEST(SolveAllocations, ParallelSweepAllocatesPerMessageNotPerSupernode) {
-  // p = 4: beyond the per-rank working memory, each message costs its
-  // payload (and the backend's delivery), never a per-supernode buffer:
-  // the single-rank subtrees below the subcube boundary (most of the
-  // supernodes) run in place, and only their roots' tails travel.  The
-  // simulator keeps the count deterministic.
+/// Solves the 31x31 grid on `comm` and checks that beyond the per-rank
+/// working memory each message costs its payload (and the backend's
+/// delivery), never a per-supernode buffer: the single-rank subtrees
+/// below the subcube boundary (most of the supernodes) run in place, and
+/// only their roots' tails travel.
+void expect_allocations_per_message(exec::Comm& comm) {
   const Problem prob = grid_problem(31);
   const index_t nsup = prob.l.partition().num_supernodes();
-  constexpr index_t p = 4;
+  const index_t p = comm.nprocs();
   const mapping::SubcubeMapping map =
       mapping::subtree_to_subcube(prob.l.partition(), p);
-  simpar::Machine::Config cfg;
-  cfg.nprocs = p;
-  simpar::Machine machine(cfg);
   const partrisolve::DistributedTrisolver solver(prob.l, map, {});
-  const Counted c = count_solve(solver, machine, prob.a.n(), 2);
+  const Counted c = count_solve(solver, comm, prob.a.n(), 2);
   ASSERT_GT(c.forward_messages, 0);
   EXPECT_LE(c.forward_allocs, static_cast<std::size_t>(
                                   4 * c.forward_messages + 32 * p))
@@ -133,6 +127,34 @@ TEST(SolveAllocations, ParallelSweepAllocatesPerMessageNotPerSupernode) {
       << "nsup=" << nsup;
   EXPECT_LT(c.forward_allocs, static_cast<std::size_t>(nsup));
   EXPECT_LT(c.backward_allocs, static_cast<std::size_t>(nsup));
+}
+
+TEST(SolveAllocations, ParallelSweepAllocatesPerMessageNotPerSupernode) {
+  // p = 4 on the simulator, which keeps the count deterministic.
+  simpar::Machine::Config cfg;
+  cfg.nprocs = 4;
+  simpar::Machine machine(cfg);
+  expect_allocations_per_message(machine);
+}
+
+TEST(SolveAllocations, ThreadsSweepAllocatesPerMessageNotPerSupernode) {
+  // The same bound on rank threads, where every payload is a heap block
+  // of its own and a run starts its rank threads anew.
+  exec::ThreadBackend::Config cfg;
+  cfg.nprocs = 4;
+  exec::ThreadBackend backend(cfg);
+  expect_allocations_per_message(backend);
+}
+
+TEST(SolveAllocations, TasksSweepAllocatesPerMessageNotPerSupernode) {
+  // ...and on fibers, where a run starts its scheduler and fiber stacks.
+  // A fixed worker count keeps the scheduler's set-up independent of the
+  // host's core count.
+  exec::TaskBackend::Config cfg;
+  cfg.nprocs = 4;
+  cfg.scheduler.workers = 2;
+  exec::TaskBackend backend(cfg);
+  expect_allocations_per_message(backend);
 }
 
 }  // namespace

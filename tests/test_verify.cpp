@@ -1,6 +1,6 @@
 // Exhaustive model-checking suite (ctest -L verify): explores EVERY
 // bounded interleaving of the lock-free layer's protocols — SPSC ring
-// transfer, the park/wake handshake, deque stealing, arena donation — and
+// transfer, the park/wake handshake, deque stealing — and
 // proves the negative direction too: seeded concurrency bugs (relaxed
 // publish, arm-less park, unpinned notify, lock-order inversion) must be
 // CAUGHT, with a deterministic replay token.  Explored-state counts are
@@ -8,14 +8,12 @@
 // schedules) is visible in test output.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "common/donation_pool.hpp"
 #include "exec/parking.hpp"
 #include "exec/spsc_ring.hpp"
 #include "exec/ws_deque.hpp"
@@ -167,54 +165,6 @@ TEST(Verify, WorkDequeStealExhaustive) {
     });
   });
   report("deque steal", res);
-  EXPECT_TRUE(res.ok) << res.error << "\n" << res.trace;
-  EXPECT_TRUE(res.complete);
-}
-
-TEST(Verify, DonationPoolExhaustive) {
-  // A dying thread cache donating its freelists + chunk remainder while a
-  // peer concurrently refills — the arena's thread-exit protocol.
-  struct TestNode {
-    void* next_free = nullptr;
-  };
-  struct TestSpan {
-    int cur = 0;
-    int end = 0;
-    std::size_t left() const { return static_cast<std::size_t>(end - cur); }
-  };
-  const Result res = explore([](Scheduler& sch) {
-    struct World {
-      sparts::common::DonationPool<TestNode, TestSpan, 2, VerifyAtomics> pool;
-      std::array<TestNode, 8> backing;
-      TestNode* taken[2] = {nullptr, nullptr};
-    };
-    auto w = std::make_shared<World>();
-    sch.thread("dying-owner", [w] {
-      sparts::common::IntrusiveFreeList<TestNode> lists[2];
-      lists[0].push(&w->backing[0]);
-      lists[1].push(&w->backing[1]);
-      TestSpan remainder{2, 4};  // backing[2..3] still carvable
-      w->pool.donate(lists, &remainder, /*keep_span=*/true);
-      sparts::verify::check(remainder.left() == 0,
-                            "donate must clear the donated span");
-    });
-    sch.thread("allocator", [w] {
-      const auto carve = [w](TestSpan& span) -> TestNode* {
-        if (span.left() == 0) return nullptr;
-        return &w->backing[static_cast<std::size_t>(span.cur++)];
-      };
-      const auto refill = [] { return TestSpan{}; };  // mmap exhausted
-      for (auto*& slot : w->taken) slot = w->pool.acquire(0, carve, refill);
-    });
-    sch.finally([w] {
-      // Whatever interleaving ran, the pool must never hand out the same
-      // block twice.
-      sparts::verify::check(w->taken[0] == nullptr ||
-                                w->taken[0] != w->taken[1],
-                            "donation pool double-allocated a block");
-    });
-  });
-  report("donation pool", res);
   EXPECT_TRUE(res.ok) << res.error << "\n" << res.trace;
   EXPECT_TRUE(res.complete);
 }

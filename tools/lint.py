@@ -126,7 +126,7 @@ RULES = [
         re.compile(r"\b(?:std::)?memcpy\s*\("),
         "raw memcpy in solver code: panel/payload bytes must move through "
         "the sanctioned helpers (partrisolve/packets.cpp packing, the "
-        "send_owned zero-copy lane, ArenaVector moves) so every copy is "
+        "send_owned zero-copy lane, vector moves) so every copy is "
         "visible in ProcStats::bytes_copied; ad-hoc memcpy reintroduces "
         "silent copies the stats cannot see",
         # The exec/common layers ARE the sanctioned machinery, and
