@@ -1,21 +1,21 @@
 // E20 — message-path microbenchmark: per-message latency and bandwidth of
-// the thread backend's mailbox, before/after the SPSC ring fast path, and
+// the inbox (exec/inbox.hpp) that the thread and task backends share, and
 // the copy lane vs the zero-copy handoff lane (send_owned).
 //
 // Two shapes:
 //   * ping-pong: two ranks bounce one message back and forth; the wall
 //     clock over many round trips isolates per-message software overhead
-//     (match, wakeup, copy).  Columns: locked-mailbox latency (use_spsc
-//     off), SPSC-ring latency, their ratio, and the fiber task backend
-//     for reference.
+//     (match, wakeup, copy).  Columns: thread backend latency (a kernel
+//     wake per handoff once the receiver parks) and fiber task backend
+//     latency (a user-space switch).
 //   * stream: rank 0 sends a burst of messages to rank 1.  Measures
 //     bandwidth for the copy lane (send) vs the handoff lane
 //     (send_owned) and reports the bytes the backend actually copied —
 //     ~zero for owned sends above kZeroCopyThreshold is the point of the
 //     zero-copy path.
 //
-// Wall clocks on a shared host are noisy; the gated signals are the
-// SPSC/mutex latency *ratio* and the copied-bytes counters (exact).
+// Wall clocks on a shared host are noisy; the gated signal is the
+// copied-bytes counter of the handoff lane (exact).
 #include <algorithm>
 
 #include "common/timer.hpp"
@@ -96,51 +96,41 @@ void run() {
   const double scale = bench_scale();
 
   std::cout << "\nping-pong per-message latency (2 ranks, copy lane):\n";
-  TextTable lat({"bytes", "roundtrips", "mutex (us)", "spsc (us)",
-                 "spsc gain", "tasks (us)"});
+  TextTable lat({"bytes", "roundtrips", "threads (us)", "tasks (us)"});
   for (const std::size_t bytes : {8ul, 256ul, 4096ul, 65536ul}) {
     // Enough round trips that thread spawn and timer noise are amortized,
     // fewer for the large payloads that stream more data per trip.
     const int roundtrips = std::max(
         200, static_cast<int>(scale * (bytes <= 4096 ? 20000 : 2000)));
     constexpr int kReps = 3;
-    double lat_mutex = 0.0, lat_spsc = 0.0, lat_tasks = 0.0;
+    double lat_threads = 0.0, lat_tasks = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      for (const bool spsc : {false, true}) {
-        exec::ThreadBackend::Config cfg;
-        cfg.nprocs = 2;
-        cfg.use_spsc = spsc;
-        exec::ThreadBackend backend(cfg);
-        const double t = pingpong(backend, bytes, roundtrips);
-        double& slot = spsc ? lat_spsc : lat_mutex;
-        slot = rep == 0 ? t : std::min(slot, t);
-      }
+      exec::ThreadBackend::Config cfg;
+      cfg.nprocs = 2;
+      exec::ThreadBackend threads(cfg);
+      const double t_threads = pingpong(threads, bytes, roundtrips);
+      lat_threads = rep == 0 ? t_threads : std::min(lat_threads, t_threads);
       exec::TaskBackend::Config tcfg;
       tcfg.nprocs = 2;
       exec::TaskBackend tasks(tcfg);
-      const double t = pingpong(tasks, bytes, roundtrips);
-      lat_tasks = rep == 0 ? t : std::min(lat_tasks, t);
+      const double t_tasks = pingpong(tasks, bytes, roundtrips);
+      lat_tasks = rep == 0 ? t_tasks : std::min(lat_tasks, t_tasks);
     }
-    const double gain = exec::speedup(lat_mutex, lat_spsc);
     lat.new_row();
     lat.add(static_cast<long long>(bytes));
     lat.add(static_cast<long long>(roundtrips));
-    lat.add(lat_mutex * 1e6, 3);
-    lat.add(lat_spsc * 1e6, 3);
-    lat.add(gain, 2);
+    lat.add(lat_threads * 1e6, 3);
     lat.add(lat_tasks * 1e6, 3);
     json.row()
         .field("kind", std::string("pingpong"))
         .field("bytes", static_cast<long long>(bytes))
         .field("roundtrips", static_cast<long long>(roundtrips))
-        .field("lat_mutex_us", lat_mutex * 1e6)
-        .field("lat_spsc_us", lat_spsc * 1e6)
-        .field("spsc_gain", gain)
+        .field("lat_threads_us", lat_threads * 1e6)
         .field("lat_tasks_us", lat_tasks * 1e6);
   }
   std::cout << lat;
 
-  std::cout << "\nstream bandwidth (rank 0 -> rank 1, SPSC on):\n";
+  std::cout << "\nstream bandwidth (rank 0 -> rank 1, thread backend):\n";
   TextTable bw({"bytes", "msgs", "copy (MB/s)", "owned (MB/s)",
                 "copied KiB (copy)", "copied KiB (owned)"});
   for (const std::size_t bytes : {256ul, 4096ul, 65536ul}) {
@@ -176,13 +166,12 @@ void run() {
   }
   std::cout << bw;
   json.write();
-  std::cout << "\nReading: 'spsc gain' is locked-mailbox latency over "
-               "SPSC-ring latency for the\nsame ping-pong (>= 2x is the "
-               "win the ring buys); 'copied KiB' is the send-side\ncopy "
-               "into the mailbox buffer that the backend counted — every "
-               "byte on the\ncopy lane, exactly zero on the handoff lane "
-               "at or above the zero-copy\nthreshold (256 B).  Payloads "
-               "below the threshold ride the copy lane either way.\n";
+  std::cout << "\nReading: ping-pong latency is wall clock per one-way "
+               "message; 'copied KiB' is\nthe send-side copy into the "
+               "message buffer that the backend counted — every\nbyte on "
+               "the copy lane, exactly zero on the handoff lane at or above "
+               "the\nzero-copy threshold (256 B).  Payloads below the "
+               "threshold ride the copy lane\neither way.\n";
 }
 
 }  // namespace

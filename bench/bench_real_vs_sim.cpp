@@ -140,67 +140,6 @@ void run_grid(index_t k, index_t m, BenchJson& json) {
   std::cout << table;
 }
 
-/// Message-path rows: the irregular etrees where the solve is dominated
-/// by per-message overhead rather than flops (chain = one long pipelined
-/// relay; wide-flat = pure dispatch).  Before/after the SPSC+zero-copy
-/// message path on the identical program — the 'msg gain' column is
-/// end-to-end solve wall clock with the locked mailbox over the SPSC
-/// ring, at the p >= 8 where mailbox contention bites.
-void run_msgpath_workload(const PreparedProblem& prob, index_t m,
-                          BenchJson& json) {
-  std::cout << "\nworkload: " << prob.description << "  N = " << prob.a.n()
-            << "  supernodes = " << prob.part.num_supernodes()
-            << "  nrhs = " << m << "\n";
-  TextTable table({"p", "wall mutex (s)", "wall spsc (s)", "msg gain",
-                   "copied MB", "wall tasks (s)", "sim fb (s)"});
-  // These solves are short (sub-millisecond on wide-flat) and the two
-  // columns are within a few percent of each other, so they need more
-  // repetitions than the grid rows for the best-of to converge.
-  constexpr int kReps = 9;
-  for (index_t p = 8; p <= std::min<index_t>(bench_max_p(), 16); p *= 2) {
-    double wall_mutex = 0.0, wall_spsc = 0.0, wall_tasks = 0.0;
-    nnz_t copied = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (const bool spsc : {false, true}) {
-        exec::ThreadBackend::Config cfg;
-        cfg.nprocs = p;
-        cfg.use_spsc = spsc;
-        exec::ThreadBackend backend(cfg);
-        const double t = solve_time(prob, backend, m, &copied);
-        double& slot = spsc ? wall_spsc : wall_mutex;
-        slot = rep == 0 ? t : std::min(slot, t);
-      }
-      exec::TaskBackend::Config cfg;
-      cfg.nprocs = p;
-      exec::TaskBackend backend(cfg);
-      const double t = solve_time(prob, backend, m);
-      wall_tasks = rep == 0 ? t : std::min(wall_tasks, t);
-    }
-    simpar::Machine machine(t3d_config(p));
-    const double sim = solve_time(prob, machine, m);
-    table.new_row();
-    table.add(static_cast<long long>(p));
-    table.add(wall_mutex, 5);
-    table.add(wall_spsc, 5);
-    table.add(exec::speedup(wall_mutex, wall_spsc), 2);
-    table.add(static_cast<double>(copied) / (1024.0 * 1024.0), 3);
-    table.add(wall_tasks, 5);
-    table.add(sim, 5);
-    json.row()
-        .field("workload", prob.name)
-        .field("n", prob.a.n())
-        .field("nrhs", m)
-        .field("p", p)
-        .field("wall_mutex_seconds", wall_mutex)
-        .field("wall_spsc_seconds", wall_spsc)
-        .field("msgpath_gain", exec::speedup(wall_mutex, wall_spsc))
-        .field("copied_mb", static_cast<double>(copied) / (1024.0 * 1024.0))
-        .field("wall_tasks_seconds", wall_tasks)
-        .field("sim_seconds", sim);
-  }
-  std::cout << table;
-}
-
 void run() {
   print_header("E15 (real vs sim)",
                "threaded backend wall clock vs simulator prediction");
@@ -209,24 +148,6 @@ void run() {
   BenchJson json("real_vs_sim", "SPARTS_BENCH_REAL_VS_SIM_JSON");
   run_grid(k, 30, json);
   run_grid(k, 1, json);
-
-  // Message-path stressors (see run_msgpath_workload): solve wall clock
-  // before/after the SPSC + zero-copy mailbox rework.
-  const index_t chain_n =
-      std::max<index_t>(600, static_cast<index_t>(4000 * scale));
-  run_msgpath_workload(
-      prepare_natural("chain", "chain " + std::to_string(chain_n),
-                      chain_matrix(chain_n)),
-      4, json);
-  const index_t blocks =
-      std::max<index_t>(32, static_cast<index_t>(192 * scale));
-  const index_t bs = 16;
-  run_msgpath_workload(
-      prepare_natural("wideflat",
-                      "wide-flat " + std::to_string(blocks) + "x" +
-                          std::to_string(bs),
-                      wide_flat_matrix(blocks, bs)),
-      4, json);
   json.write();
   std::cout << "\nReading: 'kern gain' is wall clock with reference kernels "
                "over tiled kernels\n(same program, same thread count); 'wall "
@@ -237,10 +158,10 @@ void run() {
                "grows with p); 'sim speedup' is the\ndeterministic T3D "
                "prediction (kernel-independent).  'copied MB' is what "
                "the\nmessage path memcpy'd end to end (the zero-copy "
-               "handoff lane keeps it to the\nsub-threshold messages); "
-               "'msg gain' on the chain / wide-flat rows is solve\nwall "
-               "clock with the locked mailbox over the SPSC ring.  Set\n"
-               "SPARTS_BENCH_SCALE=1.0 for the full 127 x 127 grid.\n";
+               "handoff lane keeps it to the\nsub-threshold messages).  "
+               "bench_taskdag times the chain and wide-flat etrees\non "
+               "both backends.  Set SPARTS_BENCH_SCALE=1.0 for the full "
+               "127 x 127 grid.\n";
 }
 
 }  // namespace

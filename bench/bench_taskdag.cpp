@@ -43,7 +43,7 @@ namespace sparts::bench {
 namespace {
 
 // chain_matrix / wide_flat_matrix / prepare_natural live in
-// bench_common.hpp, shared with bench_real_vs_sim's message-path rows.
+// bench_common.hpp, shared with bench/e2e's chain workload.
 
 /// Wall seconds of one parallel multifrontal factorization on `comm`.
 double factor_time(const PreparedProblem& prob, exec::Comm& comm) {

@@ -1,6 +1,7 @@
-// The Dekker-style park/wake handshake used by the thread backend's
-// mailboxes, extracted from thread_backend.cpp so the exact protocol lines
-// are verifiable under the src/verify model checker.
+// The Dekker-style park/wake handshake of the thread backend's mailboxes:
+// a rank parks on its slot when its exec::Inbox (inbox.hpp) holds no
+// match, and a sender wakes it.  Extracted from thread_backend.cpp so the
+// exact protocol lines are verifiable under the src/verify model checker.
 //
 // Roles:
 //   * The OWNER (consumer) of a slot parks on the condvar when it runs out
@@ -29,10 +30,10 @@
 //   because the claimer always notifies and a re-parking owner re-arms
 //   before its re-check.
 //
-//   Producers that publish UNDER mutex() (the spill-queue path) don't
+//   Producers that publish UNDER mutex() (the inbox's spill queue) don't
 //   need the fence or the pin — the mutex serializes their publish
 //   against the owner's arm+re-check — so they use the cheaper
-//   notify_if_armed_locked_publish() / notify_owner().
+//   notify_if_armed_locked_publish().
 //
 // The memory_order sites are spelled through SPARTS_MO / SPARTS_MO_ADVISORY
 // (common/atomics_policy.hpp): the two fences are the load-bearing sites
@@ -127,10 +128,6 @@ class ParkingSlot {
     cv_.notify_one();
     return true;
   }
-
-  /// Unconditional single wake for producers that always publish under
-  /// mutex() and do not use the armed protocol (rings-off mailboxes).
-  void notify_owner() { cv_.notify_one(); }
 
   /// Broadcast, pinned: used for abort/peer-exit signals that must not be
   /// missed by an owner mid-predicate-check.

@@ -9,9 +9,11 @@
 // Four backends implement this contract:
 //   * simpar::Machine — a conservative sequential discrete-event simulator.
 //     Deterministic, cost-model clocks; reproduces the paper's T3D numbers.
-//   * exec::ThreadBackend — each rank is a std::thread; messages move
-//     through lock-free SPSC rings with a locked overflow mailbox.
-//   * exec::TaskBackend — each rank is a fiber on a work-stealing pool.
+//   * exec::ThreadBackend — each rank is a std::thread; messages arrive
+//     through an exec::Inbox: lock-free SPSC rings and a locked spill
+//     queue.
+//   * exec::TaskBackend — each rank is a fiber on a work-stealing pool,
+//     with the same inbox.
 //   * exec::SocketBackend — each rank is an OS process on TCP.
 // The three wall-clock backends hand SPMD code the same Process,
 // exec::WallProcess (exec/wall_process.hpp), which does their

@@ -71,7 +71,8 @@ struct ReliableConfig {
   /// Defaults scaled for simulated seconds (message latencies ~1e-5 s
   /// under the T3D cost model).
   static ReliableConfig for_simulated();
-  /// Defaults scaled for wall-clock seconds on the thread backend.
+  /// Defaults scaled for wall-clock seconds on the thread and task
+  /// backends.
   static ReliableConfig for_threads();
   /// Defaults scaled for a real wire (the socket backend): the timeout
   /// is derived from the measured per-peer heartbeat RTT

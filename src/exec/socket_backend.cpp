@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/inbox.hpp"
 #include "exec/wall_process.hpp"
 #include "exec/wire.hpp"
 #include "obs/flight_recorder.hpp"
@@ -396,9 +397,16 @@ void SocketSession::sender_loop(PeerState& peer) {
         return peer.stop || (!peer.outbox.empty() && peer.conn != nullptr);
       });
       if (peer.stop && (peer.outbox.empty() || peer.conn == nullptr)) {
-        if (!peer.outbox.empty() && obs::metrics_enabled()) {
-          obs::metrics().counter("sock.frames_abandoned").add(
-              static_cast<std::int64_t>(peer.outbox.size()));
+        if (!peer.outbox.empty()) {
+          if (obs::metrics_enabled()) {
+            obs::metrics().counter("sock.frames_abandoned").add(
+                static_cast<std::int64_t>(peer.outbox.size()));
+          }
+          // Emptied, so shutdown()'s drain wait ends now instead of
+          // sitting out its grace for frames no one will write.
+          peer.outbox.clear();
+          lock.unlock();
+          peer.cv.notify_all();
         }
         return;
       }

@@ -1,5 +1,6 @@
 // Lock-free bounded single-producer/single-consumer ring, the fast path
-// of the thread and task backends' message mailboxes.
+// of exec::Inbox (inbox.hpp), the message inbox of the thread and task
+// backends.
 //
 // One ring exists per (src, dst) rank pair, which is what makes it truly
 // SPSC: the only producer is the source rank and the only consumer the
@@ -15,7 +16,7 @@
 // separate cache lines so the two sides don't false-share.
 //
 // The ring is a fast path, not a contract: try_push may fail when the
-// ring is full (the backends spill to their locked fallback mailbox so
+// ring is full (the inbox then spills the message to its locked queue so
 // send() never blocks), and the element is NOT consumed on failure.
 //
 // The ring is parameterized on an atomics policy (common/atomics_policy.hpp)

@@ -5,10 +5,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
+#include "exec/inbox.hpp"
 #include "exec/wall_process.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -57,15 +57,6 @@ std::size_t env_stack_kb() {
   return kb > 0 ? static_cast<std::size_t>(kb) : 0;
 }
 
-bool env_spsc_enabled() {
-  const char* v = std::getenv("SPARTS_SPSC");
-  if (v == nullptr || *v == '\0') return true;
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
-}
-
-/// Rings are O(p^2); past this rank count fall back to the locked mailboxes.
-constexpr index_t kMaxRingRanks = 128;
-
 /// Executed-profile safety valve: a run with more fiber segments than
 /// this stops appending (the critical path of a solve is decided long
 /// before a million segments).
@@ -85,6 +76,8 @@ thread_local void* tl_worker_fake_stack = nullptr;
 // ---------------------------------------------------------------------------
 
 struct TaskBackend::Fiber {
+  explicit Fiber(index_t nprocs) : inbox(nprocs) {}
+
   index_t rank = -1;
   TaskBackend* backend = nullptr;
   const std::function<void(Process&)>* spmd = nullptr;
@@ -103,9 +96,9 @@ struct TaskBackend::Fiber {
   // Wait descriptor, valid while pause == blocked.
   index_t wait_src = 0;
   int wait_tag = 0;
-  /// Drained-but-unmatched messages, private to this fiber's executor
-  /// (the fiber itself, or its worker while the fiber is suspended).
-  std::deque<ReceivedMessage> pending;
+  /// This rank's incoming messages.  The owner side belongs to the fiber's
+  /// executor: the fiber itself, or its worker while it is suspended.
+  Inbox inbox;
   /// Context fully saved and registered as waiting — only then may a
   /// sender re-ready the fiber.  All transitions happen under
   /// state_mutex_; atomic so deliver() can probe it lock-free after its
@@ -335,9 +328,9 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
       // or probes parked after our store (it sees true and unparks us).
       f.parked.store(true, std::memory_order_seq_cst);
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      drain_overflow_locked(f);
-      drain_rings(f);
-      if (match_pending(f.pending, f.wait_src, f.wait_tag, nullptr)) {
+      f.inbox.drain_spill_locked();
+      f.inbox.drain_rings();
+      if (f.inbox.match(f.wait_src, f.wait_tag, nullptr)) {
         f.parked.store(false, std::memory_order_relaxed);
         lock.unlock();
         schedule(f, ctx.worker);
@@ -354,29 +347,6 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
     case Fiber::Pause::none:
       SPARTS_CHECK(false, "fiber suspended without a pause reason");
   }
-}
-
-bool TaskBackend::drain_rings(Fiber& f) {
-  if (!rings_on_) return false;
-  bool any = false;
-  ReceivedMessage m;
-  for (index_t s = 0; s < config_.nprocs; ++s) {
-    while (ring(s, f.rank).try_pop(&m)) {
-      f.pending.push_back(std::move(m));
-      any = true;
-    }
-  }
-  return any;
-}
-
-bool TaskBackend::drain_overflow_locked(Fiber& f) {
-  auto& box = mailboxes_[static_cast<std::size_t>(f.rank)];
-  if (box.empty()) return false;
-  while (!box.empty()) {
-    f.pending.push_back(std::move(box.front()));
-    box.pop_front();
-  }
-  return true;
 }
 
 void TaskBackend::abort_all_locked(const std::string& reason) {
@@ -419,9 +389,9 @@ ReceivedMessage TaskBackend::take_match(index_t rank, index_t src, int tag) {
   Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
   for (;;) {
     // Fast path: drain own rings and match without the state mutex.
-    drain_rings(f);
+    f.inbox.drain_rings();
     ReceivedMessage out;
-    if (match_pending(f.pending, src, tag, &out)) return out;
+    if (f.inbox.match(src, tag, &out)) return out;
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
       if (f.abort_on_resume) {
@@ -433,8 +403,8 @@ ReceivedMessage TaskBackend::take_match(index_t rank, index_t src, int tag) {
                             std::to_string(f.rank) +
                             " was waiting in recv when another rank failed");
       }
-      drain_overflow_locked(f);
-      if (match_pending(f.pending, src, tag, &out)) return out;
+      f.inbox.drain_spill_locked();
+      if (f.inbox.match(src, tag, &out)) return out;
       f.wait_src = src;
       f.wait_tag = tag;
       f.pause = Fiber::Pause::blocked;
@@ -458,7 +428,7 @@ ReceivedMessage TaskBackend::take_match(index_t rank, index_t src, int tag) {
 bool TaskBackend::take_match_now(index_t rank, index_t src, int tag,
                                  ReceivedMessage* out) {
   Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
-  drain_rings(f);
+  f.inbox.drain_rings();
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (aborted_) {
@@ -466,80 +436,81 @@ bool TaskBackend::take_match_now(index_t rank, index_t src, int tag,
                           std::to_string(f.rank) +
                           " was polling when another rank failed");
     }
-    drain_overflow_locked(f);
+    f.inbox.drain_spill_locked();
   }
-  return match_pending(f.pending, src, tag, out);
+  return f.inbox.match(src, tag, out);
 }
 
 void TaskBackend::deliver(index_t dst, ReceivedMessage&& msg) {
-  Fiber& sender = *fibers_[static_cast<std::size_t>(msg.source)];
+  const Fiber& sender = *fibers_[static_cast<std::size_t>(msg.source)];
   const int tag = msg.tag;
-  const auto bytes = static_cast<std::int64_t>(msg.payload.size());
-  obs::flight_note(static_cast<std::int32_t>(sender.rank), "send", bytes,
+  obs::flight_note(static_cast<std::int32_t>(sender.rank), "send",
+                   static_cast<std::int64_t>(msg.payload.size()),
                    static_cast<std::int64_t>(dst));
-  const bool metrics_on = obs::metrics_enabled();
   Fiber& d = *fibers_[static_cast<std::size_t>(dst)];
-  if (rings_on_ && ring(sender.rank, dst).try_push(msg)) {
-    if (metrics_on) obs::metrics().counter("msgpath.ring_hit").add(1);
-    // Dekker handshake with the consumer's park sequence in resume():
-    // the seq_cst fence orders our ring publish before the parked probe,
-    // so either we see parked==true here, or the consumer's post-park
-    // drain sees our message.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!d.parked.load(std::memory_order_relaxed)) return;
+  if (d.inbox.try_push_ring(msg)) {
+    // Dekker handshake with the consumer's park sequence in resume(): the
+    // inbox's seq_cst hint fetch_or and this seq_cst probe are totally
+    // ordered with the consumer's seq_cst parked store and fence, so
+    // either we see parked==true here, or the consumer's post-park drain
+    // sees our hint bit and with it the message.
+    if (!d.parked.load(std::memory_order_seq_cst)) return;
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (d.parked.load(std::memory_order_relaxed) && d.wait_tag == tag &&
-        (d.wait_src == kAnySource || d.wait_src == sender.rank)) {
-      d.parked.store(false, std::memory_order_relaxed);
-      --blocked_;
-      d.wake_from = sender.cur_seg;
-      if (metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
-      // Re-ready on the sending fiber's worker: the payload is hot in its
-      // cache, and the LIFO deque runs the consumer as soon as the sender
-      // next suspends — producer-consumer chains execute depth-first.
-      schedule(d, /*affinity=*/-1);
-    }
+    wake_if_waiting_locked(d, sender, tag);
     return;
   }
-  // Ring full or fast path off: locked overflow queue.
-  if (metrics_on) obs::metrics().counter("msgpath.spill").add(1);
   std::lock_guard<std::mutex> lock(state_mutex_);
-  mailboxes_[static_cast<std::size_t>(dst)].push_back(std::move(msg));
-  if (d.parked.load(std::memory_order_relaxed) && d.wait_tag == tag &&
-      (d.wait_src == kAnySource || d.wait_src == sender.rank)) {
-    d.parked.store(false, std::memory_order_relaxed);
-    --blocked_;
-    d.wake_from = sender.cur_seg;
-    if (metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
-    schedule(d, /*affinity=*/-1);
-  }
+  d.inbox.spill_locked(std::move(msg));
+  wake_if_waiting_locked(d, sender, tag);
 }
 
-void TaskBackend::poll_wait(index_t rank, double /*seconds*/) {
-  Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
-  // A fiber cannot sleep wall-clock time without wedging its worker, and
-  // it does not need to: yielding reschedules it behind every runnable
-  // peer, so by the time it runs again anything that could arrive "soon"
-  // has arrived.  The poll loops above this (exec/reliable.cpp) treat the
-  // elapsed wait as backend time, which for this backend is simply the
-  // time the other fibers used.
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (aborted_) {
-      throw DeadlockError("task backend run aborted: rank " +
-                          std::to_string(f.rank) +
-                          " was polling when another rank failed");
-    }
-    if (live_ <= 1) return;  // no peer can send: don't bother yielding
-    f.pause = Fiber::Pause::yielded;
+void TaskBackend::wake_if_waiting_locked(Fiber& d, const Fiber& sender,
+                                         int tag) {
+  if (!d.parked.load(std::memory_order_relaxed) || d.wait_tag != tag ||
+      (d.wait_src != kAnySource && d.wait_src != sender.rank)) {
+    return;
   }
-  switch_out_of_fiber(f);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  if (f.abort_on_resume || aborted_) {
-    f.abort_on_resume = false;
-    throw DeadlockError("task backend run aborted: rank " +
-                        std::to_string(f.rank) +
-                        " was polling when another rank failed");
+  d.parked.store(false, std::memory_order_relaxed);
+  --blocked_;
+  d.wake_from = sender.cur_seg;
+  if (obs::metrics_enabled()) obs::metrics().counter("msgpath.wakes").add(1);
+  // Re-ready on the sending fiber's worker: the payload is hot in its
+  // cache, and the LIFO deque runs the consumer as soon as the sender
+  // next suspends — producer-consumer chains execute depth-first.
+  schedule(d, /*affinity=*/-1);
+}
+
+void TaskBackend::poll_wait(index_t rank, double seconds) {
+  Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
+  // A fiber cannot sleep without wedging its worker, so it yields instead,
+  // to the steal end of its worker's deque behind every runnable peer,
+  // until a message arrives or `seconds` of wall time have passed.  The
+  // wall-clock bound is the contract the reliability envelope relies on:
+  // it counts every poll_wait as `seconds` of waiting, so a poll that
+  // returned after one yield would exhaust its retransmit horizon in a few
+  // thousand yields while the sender computes on another worker.
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(seconds));
+  for (bool yielded = false;; yielded = true) {
+    {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      if (f.abort_on_resume || aborted_) {
+        f.abort_on_resume = false;
+        throw DeadlockError("task backend run aborted: rank " +
+                            std::to_string(f.rank) +
+                            " was polling when another rank failed");
+      }
+      // Nothing left to wait for: no peer can send, a message arrived
+      // since the caller's last drain, or the time is up.  Yield at least
+      // once, so a polling loop always lets its queue-mates run.
+      if (live_ <= 1 || f.inbox.has_arrivals() ||
+          (yielded && Clock::now() >= deadline)) {
+        return;
+      }
+      f.pause = Fiber::Pause::yielded;
+    }
+    switch_out_of_fiber(f);
   }
 }
 
@@ -548,13 +519,7 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   running_ = true;
   aborted_ = false;
   const index_t p = config_.nprocs;
-  mailboxes_.assign(static_cast<std::size_t>(p), {});
   errors_.assign(static_cast<std::size_t>(p), nullptr);
-  rings_on_ = env_spsc_enabled() && p <= kMaxRingRanks;
-  rings_ = rings_on_ ? std::make_unique<SpscRing<ReceivedMessage>[]>(
-                           static_cast<std::size_t>(p) *
-                           static_cast<std::size_t>(p))
-                     : nullptr;
   fibers_.clear();
   fibers_.reserve(static_cast<std::size_t>(p));
   live_ = p;
@@ -572,7 +537,7 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   done_ = &done;
 
   for (index_t r = 0; r < p; ++r) {
-    auto f = std::make_unique<Fiber>();
+    auto f = std::make_unique<Fiber>(p);
     f->rank = r;
     f->backend = this;
     f->spmd = &spmd;

@@ -34,21 +34,21 @@
 // aborts with DeadlockError (this subsumes ThreadBackend's "every other
 // rank already finished" rule).
 //
-// Message path: like ThreadBackend, messages travel through per-(src,dst)
-// lock-free SPSC rings (spsc_ring.hpp) and a parked receiver is re-readied
-// through a seq_cst publish/probe handshake against the sender; the locked
-// per-rank mailbox is the ring-overflow fallback.  send_owned() moves the
-// payload buffer through the ring (zero-copy for large panels).
+// Message path: each rank's messages arrive through the same exec::Inbox
+// as ThreadBackend's (exec/inbox.hpp): per-source lock-free SPSC rings,
+// and a spill queue for a full ring whose methods run under state_mutex_.
+// A parked receiver is re-readied through a seq_cst publish/probe
+// handshake against the sender.  send_owned() moves the payload buffer
+// through the ring (zero-copy for large panels).
 //
 // Tuning knobs (environment): SPARTS_TASK_WORKERS, SPARTS_TASK_CLUSTER
-// (see task_scheduler.hpp), SPARTS_TASK_STACK_KB (per-fiber stack,
-// default 1024) and SPARTS_SPSC=off (disable the ring fast path).
+// (see task_scheduler.hpp) and SPARTS_TASK_STACK_KB (per-fiber stack,
+// default 1024).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -56,7 +56,6 @@
 #include <vector>
 
 #include "exec/process.hpp"
-#include "exec/spsc_ring.hpp"
 #include "exec/task_scheduler.hpp"
 #include "exec/waitgroup.hpp"
 #include "obs/critical_path.hpp"
@@ -120,26 +119,17 @@ class TaskBackend final : public Comm {
   /// Non-blocking receive; throws DeadlockError when the run is aborted.
   bool take_match_now(index_t rank, index_t src, int tag,
                       ReceivedMessage* out);
-  /// Deliver to `dst`'s mailbox, waking its fiber if the message matches
+  /// Deliver to `dst`'s inbox, waking its fiber if the message matches
   /// the wait it is parked on.
   void deliver(index_t dst, ReceivedMessage&& msg);
-  /// Responsive sleep: yields the fiber once (see Process::poll_wait).
+  /// Responsive sleep: yields the fiber until a message arrives or
+  /// `seconds` of wall time have passed (see Process::poll_wait).
   void poll_wait(index_t rank, double seconds);
 
-  /// Consumer side, lock-free: move everything from rank `f`'s rings into
-  /// its private pending list.  Safe from the fiber itself or (while it is
-  /// suspended) from the worker in resume(): the scheduler hands a fiber
-  /// to one executor at a time, so the SPSC consumer role is preserved.
-  bool drain_rings(Fiber& f);
-  /// Consumer side, under state_mutex_: splice ring-overflow messages
-  /// (and everything when rings are off) into the pending list.
-  bool drain_overflow_locked(Fiber& f);
-  /// The SPSC ring carrying src→dst traffic (valid when rings_on_).
-  SpscRing<ReceivedMessage>& ring(index_t src, index_t dst) {
-    return rings_[static_cast<std::size_t>(dst) *
-                      static_cast<std::size_t>(config_.nprocs) +
-                  static_cast<std::size_t>(src)];
-  }
+  /// Under state_mutex_: if `d` is parked waiting for a message from
+  /// `sender` carrying `tag`, unpark it and re-ready it on the sending
+  /// worker.
+  void wake_if_waiting_locked(Fiber& d, const Fiber& sender, int tag);
   /// Abort the run: mark it dead and re-ready every parked fiber so it
   /// unwinds with DeadlockError.  Idempotent.
   void abort_all_locked(const std::string& reason);
@@ -161,15 +151,8 @@ class TaskBackend final : public Comm {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   /// Per-rank SPMD errors, written by each fiber, read after the run.
   std::vector<std::exception_ptr> errors_;
-  /// Ring-overflow queues, one per destination rank (every message when
-  /// the ring fast path is off).  Guarded by state_mutex_.
-  std::vector<std::deque<ReceivedMessage>> mailboxes_;
-  /// p*p SPSC rings, src→dst at rings_[dst*p + src]; null when the fast
-  /// path is off (SPARTS_SPSC=off or nprocs too large).
-  std::unique_ptr<SpscRing<ReceivedMessage>[]> rings_;
-  bool rings_on_ = false;
-  /// Guards mailboxes_, fiber park/abort flags and the live/blocked
-  /// counters.  Never held across a context switch.
+  /// Guards the inboxes' spill queues, fiber park/abort flags and the
+  /// live/blocked counters.  Never held across a context switch.
   std::mutex state_mutex_;
   index_t live_ = 0;     ///< fibers still inside spmd()
   index_t blocked_ = 0;  ///< fibers parked in recv

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "exec/waitgroup.hpp"
-#include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
 
 namespace sparts::exec {
@@ -241,15 +240,9 @@ SchedulerStats TaskScheduler::stats() const {
 }
 
 void TaskScheduler::run_graph(const TaskGraph& graph) {
-  run_graph(graph, nullptr);
-}
-
-void TaskScheduler::run_graph(const TaskGraph& graph,
-                              obs::ExecutedProfile* profile) {
   SPARTS_CHECK(tl_scheduler != this,
                "run_graph must not be called from a worker of the same pool");
   const index_t n = graph.num_tasks();
-  if (profile != nullptr) profile->clear();
   if (n == 0) return;
 
   using Clock = std::chrono::steady_clock;
@@ -274,27 +267,13 @@ void TaskScheduler::run_graph(const TaskGraph& graph,
         graph.num_predecessors(id), std::memory_order_relaxed);
   }
 
-  // Measured span per task: each executing job writes its own slot, so
-  // collection needs no lock; the wait group's final done()/wait() pair
-  // publishes every slot to this thread.
-  struct SpanSlot {
-    double start = 0.0;
-    double end = 0.0;
-    std::int32_t lane = -1;
-  };
-  std::vector<SpanSlot> slots(profile != nullptr
-                                  ? static_cast<std::size_t>(n)
-                                  : std::size_t{0});
-  const bool measure = profile != nullptr;
-
   // Release = enqueue on the node's preferred worker (or wherever the
   // releasing job is running, for locality).  Bodies that throw flip
   // `cancelled`: later tasks skip their bodies but still drain the DAG so
   // the wait group reaches zero.
   std::function<void(TaskId)> release = [&](TaskId id) {
     submit(
-        [&state, &graph, &release, &slots, &wall_start, measure,
-         id](const JobContext& ctx) {
+        [&state, &graph, &release, id](const JobContext& ctx) {
           const TaskNode& nd = graph.node(id);
           if (!state.cancelled.load(std::memory_order_acquire)) {
             const bool tracing = obs::Tracer::enabled();
@@ -313,7 +292,6 @@ void TaskScheduler::run_graph(const TaskGraph& graph,
                                   static_cast<std::int64_t>(id),
                                   static_cast<std::int64_t>(nd.item));
             }
-            const auto t0 = measure ? Clock::now() : Clock::time_point{};
             try {
               if (nd.body) nd.body();
             } catch (...) {
@@ -322,15 +300,6 @@ void TaskScheduler::run_graph(const TaskGraph& graph,
                 state.first_error = std::current_exception();
               }
               state.cancelled.store(true, std::memory_order_release);
-            }
-            if (measure) {
-              SpanSlot& slot = slots[static_cast<std::size_t>(id)];
-              slot.start = std::chrono::duration<double>(t0 - wall_start)
-                               .count();
-              slot.end = std::chrono::duration<double>(Clock::now() -
-                                                       wall_start)
-                             .count();
-              slot.lane = static_cast<std::int32_t>(ctx.worker);
             }
             if (tracing && obs::Tracer::enabled()) {
               tracer.record_local(track, obs::EventKind::span_end,
@@ -358,27 +327,6 @@ void TaskScheduler::run_graph(const TaskGraph& graph,
   if (traced_run) {
     obs::Tracer::instance().end_run(
         std::chrono::duration<double>(Clock::now() - wall_start).count());
-  }
-  if (profile != nullptr) {
-    // Spans for every task whose body actually ran (lane >= 0); the
-    // static edges restricted to those spans are the executed DAG.
-    for (TaskId id = 0; id < n; ++id) {
-      const SpanSlot& slot = slots[static_cast<std::size_t>(id)];
-      if (slot.lane < 0) continue;
-      obs::ExecutedSpan span;
-      span.id = static_cast<std::int64_t>(id);
-      span.start = slot.start;
-      span.end = slot.end;
-      span.lane = slot.lane;
-      span.kind = static_cast<std::int32_t>(graph.node(id).kind);
-      profile->spans.push_back(span);
-    }
-    for (TaskId id = 0; id < n; ++id) {
-      for (const TaskId s : graph.successors(id)) {
-        profile->edges.push_back({static_cast<std::int64_t>(id),
-                                  static_cast<std::int64_t>(s)});
-      }
-    }
   }
   if (state.first_error) std::rethrow_exception(state.first_error);
 }

@@ -13,8 +13,8 @@
 //
 // The scheduler runs two kinds of clients: explicit TaskGraph executions
 // (run_graph: atomically count down predecessors, release successors —
-// the factor/solve DAG lowerings and the per-level subgraph tasks of
-// ordering::nested_dissection) and the fiber resume-jobs of TaskBackend.
+// the per-level subgraph tasks of ordering::nested_dissection) and the
+// fiber resume-jobs of TaskBackend.
 // It knows nothing about either — a job is just a callable receiving the
 // worker it landed on and whether it was stolen, which is what the
 // tracing layer wants to know.
@@ -33,10 +33,6 @@
 #include "common/types.hpp"
 #include "exec/taskgraph.hpp"
 #include "exec/ws_deque.hpp"
-
-namespace sparts::obs {
-struct ExecutedProfile;
-}  // namespace sparts::obs
 
 namespace sparts::exec {
 
@@ -90,14 +86,6 @@ class TaskScheduler {
   /// first error is rethrown here.  Blocks the calling thread; must not
   /// be called from a worker.
   void run_graph(const TaskGraph& graph);
-
-  /// Same, but also collect the *executed* profile: one measured span per
-  /// task (start/end wall seconds relative to this call, the worker it
-  /// landed on, its TaskKind) plus the static dependency edges — the
-  /// input obs::critical_path() analyses.  Each task writes its own
-  /// preallocated slot, so collection is lock-free and adds two clock
-  /// reads per task.  `profile` may be nullptr (plain execution).
-  void run_graph(const TaskGraph& graph, obs::ExecutedProfile* profile);
 
   int workers() const { return static_cast<int>(workers_.size()); }
 

@@ -1,9 +1,6 @@
 #include "exec/thread_backend.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,13 +15,6 @@ namespace sparts::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Rings are O(p^2) per backend; past this rank count fall back to the
-/// locked mailboxes (which are O(p)).
-constexpr index_t kMaxRingRanks = 128;
-// Mailbox::ring_hint is 2 x 64 bits, one bit per possible ring source.
-static_assert(kMaxRingRanks <= 128,
-              "ring_hint words must cover every ring source rank");
 
 /// Yield-based spin budget before parking.  yield (not pause): rank
 /// threads routinely oversubscribe the cores, so giving the scheduler the
@@ -49,12 +39,6 @@ int spin_budget(index_t nprocs) {
 /// also bounds the cost of any missed edge to one slice.
 constexpr auto kParkSlice = std::chrono::milliseconds(5);
 
-bool env_spsc_default(bool config_default) {
-  const char* v = std::getenv("SPARTS_SPSC");
-  if (v == nullptr || *v == '\0') return config_default;
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,99 +49,42 @@ ThreadBackend::ThreadBackend(const Config& config)
     : config_(config), topology_(config.topology, config.nprocs) {
   SPARTS_CHECK(config.nprocs >= 1, "need at least one processor");
   SPARTS_CHECK(config.recv_timeout > 0.0, "recv_timeout must be positive");
-  config_.use_spsc = env_spsc_default(config.use_spsc);
 }
 
 void ThreadBackend::deliver(index_t dst, ReceivedMessage&& msg) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
-  const index_t src = msg.source;
-  obs::flight_note(static_cast<std::int32_t>(src), "send",
+  obs::flight_note(static_cast<std::int32_t>(msg.source), "send",
                    static_cast<std::int64_t>(msg.payload.size()),
                    static_cast<std::int64_t>(dst));
-  const bool metrics_on = obs::metrics_enabled();
-  if (mb.rings != nullptr &&
-      mb.rings[static_cast<std::size_t>(src)].try_push(msg)) {
-    // Flag our ring as possibly-nonempty so the consumer's drain visits
-    // only rings with traffic (O(active sources), not O(p)).  The
-    // seq_cst RMW keeps the Dekker argument below intact: it is ordered
-    // before the waiting probe, so a consumer that set waiting first
-    // observes the hint (and hence the message) in its post-park drain.
-    mb.ring_hint[src >> 6].fetch_or(std::uint64_t{1} << (src & 63),
-                                    std::memory_order_seq_cst);
+  bool woke = false;
+  if (mb.inbox.try_push_ring(msg)) {
     // Producer half of the Dekker handshake (see exec/parking.hpp for the
     // full argument): fence, probe-and-claim the waiting flag, pinned
     // notify.  Edge-triggered: the first push of a burst claims the flag
     // and pays the lock+notify round trip; the rest of the burst sees
     // false and stays on the pure ring path.
-    const bool woke = mb.park.notify_if_armed();
-    if (metrics_on) {
-      obs::metrics().counter("msgpath.ring_hit").add(1);
-      if (woke) obs::metrics().counter("msgpath.wakes").add(1);
-    }
-    return;
-  }
-  // Ring full or fast path off: locked fallback queue.
-  {
-    std::lock_guard<std::mutex> lock(mb.park.mutex());
-    mb.queue.push_back(std::move(msg));
-    mb.queue_size.store(mb.queue.size(), std::memory_order_release);
-  }
-  if (metrics_on) obs::metrics().counter("msgpath.spill").add(1);
-  // Targeted wakeup: each mailbox has exactly one owner, so notify_one
-  // suffices (the old notify_all woke the whole herd at high p).  With
-  // the rings on the wakeup is edge-triggered like the ring path's: the
-  // push happened under the same mutex the consumer's pre-park queue
-  // drain holds, so a consumer observed waiting is genuinely parked and
-  // one claimed notify per park is enough — a burst that overflows the
-  // ring pays the futex wake once, not per spilled message.
-  if (mb.rings == nullptr) {
-    mb.park.notify_owner();
-    if (metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
+    woke = mb.park.notify_if_armed();
   } else {
-    if (mb.park.notify_if_armed_locked_publish() && metrics_on) {
-      obs::metrics().counter("msgpath.wakes").add(1);
+    {
+      std::lock_guard<std::mutex> lock(mb.park.mutex());
+      mb.inbox.spill_locked(std::move(msg));
     }
+    // Edge-triggered like the ring path: the spill happened under the
+    // mutex the owner holds from its pre-park drain until it waits, so an
+    // owner observed waiting is genuinely parked, and one claimed notify
+    // per park is enough — a burst that overflows the ring pays the futex
+    // wake once, not per spilled message.
+    woke = mb.park.notify_if_armed_locked_publish();
   }
-}
-
-bool ThreadBackend::drain_rings(Mailbox& mb) {
-  if (mb.rings == nullptr) return false;
-  bool any = false;
-  ReceivedMessage m;
-  // Visit only the rings whose producers flagged traffic since the last
-  // drain.  exchange(0) claims the whole hint word: a bit set *during*
-  // the drain is either satisfied now (we pop the item anyway) or re-read
-  // on the next drain; a stale bit (item already popped) costs one empty
-  // try_pop.  seq_cst pairs with the producer's fetch_or (see deliver).
-  for (std::size_t w = 0; w < 2; ++w) {
-    std::uint64_t bits = mb.ring_hint[w].exchange(0, std::memory_order_seq_cst);
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::size_t s = w * 64 + static_cast<std::size_t>(bit);
-      while (mb.rings[s].try_pop(&m)) {
-        mb.pending.push_back(std::move(m));
-        any = true;
-      }
-    }
+  if (woke && obs::metrics_enabled()) {
+    obs::metrics().counter("msgpath.wakes").add(1);
   }
-  return any;
-}
-
-bool ThreadBackend::drain_queue_locked(Mailbox& mb) {
-  if (mb.queue.empty()) return false;
-  while (!mb.queue.empty()) {
-    mb.pending.push_back(std::move(mb.queue.front()));
-    mb.queue.pop_front();
-  }
-  mb.queue_size.store(0, std::memory_order_release);
-  return true;
 }
 
 ReceivedMessage ThreadBackend::take_match(index_t rank, index_t src, int tag) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
   ReceivedMessage out;
-  if (match_pending(mb.pending, src, tag, &out)) return out;
+  if (mb.inbox.match(src, tag, &out)) return out;
   // Flight-note only blocking receives (the fast pop above stays silent):
   // when the run dies, the dump shows what each rank was waiting on.
   obs::flight_note(static_cast<std::int32_t>(rank), "recv_wait",
@@ -178,8 +105,8 @@ ReceivedMessage ThreadBackend::take_match(index_t rank, index_t src, int tag) {
   int idle_rounds = 0;
   for (;;) {
     // Fast path: drain the rings and match from pending.
-    if (drain_rings(mb)) {
-      if (match_pending(mb.pending, src, tag, &out)) return out;
+    if (mb.inbox.drain_rings()) {
+      if (mb.inbox.match(src, tag, &out)) return out;
       idle_rounds = 0;  // traffic is flowing; keep consuming the burst
       continue;
     }
@@ -191,14 +118,14 @@ ReceivedMessage ThreadBackend::take_match(index_t rank, index_t src, int tag) {
       continue;
     }
 
-    // Slow path: fallback queue, then park.
+    // Slow path: spill queue, then park.
     std::unique_lock<std::mutex> lock(mb.park.mutex());
-    drain_queue_locked(mb);
-    if (match_pending(mb.pending, src, tag, &out)) return out;
+    mb.inbox.drain_spill_locked();
+    if (mb.inbox.match(src, tag, &out)) return out;
     mb.park.arm();
-    if (drain_rings(mb)) {  // consumer half of the Dekker handshake
+    if (mb.inbox.drain_rings()) {  // consumer half of the Dekker handshake
       mb.park.disarm();
-      if (match_pending(mb.pending, src, tag, &out)) return out;
+      if (mb.inbox.match(src, tag, &out)) return out;
       idle_rounds = 0;
       continue;
     }
@@ -220,9 +147,9 @@ ReceivedMessage ThreadBackend::take_match(index_t rank, index_t src, int tag) {
     if (metrics_on) obs::metrics().counter("msgpath.parks").add(1);
     mb.park.park_until(lock, std::min(deadline, Clock::now() + kParkSlice));
     mb.park.disarm();
-    drain_queue_locked(mb);
-    drain_rings(mb);
-    if (match_pending(mb.pending, src, tag, &out)) return out;
+    mb.inbox.drain_spill_locked();
+    mb.inbox.drain_rings();
+    if (mb.inbox.match(src, tag, &out)) return out;
     if (Clock::now() >= deadline) {
       obs::flight_note(static_cast<std::int32_t>(rank), "recv_timeout",
                        static_cast<std::int64_t>(src),
@@ -240,22 +167,20 @@ ReceivedMessage ThreadBackend::take_match(index_t rank, index_t src, int tag) {
 bool ThreadBackend::take_match_now(index_t rank, index_t src, int tag,
                                    ReceivedMessage* out) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
-  drain_rings(mb);
+  mb.inbox.drain_rings();
   if (aborted_.load(std::memory_order_acquire)) {
     throw DeadlockError("thread backend run aborted: rank " +
                         std::to_string(rank) +
                         " was polling when another rank failed");
   }
-  // With the rings on, the fallback queue only sees overflow traffic:
-  // skip the mutex round trip whenever the atomic size says it is empty.
-  // A concurrent overflow push we race past is caught by the caller's
-  // poll loop (the producer's notify wakes the next poll_wait).
-  if (mb.rings == nullptr ||
-      mb.queue_size.load(std::memory_order_acquire) != 0) {
+  // Skip the mutex round trip while nothing has spilled.  A concurrent
+  // spill we race past is caught by the caller's poll loop: the next
+  // poll_wait sees it through the arrival probe.
+  if (mb.inbox.spill_nonempty()) {
     std::lock_guard<std::mutex> lock(mb.park.mutex());
-    drain_queue_locked(mb);
+    mb.inbox.drain_spill_locked();
   }
-  return match_pending(mb.pending, src, tag, out);
+  return mb.inbox.match(src, tag, out);
 }
 
 void ThreadBackend::poll_wait(index_t rank, double seconds) {
@@ -264,11 +189,7 @@ void ThreadBackend::poll_wait(index_t rank, double seconds) {
   // next try_recv will find traffic, so skip the mutex and the condvar
   // entirely.  (The caller's take_match_now drains rings and hints first,
   // so a stale hint bit cannot make this loop spin.)
-  if (mb.rings != nullptr &&
-      !aborted_.load(std::memory_order_acquire) &&
-      (mb.queue_size.load(std::memory_order_acquire) != 0 ||
-       mb.ring_hint[0].load(std::memory_order_seq_cst) != 0 ||
-       mb.ring_hint[1].load(std::memory_order_seq_cst) != 0)) {
+  if (!aborted_.load(std::memory_order_acquire) && mb.inbox.has_arrivals()) {
     return;
   }
   std::unique_lock<std::mutex> lock(mb.park.mutex());
@@ -281,19 +202,9 @@ void ThreadBackend::poll_wait(index_t rank, double seconds) {
   // let the caller's retry budget expire instead of sleeping it out.
   if (active_.load(std::memory_order_acquire) <= 1) return;
   mb.park.arm();
-  // Undrained ring items (or fallback-queue items) arrived after the
-  // caller's last try_recv drain: that is exactly the "message delivery"
-  // this wait is supposed to wake early for.
-  bool arrivals = !mb.queue.empty();
-  if (!arrivals && mb.rings != nullptr) {
-    // Peek (not exchange): poll_wait does not drain, so consuming
-    // the hint here would hide the arrival from the next drain_rings.
-    // A stale hint bit causes at worst one early return; the caller's
-    // retry loop re-polls and comes back.
-    arrivals = mb.ring_hint[0].load(std::memory_order_seq_cst) != 0 ||
-               mb.ring_hint[1].load(std::memory_order_seq_cst) != 0;
-  }
-  if (!arrivals) {
+  // Arrivals after the caller's last drain are exactly the "message
+  // delivery" this wait is supposed to wake early for.
+  if (!mb.inbox.has_arrivals()) {
     mb.park.park_for(lock, std::chrono::duration<double>(seconds));
   }
   mb.park.disarm();
@@ -314,14 +225,8 @@ RunStats ThreadBackend::run(const std::function<void(Process&)>& spmd) {
   aborted_.store(false, std::memory_order_release);
   mailboxes_.clear();
   mailboxes_.reserve(static_cast<std::size_t>(config_.nprocs));
-  const bool rings_on = config_.use_spsc && config_.nprocs <= kMaxRingRanks;
   for (index_t r = 0; r < config_.nprocs; ++r) {
-    auto mb = std::make_unique<Mailbox>();
-    if (rings_on) {
-      mb->rings = std::make_unique<SpscRing<ReceivedMessage>[]>(
-          static_cast<std::size_t>(config_.nprocs));
-    }
-    mailboxes_.push_back(std::move(mb));
+    mailboxes_.push_back(std::make_unique<Mailbox>(config_.nprocs));
   }
   errors_.assign(static_cast<std::size_t>(config_.nprocs), nullptr);
   active_.store(config_.nprocs, std::memory_order_release);

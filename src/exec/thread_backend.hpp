@@ -1,28 +1,26 @@
-// The real multithreaded backend: each rank is a std::thread and messages
-// move through per-(src,dst) lock-free SPSC rings with a mutex+condvar
-// mailbox as the overflow/parking fallback.
+// The real multithreaded backend: each rank is a std::thread, and its
+// messages arrive through an exec::Inbox (exec/inbox.hpp): per-source
+// lock-free SPSC rings, with a locked spill queue for a full ring (and for
+// every message above Inbox::kMaxRingRanks ranks).
 //
-// Message path (see also spsc_ring.hpp):
+// Message path:
 //   * send() pushes into the destination's ring for this source — no lock,
 //     no allocation beyond the payload capture — and wakes the receiver
-//     only if it advertised that it is parked.  A full ring spills to the
-//     locked fallback queue, so send() never blocks (buffered-send).
+//     only if it advertised that it is parked.  A full ring spills under
+//     the receiver's park mutex, so send() never blocks (buffered-send).
 //   * send_owned() is the zero-copy lane: the payload buffer itself moves
 //     through the ring, so the backend copies zero bytes for large panels
 //     (ProcStats::bytes_copied counts what the copy lane still copies).
-//   * recv() drains the rings into a consumer-private pending list and
-//     matches (src|kAnySource, tag) there; with no match it spins briefly
+//   * recv() drains the rings into the inbox's pending list and matches
+//     (src|kAnySource, tag) there; with no match it spins briefly
 //     (yield-based: on an oversubscribed host the sender needs the core),
 //     then parks on the mailbox condvar with a Dekker-style seq_cst
-//     handshake against the sender's wakeup check so no wakeup is lost.
-//     Per-source arrival order is preserved; cross-source order among
-//     matches is whatever the drain observed, which the Process contract
-//     permits (the repo's tag discipline keeps in-flight (src,dst,tag)
-//     unique, so matching is unambiguous anyway).
+//     handshake against the sender's wakeup check so no wakeup is lost
+//     (exec/parking.hpp).
 // Ranks get exec::WallProcess (exec/wall_process.hpp) over this backend's
 // transport: the compute/send/idle accounting, counts, comm trace spans
-// and metrics live there; this file keeps the rings, the mailboxes and
-// the parking protocol.
+// and metrics live there; this file keeps the mailboxes (inbox plus
+// parking slot), the wake protocol and the run loop.
 //
 // Failure handling mirrors simpar::Machine: an exception on one rank
 // aborts the run (waiting ranks unwind with a secondary DeadlockError) and
@@ -33,16 +31,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "exec/inbox.hpp"
 #include "exec/parking.hpp"
 #include "exec/process.hpp"
-#include "exec/spsc_ring.hpp"
 
 namespace sparts::exec {
 
@@ -59,10 +54,6 @@ class ThreadBackend final : public Comm {
     TopologyKind topology = TopologyKind::fully_connected;
     /// A recv() with no match for this long is declared a deadlock.
     double recv_timeout = 60.0;
-    /// Use the SPSC ring fast path (false = every message through the
-    /// locked fallback mailbox; SPARTS_SPSC=off flips the default —
-    /// bench_msgpath uses this for its before/after columns).
-    bool use_spsc = true;
   };
 
   explicit ThreadBackend(const Config& config);
@@ -76,37 +67,20 @@ class ThreadBackend final : public Comm {
   friend class WallProcess<ThreadBackend>;
 
   struct Mailbox {
-    // --- consumer-private (only the owning rank's thread touches it) ---
-    std::deque<ReceivedMessage> pending;  ///< drained, not-yet-matched
-    // --- shared fallback path --------------------------------------
-    /// The mutex+condvar+waiting-flag Dekker handshake, extracted to
-    /// exec/parking.hpp so the model checker can verify the protocol.
-    /// park.mutex() guards `queue`; see take_match for the handshake.
+    explicit Mailbox(index_t nprocs) : inbox(nprocs) {}
+    Inbox inbox;
+    /// The mutex+condvar+waiting-flag Dekker handshake (exec/parking.hpp).
+    /// park.mutex() is the owner's lock the inbox's spill methods run
+    /// under; see take_match for the handshake.
     ParkingSlot<> park;
-    std::deque<ReceivedMessage> queue;  ///< ring overflow / rings-off path
-    /// queue.size(), maintained under park.mutex() but readable without
-    /// it: lets the SPSC poll path (try_recv / poll_wait) skip the lock
-    /// entirely when the fallback queue is empty — which it almost
-    /// always is when the rings are on.
-    std::atomic<std::size_t> queue_size{0};
-    /// One SPSC ring per source rank; null when the fast path is off.
-    std::unique_ptr<SpscRing<ReceivedMessage>[]> rings;
-    /// Producer-set "ring src may be nonempty" bitmask (bit src&63 of
-    /// word src>>6; 2 words cover kMaxRingRanks sources).  Senders
-    /// fetch_or their bit after a ring push; the consumer exchange(0)'s
-    /// each word in drain_rings and visits only flagged rings, making a
-    /// drain O(active sources) instead of O(p).  A stale set bit costs
-    /// one empty-ring check; a pushed-but-unset bit cannot be observed
-    /// (the fetch_or is seq_cst and precedes the sender's park probe).
-    std::atomic<std::uint64_t> ring_hint[2]{};
   };
 
   // --- the transport WallProcess calls (see exec/wall_process.hpp) ---
 
-  /// Push `msg` to rank `dst`: ring fast path, locked queue fallback.
+  /// Push `msg` to rank `dst`: its ring, or the spill queue when full.
   void deliver(index_t dst, ReceivedMessage&& msg);
 
-  /// Remove and return a pending/queued message for `rank` matching
+  /// Remove and return a message for `rank` matching
   /// (src|kAnySource, tag); blocks until one exists.  Throws DeadlockError
   /// on abort, timeout, or when no live peer can still send one.
   ReceivedMessage take_match(index_t rank, index_t src, int tag);
@@ -124,11 +98,6 @@ class ThreadBackend final : public Comm {
   /// Briefly acquire and release every mailbox lock, then notify: ensures
   /// ranks mid-predicate-check cannot miss an abort / peer-exit signal.
   void wake_all_mailboxes();
-
-  /// Consumer side: move everything from `mb`'s rings into pending.
-  bool drain_rings(Mailbox& mb);
-  /// Consumer side, under mb.mutex: splice the fallback queue into pending.
-  bool drain_queue_locked(Mailbox& mb);
 
   Config config_;
   Topology topology_;

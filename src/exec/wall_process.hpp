@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <utility>
 
@@ -40,25 +39,6 @@
 #include "obs/trace.hpp"
 
 namespace sparts::exec {
-
-/// The pending-list matcher of the wall-clock backends: find the first
-/// message in `pending` from `src` (or any source) carrying `tag`.  With
-/// `out` set, move it there and erase it; with out == nullptr only report
-/// whether one exists.  First queued wins, which per source is arrival
-/// order.
-inline bool match_pending(std::deque<ReceivedMessage>& pending, index_t src,
-                          int tag, ReceivedMessage* out) {
-  for (auto it = pending.begin(); it != pending.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->source == src)) {
-      if (out != nullptr) {
-        *out = std::move(*it);
-        pending.erase(it);
-      }
-      return true;
-    }
-  }
-  return false;
-}
 
 /// All mutable state is owned by the rank's own thread or fiber; the
 /// backend reads finish() only after the rank's body returned.

@@ -10,13 +10,11 @@
 // selects trisolve strategies from exactly these numbers, and the
 // solver report prints them per phase for `--backend tasks`.
 //
-// Producers of ExecutedProfile:
-//   * `TaskScheduler::run_graph(graph, &profile)` — one span per task,
-//     edges copied from the static graph;
-//   * `exec::TaskBackend` — one span per fiber *segment* (the run
-//     between two suspensions), with sequential edges along each rank
-//     and wake edges from the send that re-readied a blocked fiber:
-//     the dynamic dependency structure discovered at runtime.
+// The producer of ExecutedProfile is `exec::TaskBackend`: one span per
+// fiber *segment* (the run between two suspensions), with sequential
+// edges along each rank and wake edges from the send that re-readied a
+// blocked fiber — the dynamic dependency structure discovered at runtime.
+// Tests also build profiles by hand.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +29,7 @@ struct ExecutedSpan {
   double start = 0.0;
   double end = 0.0;
   std::int32_t lane = -1;  ///< worker / rank that ran it
-  std::int32_t kind = 0;   ///< producer-defined tag (e.g. TaskKind)
+  std::int32_t kind = 0;   ///< producer-defined tag (TaskBackend: the rank)
 };
 
 /// Dependency: `from` must finish before `to` can run.

@@ -87,18 +87,16 @@ symbolic::SupernodePartition analyze(const sparse::SymmetricCsc& a_perm,
 }
 
 /// The layers Options asks for must compose with its backend; rejected
-/// before any rank starts.  The envelope over the fiber scheduler runs out
-/// of retransmits at several workers, and a proc rank's audit would see
-/// only its own sends (every remote send would look orphaned).
+/// before any rank starts.  A proc cohort injects its faults below the
+/// wire instead (SPARTS_CHAOS), and a proc rank's audit would see only its
+/// own sends (every remote send would look orphaned).
 void check_layers(const Options& options) {
-  const ExecutionBackend b = options.backend;
-  if (options.faults && b != ExecutionBackend::simulated &&
-      b != ExecutionBackend::threads) {
-    throw InvalidArgument(std::string("fault injection composes over sim "
-                                      "and threads, not ") +
-                          execution_backend_info(b).name);
+  if (options.backend != ExecutionBackend::proc) return;
+  if (options.faults) {
+    throw InvalidArgument(
+        "fault injection composes over sim, threads and tasks, not proc");
   }
-  if (options.check && b == ExecutionBackend::proc) {
+  if (options.check) {
     throw InvalidArgument(
         "the message audit composes over sim, threads and tasks, not proc");
   }

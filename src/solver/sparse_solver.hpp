@@ -100,8 +100,8 @@ struct Options {
   bool check = false;
   /// Inject this fault scenario under the reliability envelope
   /// (Reliable(Faulty(backend))): the envelope recovers, or the phase
-  /// aborts with a structured SolveError.  Composes over sim and threads;
-  /// with `check` the audit sits above the envelope.
+  /// aborts with a structured SolveError.  Composes over sim, threads and
+  /// tasks; with `check` the audit sits above the envelope.
   std::optional<exec::FaultPlan> faults;
   /// Dense kernel implementation used by every phase (reference loops or
   /// the tiled/vectorized kernels).  Defaults to the SPARTS_KERNELS

@@ -6,6 +6,7 @@
 // Reliable(Faulty(backend)) directly with hand-written SPMD bodies.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "exec/checked_backend.hpp"
 #include "exec/fault_backend.hpp"
 #include "exec/reliable.hpp"
+#include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "simpar/machine.hpp"
 
@@ -205,6 +207,35 @@ TEST(Reliable, RecoversFromDroppedMessagesOnThreads) {
   exec::ReliableBackend backend(std::move(faulty), cfg);
   backend.run([](exec::Process& proc) { ring_spmd(proc, 4); });
   EXPECT_GT(backend.stats().retransmits, 0);
+  EXPECT_EQ(backend.stats().timeouts, 0);
+}
+
+TEST(Reliable, WaitsOutAComputingSenderOnTasks) {
+  // poll_wait waits `seconds` of wall time on the fiber backend too.  The
+  // envelope counts every poll as that long, so a poll that returned
+  // after one yield ran the whole 20-NACK horizon (about 2,400 polls)
+  // out in a few milliseconds while the sender was still computing on
+  // the other worker.
+  exec::TaskBackend::Config cfg;
+  cfg.nprocs = 2;
+  cfg.scheduler.workers = 2;
+  auto faulty = std::make_unique<exec::FaultyBackend>(
+      std::make_unique<exec::TaskBackend>(cfg),
+      exec::FaultPlan::parse("seed=1"));
+  exec::ReliableBackend backend(std::move(faulty),
+                                exec::ReliableConfig::for_threads());
+  backend.run([](exec::Process& proc) {
+    if (proc.rank() == 0) {
+      // ~100 ms of computation that, like a kernel, never yields.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      proc.send_values<real_t>(1, 7, stamp(0, 7, 16));
+    } else {
+      EXPECT_EQ(proc.recv_values<real_t>(0, 7), stamp(0, 7, 16));
+    }
+  });
   EXPECT_EQ(backend.stats().timeouts, 0);
 }
 

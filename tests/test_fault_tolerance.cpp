@@ -40,13 +40,12 @@ solver::ParallelSolveResult clean_solve(const Problem& prob) {
   return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
 }
 
-solver::ParallelSolveResult faulty_solve(const Problem& prob,
-                                         const std::string& plan,
-                                         bool threads = false,
-                                         bool check = false) {
+solver::ParallelSolveResult faulty_solve(
+    const Problem& prob, const std::string& plan,
+    solver::ExecutionBackend backend = solver::ExecutionBackend::simulated,
+    bool check = false) {
   solver::Options opt;
-  opt.backend = threads ? solver::ExecutionBackend::threads
-                        : solver::ExecutionBackend::simulated;
+  opt.backend = backend;
   opt.faults = exec::FaultPlan::parse(plan);
   opt.check = check;
   return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
@@ -103,7 +102,7 @@ TEST(FaultTolerance, RecoversFromMixedFaultsBitIdentical) {
   for (const bool check : {false, true}) {
     const auto r = faulty_solve(
         prob, "seed=42,drop=0.1,dup=0.1,delay=0.2:0.0005,reorder=0.1",
-        /*threads=*/false, check);
+        solver::ExecutionBackend::simulated, check);
     EXPECT_EQ(clean.x, r.x) << "check " << check;
     EXPECT_EQ(r.status, solver::SolveStatus::ok);
     EXPECT_GT(r.faults_injected, 0);
@@ -131,8 +130,8 @@ TEST(FaultTolerance, ThreadsBackendRecoversFromDropsBitIdentical) {
   const Problem prob = make_problem();
   const auto clean = clean_solve(prob);
   for (const bool check : {false, true}) {
-    const auto r = faulty_solve(prob, "seed=42,drop=0.15", /*threads=*/true,
-                                check);
+    const auto r = faulty_solve(prob, "seed=42,drop=0.15",
+                                solver::ExecutionBackend::threads, check);
     EXPECT_EQ(clean.x, r.x) << "check " << check;
     EXPECT_EQ(r.status, solver::SolveStatus::ok);
     EXPECT_GT(r.faults_injected, 0);
@@ -142,13 +141,30 @@ TEST(FaultTolerance, ThreadsBackendRecoversFromDropsBitIdentical) {
   }
 }
 
+TEST(FaultTolerance, TasksBackendRecoversFromDropsBitIdentical) {
+  // The fault stack over the fiber backend at several workers, where a
+  // polling rank and a computing sender run at once: the envelope's NACK
+  // deadlines must be wall time there too.
+  const ScopedEnv timeout("SPARTS_TIMEOUT_MS", "5");
+  const ScopedEnv workers("SPARTS_TASK_WORKERS", "4");
+  const Problem prob = make_problem();
+  const auto clean = clean_solve(prob);
+  const auto r = faulty_solve(prob, "seed=42,drop=0.15",
+                              solver::ExecutionBackend::tasks);
+  EXPECT_EQ(clean.x, r.x);
+  EXPECT_EQ(r.status, solver::SolveStatus::ok);
+  EXPECT_GT(r.faults_injected, 0);
+  EXPECT_GT(r.retransmits, 0);
+}
+
 TEST(FaultTolerance, TimeoutUnderTheAuditNamesTheSupernode) {
   // The audit sits above the envelope; the progress note the factorization
   // leaves per supernode must still reach the envelope's timeout report.
   const ScopedEnv retry("SPARTS_MAX_RETRY", "1");
   const Problem prob = make_problem();
   try {
-    faulty_solve(prob, "seed=3,drop=0.9", /*threads=*/false, /*check=*/true);
+    faulty_solve(prob, "seed=3,drop=0.9", solver::ExecutionBackend::simulated,
+                 /*check=*/true);
     FAIL() << "expected SolveError";
   } catch (const solver::SolveError& e) {
     EXPECT_NE(std::string(e.what()).find("fact supernode"),
@@ -158,8 +174,7 @@ TEST(FaultTolerance, TimeoutUnderTheAuditNamesTheSupernode) {
 }
 
 TEST(FaultTolerance, LayersRejectBackendsTheyCannotCompose) {
-  // Rejected before any rank starts: the envelope over the fiber
-  // scheduler, and either layer over separate processes.
+  // Rejected before any rank starts: either layer over separate processes.
   const Problem prob = make_problem();
   auto solve = [&](solver::ExecutionBackend backend, bool check,
                    bool faults) {
@@ -169,8 +184,6 @@ TEST(FaultTolerance, LayersRejectBackendsTheyCannotCompose) {
     if (faults) opt.faults = exec::FaultPlan::parse("seed=1");
     return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
   };
-  EXPECT_THROW(solve(solver::ExecutionBackend::tasks, false, true),
-               InvalidArgument);
   EXPECT_THROW(solve(solver::ExecutionBackend::proc, false, true),
                InvalidArgument);
   EXPECT_THROW(solve(solver::ExecutionBackend::proc, true, false),
@@ -199,7 +212,7 @@ TEST(FaultTolerance, CrashOnThreadsProducesStructuredSolveErrorNoHang) {
   // threads join, and the caller gets a structured error.
   const Problem prob = make_problem();
   try {
-    faulty_solve(prob, "seed=1,crash=1@5", /*threads=*/true);
+    faulty_solve(prob, "seed=1,crash=1@5", solver::ExecutionBackend::threads);
     FAIL() << "expected SolveError";
   } catch (const solver::SolveError& e) {
     EXPECT_EQ(e.failed_phase(), "factorization");

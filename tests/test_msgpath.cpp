@@ -1,10 +1,11 @@
 // Message-path tests: the lock-free SPSC ring under adversarial
-// interleavings, the zero-copy owned-send lane, and the cross-backend
-// conformance promise — simulator, thread backend (rings on AND off), and
-// task backend produce bit-identical solves.  Registered under the CTest
-// label `real` so the ring stress runs under -DSPARTS_SANITIZE=thread in
-// CI: the SPSC ordering argument in spsc_ring.hpp is exactly the kind of
-// claim TSan can refute.
+// interleavings, the inbox's two paths (ring, and spill for a full ring or
+// above Inbox::kMaxRingRanks ranks) on the thread and task backends, the
+// zero-copy owned-send lane, and the cross-backend conformance promise —
+// simulator, thread backend and task backend produce bit-identical
+// solves.  Registered under the CTest label `real` so the ring stress runs
+// under -DSPARTS_SANITIZE=thread in CI: the SPSC ordering argument in
+// spsc_ring.hpp is exactly the kind of claim TSan can refute.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exec/inbox.hpp"
 #include "exec/process.hpp"
 #include "exec/spsc_ring.hpp"
 #include "exec/task_backend.hpp"
@@ -250,13 +252,6 @@ TEST(ZeroCopy, OwnedSendsAboveThresholdCopyNothingOnThreads) {
     EXPECT_EQ(owned_pingpong_copied(backend, len, 10),
               static_cast<nnz_t>(len) * 2 * 10);
   }
-  // Rings off changes the transport, not the zero-copy contract: the
-  // buffer still moves through the locked queue without a copy.
-  {
-    cfg.use_spsc = false;
-    exec::ThreadBackend backend(cfg);
-    EXPECT_EQ(owned_pingpong_copied(backend, 4096, 20), 0);
-  }
 }
 
 TEST(ZeroCopy, OwnedSendsAboveThresholdCopyNothingOnTasks) {
@@ -276,14 +271,12 @@ TEST(ZeroCopy, OwnedSendsAboveThresholdCopyNothingOnTasks) {
 
 TEST(ZeroCopy, BurstThroughRingOverflowPreservesEveryPayload) {
   // Rank 0 fires a burst far deeper than the ring capacity before rank 1
-  // drains any of it, forcing the ring-full spill into the locked queue
-  // mid-stream; the receiver must still see every message, in tag order,
-  // with intact content, regardless of which transport each one took.
+  // drains any of it, forcing the ring-full spill mid-stream; the receiver
+  // must still see every message, in tag order, with intact content,
+  // regardless of which path each one took — on both backends that share
+  // the inbox.
   constexpr int kBurst = 200;  // >> SpscRing kDefaultCapacity
-  exec::ThreadBackend::Config cfg;
-  cfg.nprocs = 2;
-  exec::ThreadBackend backend(cfg);
-  backend.run([](exec::Process& proc) {
+  auto burst = [](exec::Process& proc) {
     if (proc.rank() == 0) {
       for (int i = 0; i < kBurst; ++i) {
         // Mix lanes: even tags owned (zero-copy), odd tags plain copies.
@@ -306,7 +299,56 @@ TEST(ZeroCopy, BurstThroughRingOverflowPreservesEveryPayload) {
       }
       proc.send_value<int>(0, kBurst, 1);
     }
-  });
+  };
+  exec::ThreadBackend::Config thread_cfg;
+  thread_cfg.nprocs = 2;
+  exec::ThreadBackend threads(thread_cfg);
+  threads.run(burst);
+  exec::TaskBackend::Config task_cfg;
+  task_cfg.nprocs = 2;
+  exec::TaskBackend tasks(task_cfg);
+  tasks.run(burst);
+}
+
+TEST(Inbox, RingFullAndRinglessInboxesSpillWithoutLosingTheMessage) {
+  // The producer-side contract both backends build on: a push the ring
+  // refuses leaves the message with the caller, who spills it, and the
+  // owner's drains find both paths' messages.
+  auto msg = [](index_t src, int tag) {
+    return exec::ReceivedMessage{src, tag, exec::Payload(8, std::byte{1})};
+  };
+  exec::Inbox ringed(2);
+  int pushed = 0;
+  for (;; ++pushed) {
+    exec::ReceivedMessage m = msg(1, pushed);
+    if (!ringed.try_push_ring(m)) {
+      EXPECT_EQ(m.tag, pushed);
+      EXPECT_EQ(m.payload.size(), 8u);  // not consumed on failure
+      ringed.spill_locked(std::move(m));
+      break;
+    }
+  }
+  EXPECT_EQ(pushed, static_cast<int>(exec::SpscRing<int>::kDefaultCapacity));
+  EXPECT_TRUE(ringed.has_arrivals());
+  EXPECT_TRUE(ringed.drain_rings());
+  EXPECT_TRUE(ringed.drain_spill_locked());
+  EXPECT_FALSE(ringed.has_arrivals());
+  for (int t = pushed; t >= 0; --t) {
+    exec::ReceivedMessage out;
+    ASSERT_TRUE(ringed.match(1, t, &out)) << "tag " << t;
+    EXPECT_EQ(out.source, 1);
+  }
+  EXPECT_FALSE(ringed.match(exec::kAnySource, 0, nullptr));
+
+  exec::Inbox ringless(exec::Inbox::kMaxRingRanks + 1);
+  exec::ReceivedMessage m = msg(exec::Inbox::kMaxRingRanks, 7);
+  EXPECT_FALSE(ringless.try_push_ring(m));
+  EXPECT_FALSE(ringless.has_arrivals());
+  ringless.spill_locked(std::move(m));
+  EXPECT_TRUE(ringless.has_arrivals());
+  EXPECT_FALSE(ringless.drain_rings());
+  EXPECT_TRUE(ringless.drain_spill_locked());
+  EXPECT_TRUE(ringless.match(exec::kAnySource, 7, nullptr));
 }
 
 // ---------------------------------------------------------------------
@@ -327,10 +369,9 @@ std::vector<real_t> solve_on(exec::Comm& comm,
 }
 
 TEST(Conformance, AllBackendsBitIdentical) {
-  // The SPSC rings and the zero-copy lane are pure transport changes —
-  // the simulator, the thread backend with rings on, with rings off, and
-  // the fiber task backend must produce the *bit-identical* x for the
-  // same program.
+  // The inbox and the zero-copy lane are pure transport: the simulator,
+  // the thread backend and the fiber task backend must produce the
+  // *bit-identical* x for the same program.
   sparse::SymmetricCsc a0 = sparse::grid2d(13, 13);
   const sparse::Permutation perm = ordering::nested_dissection_grid2d(13, 13);
   sparse::SymmetricCsc a = sparse::permute_symmetric(a0, perm);
@@ -345,17 +386,10 @@ TEST(Conformance, AllBackendsBitIdentical) {
     simpar::Machine machine(sim_cfg);
     const std::vector<real_t> ref = solve_on(machine, l, a, rhs, m);
 
-    exec::ThreadBackend::Config spsc_cfg;
-    spsc_cfg.nprocs = p;
-    exec::ThreadBackend spsc(spsc_cfg);
-    EXPECT_EQ(solve_on(spsc, l, a, rhs, m), ref) << "threads/spsc p=" << p;
-
-    exec::ThreadBackend::Config mutex_cfg;
-    mutex_cfg.nprocs = p;
-    mutex_cfg.use_spsc = false;
-    exec::ThreadBackend mutex_backend(mutex_cfg);
-    EXPECT_EQ(solve_on(mutex_backend, l, a, rhs, m), ref)
-        << "threads/mutex p=" << p;
+    exec::ThreadBackend::Config thread_cfg;
+    thread_cfg.nprocs = p;
+    exec::ThreadBackend threads(thread_cfg);
+    EXPECT_EQ(solve_on(threads, l, a, rhs, m), ref) << "threads p=" << p;
 
     exec::TaskBackend::Config task_cfg;
     task_cfg.nprocs = p;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "exec/collectives.hpp"
+#include "exec/inbox.hpp"
 #include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "obs/critical_path.hpp"
@@ -369,6 +370,9 @@ TEST(WorkerTracks, SingleWorkerSpanStructureIsDeterministic) {
 // Msgpath counters
 // ---------------------------------------------------------------------------
 
+/// Bytes of the one panel each rank of exchange_program sends owned.
+constexpr std::int64_t kOwnedPanel = 1024;
+
 void exchange_program(exec::Process& proc) {
   const index_t p = proc.nprocs();
   const index_t r = proc.rank();
@@ -377,6 +381,8 @@ void exchange_program(exec::Process& proc) {
                              std::vector<real_t>(16, static_cast<double>(r)));
     (void)proc.recv_values<real_t>((r + p - 1) % p, 10 + round);
   }
+  proc.send_owned((r + 1) % p, 9, exec::Payload(kOwnedPanel));
+  (void)proc.recv((r + p - 1) % p, 9);
 }
 
 TEST(MsgpathCounters, EveryDeliveryIsRingHitOrSpillOnBothBackends) {
@@ -384,38 +390,46 @@ TEST(MsgpathCounters, EveryDeliveryIsRingHitOrSpillOnBothBackends) {
   // backend alike, each delivered message took exactly one of the two
   // lanes (SPSC ring hit or locked spill), and every payload byte was
   // accounted as either zero-copy or copied.  Which lane wins is timing-
-  // dependent; the *sum* is not.
+  // dependent; the *sum* is not.  Above Inbox::kMaxRingRanks ranks an
+  // inbox has no rings, so there every message spills.
   obs::enable_metrics();
-  for (const bool use_tasks : {false, true}) {
-    obs::metrics().reset();
-    exec::RunStats rs;
-    if (use_tasks) {
-      exec::TaskBackend::Config cfg;
-      cfg.nprocs = 4;
-      cfg.scheduler.workers = 2;
-      exec::TaskBackend backend(cfg);
-      rs = backend.run(exchange_program);
-    } else {
-      exec::ThreadBackend::Config cfg;
-      cfg.nprocs = 4;
-      cfg.recv_timeout = 30.0;
-      exec::ThreadBackend backend(cfg);
-      rs = backend.run(exchange_program);
+  for (const index_t p : {index_t{4}, exec::Inbox::kMaxRingRanks + 2}) {
+    for (const bool use_tasks : {false, true}) {
+      obs::metrics().reset();
+      exec::RunStats rs;
+      if (use_tasks) {
+        exec::TaskBackend::Config cfg;
+        cfg.nprocs = p;
+        cfg.scheduler.workers = 2;
+        exec::TaskBackend backend(cfg);
+        rs = backend.run(exchange_program);
+      } else {
+        exec::ThreadBackend::Config cfg;
+        cfg.nprocs = p;
+        cfg.recv_timeout = 30.0;
+        exec::ThreadBackend backend(cfg);
+        rs = backend.run(exchange_program);
+      }
+      const std::string what =
+          std::string(use_tasks ? "tasks" : "threads") + " p=" +
+          std::to_string(p);
+      const std::int64_t ring =
+          obs::metrics().counter("msgpath.ring_hit").value();
+      const std::int64_t spill =
+          obs::metrics().counter("msgpath.spill").value();
+      EXPECT_EQ(ring + spill, static_cast<std::int64_t>(rs.total_messages()))
+          << what << ": ring " << ring << " + spill " << spill;
+      if (p > exec::Inbox::kMaxRingRanks) EXPECT_EQ(ring, 0) << what;
+      // The owned panels moved whole; the values were copied.
+      EXPECT_EQ(obs::metrics().counter("comm.zero_copy_bytes").value(),
+                static_cast<std::int64_t>(p) * kOwnedPanel)
+          << what;
+      EXPECT_GT(obs::metrics().counter("comm.copied_bytes").value(), 0)
+          << what;
+      // Wakes can only be claimed for deliveries that happened.
+      EXPECT_LE(obs::metrics().counter("msgpath.wakes").value(), ring + spill)
+          << what;
     }
-    const char* what = use_tasks ? "tasks" : "threads";
-    const std::int64_t ring =
-        obs::metrics().counter("msgpath.ring_hit").value();
-    const std::int64_t spill = obs::metrics().counter("msgpath.spill").value();
-    EXPECT_EQ(ring + spill, static_cast<std::int64_t>(rs.total_messages()))
-        << what << ": ring " << ring << " + spill " << spill;
-    const std::int64_t zero =
-        obs::metrics().counter("comm.zero_copy_bytes").value();
-    const std::int64_t copied =
-        obs::metrics().counter("comm.copied_bytes").value();
-    EXPECT_GT(zero + copied, 0) << what;
-    // Wakes can only be claimed for deliveries that happened.
-    EXPECT_LE(obs::metrics().counter("msgpath.wakes").value(), ring + spill)
-        << what;
   }
   obs::metrics().reset();
 }

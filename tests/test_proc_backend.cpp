@@ -587,7 +587,14 @@ TEST(ProcCohort, HeartbeatDetectsKilledPeerWithinBound) {
               .count();
       if (e.suspected() != 1) return 11;
       if (elapsed > 10.0) return 12;  // way past the suspicion window
-      return 0;
+      // Teardown with the dead link: the goodbye queued for rank 1 is
+      // abandoned at once, not after the whole 1 s drain grace.
+      const auto t1 = std::chrono::steady_clock::now();
+      socket_session_shutdown();
+      const double took =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
+              .count();
+      return took <= 0.5 ? 0 : 15;
     } catch (const RemoteAbort&) {
       return 13;
     }

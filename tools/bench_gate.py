@@ -64,15 +64,14 @@ SCHEMAS = {
             "solve_tasks_speedup": "high",
         },
     },
-    # Wall latencies are noisy on shared hosts; gate the stable signals:
-    # the SPSC/mutex ratio and the copied-bytes counter (exact — any
-    # nonzero value means the zero-copy lane regressed to copying).
+    # Wall latencies are noisy on shared hosts; gate the stable signal:
+    # the copied-bytes counter (exact — any nonzero value means the
+    # zero-copy lane regressed to copying).
     "msgpath": {
         "file": "BENCH_msgpath.json",
         "rows": "rows",
         "key": ("kind", "bytes"),
         "metrics": {
-            "spsc_gain": "high",
             "copied_kib_owned": "low",
         },
     },
@@ -105,17 +104,6 @@ SCHEMAS = {
             "solve_ok": "high",
             "lat_us": {"max": 5000.0},
             "wall_seconds": {"max": 120.0},
-        },
-    },
-    # End-to-end solve rows: only the message-path workloads carry the
-    # msgpath_gain / copied_mb fields, so grid rows are skipped here.
-    "real_vs_sim": {
-        "file": "BENCH_real_vs_sim.json",
-        "rows": "rows",
-        "key": ("workload", "p", "nrhs"),
-        "metrics": {
-            "msgpath_gain": "high",
-            "copied_mb": "low",
         },
     },
 }

@@ -69,7 +69,7 @@ options:
 
 robustness (see docs/robustness.md):
   --faults SPEC         inject this fault scenario under the reliability
-                        envelope (sim, threads), e.g.
+                        envelope (sim, threads, tasks), e.g.
                         seed=42,drop=0.05,dup=0.02,delay=0.1:0.01,
                         reorder=0.05,stall=2@0.5,crash=1@40,max_faults=100
   --pivot MODE          fail (throw on a non-positive pivot, default) |
