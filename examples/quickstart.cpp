@@ -32,7 +32,7 @@ int main() {
   const index_t m = 4;
   Rng rng(7);
   const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
-  const std::vector<real_t> x = s.solve(b, m);
+  const std::vector<real_t> x = s.solve(b, m).x;
 
   const real_t residual = trisolve::relative_residual(a, x, b, m);
   std::cout << "relative residual over " << m << " right-hand sides: "

@@ -48,7 +48,7 @@ ConditionEstimate estimate_condition(const SparseSolver& solver,
   real_t best = 0.0;
   for (int iter = 0; iter < max_iterations; ++iter) {
     // y = A^{-1} x.
-    std::vector<real_t> y = solver.solve(x, 1);
+    const std::vector<real_t> y = solver.solve(x, 1).x;
     ++est.solves_used;
     const real_t norm_y = vec_one_norm(y);
     best = std::max(best, norm_y);
@@ -59,7 +59,7 @@ ConditionEstimate estimate_condition(const SparseSolver& solver,
       xi[static_cast<std::size_t>(i)] =
           y[static_cast<std::size_t>(i)] >= 0.0 ? 1.0 : -1.0;
     }
-    std::vector<real_t> z = solver.solve(xi, 1);
+    const std::vector<real_t> z = solver.solve(xi, 1).x;
     ++est.solves_used;
 
     // Converged when max |z_i| <= z^T x.

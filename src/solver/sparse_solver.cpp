@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "dense/pivot.hpp"
 #include "exec/checked_backend.hpp"
 #include "exec/collectives.hpp"
@@ -77,28 +78,31 @@ symbolic::SupernodePartition analyze(const sparse::SymmetricCsc& a_perm,
     part = symbolic::amalgamate(sym, part, options.amalgamation_max_width,
                                 options.amalgamation_relax_zeros);
   }
-  if (info != nullptr) {
-    info->factor_nnz = sym.nnz();
-    info->factor_flops = sym.factorization_flops();
-    info->num_supernodes = part.num_supernodes();
-    info->solve_flops_per_rhs = sym.solve_flops(1);
-  }
+  info->factor_nnz = sym.nnz();
+  info->factor_flops = sym.factorization_flops();
+  info->num_supernodes = part.num_supernodes();
+  info->solve_flops_per_rhs = sym.solve_flops(1);
   return part;
 }
 
 /// The layers Options asks for must compose with its backend; rejected
-/// before any rank starts.  A proc cohort injects its faults below the
-/// wire instead (SPARTS_CHAOS), and a proc rank's audit would see only its
-/// own sends (every remote send would look orphaned).
-void check_layers(const Options& options) {
-  if (options.backend != ExecutionBackend::proc) return;
+/// before any rank starts.  The host solve (p = 0) sends no messages, a
+/// proc cohort injects its faults below the wire instead (SPARTS_CHAOS),
+/// and a proc rank's audit would see only its own sends (every remote send
+/// would look orphaned).
+void check_layers(const Options& options, index_t p) {
+  const std::string where =
+      p == 0 ? "the host solve (p = 0)"
+             : options.backend == ExecutionBackend::proc ? "proc" : "";
+  if (where.empty()) return;
   if (options.faults) {
     throw InvalidArgument(
-        "fault injection composes over sim, threads and tasks, not proc");
+        "fault injection composes over sim, threads and tasks, not " + where);
   }
   if (options.check) {
     throw InvalidArgument(
-        "the message audit composes over sim, threads and tasks, not proc");
+        "the message audit composes over sim, threads and tasks, not " +
+        where);
   }
 }
 
@@ -387,40 +391,105 @@ void maybe_arm_test_kill(const Options& options, const char* phase) {
 }
 
 /// Run one parallel phase; exec-level failures (injected crash, envelope
-/// deadline, deadlock) become a structured SolveError naming the phase,
-/// carrying the flight recorder's recent-event window as the postmortem.
+/// deadline, deadlock, a dead or aborting peer) become a structured
+/// SolveError naming the phase, carrying the flight recorder's
+/// recent-event window as the postmortem.
 template <typename Fn>
-auto run_phase(const char* phase, const Stack& st,
-               ParallelSolveResult* result, Fn&& fn) {
+auto run_phase(const char* phase, const Stack& st, Fn&& fn) {
+  const auto abort = [&](const Error& e, std::string progress) {
+    return SolveError(phase, e.what(), std::move(progress),
+                      obs::FlightRecorder::instance().dump_text());
+  };
   try {
     return fn();
-  } catch (const InjectedFault& e) {
-    accumulate_report(st, result);
-    throw SolveError(phase, e.what(), progress_of(st),
-                     obs::FlightRecorder::instance().dump_text());
   } catch (const TimeoutError& e) {
-    accumulate_report(st, result);
     // The envelope already appended its progress report to the message.
-    throw SolveError(phase, e.what(), "",
-                     obs::FlightRecorder::instance().dump_text());
+    throw abort(e, "");
+  } catch (const InjectedFault& e) {
+    throw abort(e, progress_of(st));
   } catch (const DeadlockError& e) {
-    accumulate_report(st, result);
-    throw SolveError(phase, e.what(), progress_of(st),
-                     obs::FlightRecorder::instance().dump_text());
+    throw abort(e, progress_of(st));
   } catch (const exec::PeerFailure& e) {
     // Socket backend: a peer stopped heartbeating (crashed, was killed,
     // or sits behind a partition past the suspicion window).  The message
     // names the suspected rank and its last-contact age.
-    accumulate_report(st, result);
-    throw SolveError(phase, e.what(), progress_of(st),
-                     obs::FlightRecorder::instance().dump_text());
+    throw abort(e, progress_of(st));
   } catch (const exec::RemoteAbort& e) {
     // A peer rank aborted first (its exception was broadcast); surface
     // the originating rank's cause here so every survivor reports the
     // same root cause instead of a cascade of secondary timeouts.
-    accumulate_report(st, result);
-    throw SolveError(phase, e.what(), progress_of(st),
-                     obs::FlightRecorder::instance().dump_text());
+    throw abort(e, progress_of(st));
+  }
+}
+
+/// An n x m block with its rows moved from the original ordering to the
+/// permuted one (`to_permuted`) or back: permuted row k is original row
+/// perm.old_of_new(k).
+std::vector<real_t> permute_rows(const sparse::Permutation& perm,
+                                 std::span<const real_t> in, index_t m,
+                                 bool to_permuted) {
+  const index_t n = perm.n();
+  std::vector<real_t> out(in.size());
+  for (index_t c = 0; c < m; ++c) {
+    for (index_t k = 0; k < n; ++k) {
+      const auto permuted = static_cast<std::size_t>(c * n + k);
+      const auto original =
+          static_cast<std::size_t>(c * n + perm.old_of_new(k));
+      if (to_permuted) {
+        out[permuted] = in[original];
+      } else {
+        out[original] = in[permuted];
+      }
+    }
+  }
+  return out;
+}
+
+/// Residual-driven iterative refinement against the true matrix, in the
+/// permuted ordering: r = b - A x, x += L^-T L^-1 r with the host factor
+/// (complete on every rank: a proc cohort mirrors it), up to `max_sweeps`
+/// sweeps, until the relative residual reaches `tolerance` or stops
+/// falling.  Records the sweeps and the residual of the x it leaves (a
+/// last sweep that did not lower the residual stays in x).
+void refine(const sparse::SymmetricCsc& a_perm,
+            const numeric::SupernodalFactor& factor,
+            std::span<const real_t> b_perm, std::span<real_t> x_perm,
+            index_t m, int max_sweeps, real_t tolerance,
+            ParallelSolveResult* r) {
+  const index_t n = a_perm.n();
+  real_t b_norm = 0.0;
+  for (const real_t v : b_perm) b_norm += v * v;
+  b_norm = std::sqrt(b_norm);
+  std::vector<real_t> r_perm(b_perm.size());
+  auto compute_residual = [&]() -> real_t {
+    real_t rn = 0.0;
+    for (index_t c = 0; c < m; ++c) {
+      std::vector<real_t> ax(static_cast<std::size_t>(n), 0.0);
+      a_perm.symv(1.0,
+                  std::span<const real_t>(
+                      x_perm.data() + static_cast<std::size_t>(c * n),
+                      static_cast<std::size_t>(n)),
+                  ax);
+      for (index_t k = 0; k < n; ++k) {
+        const std::size_t z = static_cast<std::size_t>(c * n + k);
+        r_perm[z] = b_perm[z] - ax[static_cast<std::size_t>(k)];
+        rn += r_perm[z] * r_perm[z];
+      }
+    }
+    return b_norm > 0.0 ? std::sqrt(rn) / b_norm : 0.0;
+  };
+  r->residual = compute_residual();
+  while (r->residual > tolerance && r->refine_iterations < max_sweeps) {
+    std::vector<real_t> dx = r_perm;
+    trisolve::full_solve(factor, dx.data(), m);
+    for (std::size_t z = 0; z < x_perm.size(); ++z) x_perm[z] += dx[z];
+    ++r->refine_iterations;
+    const real_t previous = r->residual;
+    r->residual = compute_residual();
+    if (obs::metrics_enabled()) {
+      obs::metrics().counter("solve.refine_iterations").add(1);
+    }
+    if (!(r->residual < previous)) break;  // stagnated (or NaN): stop
   }
 }
 
@@ -453,145 +522,77 @@ const BackendInfo& execution_backend_info(ExecutionBackend backend) {
   throw InvalidArgument("execution backend missing from registry");
 }
 
+struct SparseSolver::Factored {
+  numeric::SupernodalFactor factor;
+  mapping::SubcubeMapping solve_map;
+  partrisolve::DistributedFactor local;
+  std::optional<partrisolve::DistributedTrisolver> trisolver;
+};
+
+SparseSolver::SparseSolver() : factored_(std::make_unique<Factored>()) {}
+SparseSolver::SparseSolver(SparseSolver&&) noexcept = default;
+SparseSolver& SparseSolver::operator=(SparseSolver&&) noexcept = default;
+SparseSolver::~SparseSolver() = default;
+
+const numeric::SupernodalFactor& SparseSolver::factor() const {
+  return factored_->factor;
+}
+
 SparseSolver SparseSolver::factorize(const sparse::SymmetricCsc& a,
-                                     const Options& options) {
+                                     const Options& options, index_t p) {
+  SPARTS_CHECK(p >= 0, "processor count must be >= 0");
+  check_layers(options, p);
   SparseSolver s;
-  dense::set_kernel_impl(options.kernels);
-  dense::set_pivot_policy({options.pivot_mode, options.pivot_rel_floor});
-  {
-    obs::PhaseScope phase("ordering");
-    s.perm_ = compute_ordering(a, options.ordering);
-    s.a_perm_ = sparse::permute_symmetric(a, s.perm_);
-  }
-  const symbolic::SupernodePartition part = [&] {
-    obs::PhaseScope phase("symbolic");
-    return analyze(s.a_perm_, options, &s.info_);
-  }();
-  {
-    obs::PhaseScope phase("factorization");
-    s.factor_ = numeric::multifrontal_cholesky(s.a_perm_, part);
-  }
-  return s;
-}
-
-std::vector<real_t> SparseSolver::solve(std::span<const real_t> b,
-                                        index_t m) const {
-  const index_t n = a_perm_.n();
-  SPARTS_CHECK(static_cast<index_t>(b.size()) == n * m,
-               "right-hand side has the wrong size");
-  std::vector<real_t> x(b.size());
-  for (index_t c = 0; c < m; ++c) {
-    for (index_t k = 0; k < n; ++k) {
-      x[static_cast<std::size_t>(c * n + k)] =
-          b[static_cast<std::size_t>(c * n + perm_.old_of_new(k))];
-    }
-  }
-  trisolve::full_solve(factor_, x.data(), m);
-  std::vector<real_t> out(b.size());
-  for (index_t c = 0; c < m; ++c) {
-    for (index_t k = 0; k < n; ++k) {
-      out[static_cast<std::size_t>(c * n + perm_.old_of_new(k))] =
-          x[static_cast<std::size_t>(c * n + k)];
-    }
-  }
-  return out;
-}
-
-std::vector<real_t> SparseSolver::solve_refined(std::span<const real_t> b,
-                                                index_t m,
-                                                int max_iterations,
-                                                real_t tolerance,
-                                                real_t* residual_out) const {
-  const index_t n = a_perm_.n();
-  SPARTS_CHECK(static_cast<index_t>(b.size()) == n * m);
-  std::vector<real_t> x = solve(b, m);
-
-  // Refinement works in the *original* ordering: A is available there via
-  // the permuted matrix and the permutation.
-  const sparse::SymmetricCsc& ap = a_perm_;
-  std::vector<real_t> r(b.size());
-  real_t residual = 0.0;
-  for (int iter = 0; iter <= max_iterations; ++iter) {
-    // r = b - A x (computed in the permuted ordering for the symv).
-    std::fill(r.begin(), r.end(), 0.0);
-    for (index_t c = 0; c < m; ++c) {
-      std::vector<real_t> xp(static_cast<std::size_t>(n));
-      for (index_t k = 0; k < n; ++k) {
-        xp[static_cast<std::size_t>(k)] =
-            x[static_cast<std::size_t>(c * n + perm_.old_of_new(k))];
-      }
-      std::vector<real_t> rp(static_cast<std::size_t>(n), 0.0);
-      ap.symv(1.0, xp, rp);
-      for (index_t k = 0; k < n; ++k) {
-        r[static_cast<std::size_t>(c * n + perm_.old_of_new(k))] =
-            b[static_cast<std::size_t>(c * n + perm_.old_of_new(k))] -
-            rp[static_cast<std::size_t>(k)];
-      }
-    }
-    real_t rn = 0.0, bn = 0.0;
-    for (std::size_t z = 0; z < r.size(); ++z) {
-      rn += r[z] * r[z];
-      bn += b[z] * b[z];
-    }
-    residual = bn > 0.0 ? std::sqrt(rn / bn) : 0.0;
-    if (residual <= tolerance || iter == max_iterations) break;
-    const std::vector<real_t> dx = solve(r, m);
-    for (std::size_t z = 0; z < x.size(); ++z) x[z] += dx[z];
-  }
-  if (residual_out != nullptr) *residual_out = residual;
-  return x;
-}
-
-ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
-                                   std::span<const real_t> b, index_t m,
-                                   index_t p, const Options& options) {
-  const index_t n = a.n();
-  SPARTS_CHECK(static_cast<index_t>(b.size()) == n * m);
-  check_layers(options);
+  s.options_ = options;
+  s.p_ = p;
+  Factored& f = *s.factored_;
+  ParallelSolveResult& result = s.factor_report_;
 
   dense::set_kernel_impl(options.kernels);
   dense::set_pivot_policy({options.pivot_mode, options.pivot_rel_floor});
   const std::int64_t perturbations_before = dense::pivot_perturbations();
-  const sparse::Permutation perm = [&] {
+  {
     obs::PhaseScope phase("ordering");
-    return compute_ordering(a, options.ordering);
-  }();
-  const sparse::SymmetricCsc a_perm = sparse::permute_symmetric(a, perm);
+    s.perm_ = compute_ordering(a, options.ordering);
+  }
+  s.a_perm_ = sparse::permute_symmetric(a, s.perm_);
   const symbolic::SupernodePartition part = [&] {
     obs::PhaseScope phase("symbolic");
-    return analyze(a_perm, options, nullptr);
+    return analyze(s.a_perm_, options, &s.info_);
   }();
 
-  ParallelSolveResult result;
-
-  // Phase 1: parallel factorization with 2-D partitioned fronts.
-  const mapping::SubcubeMapping fact_map = [&] {
-    obs::PhaseScope phase("mapping");
-    return mapping::subtree_to_subcube(part, p,
-                                       mapping::factor_work_weights(part));
-  }();
-  numeric::SupernodalFactor factor;
+  // Phase 1: numerical factorization — on the host at p = 0, else in
+  // parallel with 2-D partitioned fronts.
   const std::uint64_t fingerprint =
-      options.checkpoint_dir.empty() ? 0
-                                     : factor_fingerprint(a_perm, options, p);
+      options.checkpoint_dir.empty()
+          ? 0
+          : factor_fingerprint(s.a_perm_, options, p);
   // Cohort-wide perturbed-pivot count when it cannot be read off the local
   // counter: set by the checkpoint meta (factorization skipped) or by the
   // factor-mirror allreduce (process-separated ranks each only saw their
   // own pivots); -1 means "use the local counter".
   std::int64_t cohort_perturbations = -1;
-  result.factor_from_checkpoint =
-      try_load_checkpoint(options, fingerprint, &factor,
-                          &cohort_perturbations);
-  if (!result.factor_from_checkpoint) {
+  result.factor_from_checkpoint = try_load_checkpoint(
+      options, fingerprint, &f.factor, &cohort_perturbations);
+  if (!result.factor_from_checkpoint && p == 0) {
+    obs::PhaseScope phase("factorization");
+    const WallTimer timer;
+    f.factor = numeric::multifrontal_cholesky(s.a_perm_, part);
+    result.factor_time = timer.seconds();
+  } else if (!result.factor_from_checkpoint) {
+    const mapping::SubcubeMapping fact_map = [&] {
+      obs::PhaseScope phase("mapping");
+      return mapping::subtree_to_subcube(part, p,
+                                         mapping::factor_work_weights(part));
+    }();
     obs::PhaseScope phase("factorization");
     maybe_arm_test_kill(options, "factorization");
     const Stack st = make_stack(p, options);
     exec::Comm& machine = *st.comm;
-    const parfact::Report report = run_phase(
-        "factorization", st, &result, [&] {
-          return parfact::parallel_multifrontal(machine, a_perm, part,
-                                                fact_map, factor);
-        });
+    const parfact::Report report = run_phase("factorization", st, [&] {
+      return parfact::parallel_multifrontal(machine, s.a_perm_, part,
+                                            fact_map, f.factor);
+    });
     result.factor_time = report.time();
     result.factor_dag = report.graph;
     result.factor_critical_path = critical_path_of(st);
@@ -606,10 +607,10 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
       // and order-independent.  The piggybacked allreduce makes the
       // perturbed-pivot count (and hence the degraded-status refinement
       // decision) identical on every rank.
-      run_phase("factor-mirror", st, &result, [&] {
+      run_phase("factor-mirror", st, [&] {
         machine.run([&](exec::Process& pr) {
           const exec::Group g{0, p, 1};
-          exec::allmerge_nonzero(pr, g, factor.values(), kMirrorTagBase);
+          exec::allmerge_nonzero(pr, g, f.factor.values(), kMirrorTagBase);
           std::vector<real_t> perturbed{static_cast<real_t>(
               dense::pivot_perturbations() - perturbations_before)};
           exec::allreduce_sum(pr, g, perturbed, kMirrorTagBase + p);
@@ -618,56 +619,76 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
         return 0;
       });
     }
-    write_checkpoint(options, fingerprint, factor,
-                     cohort_perturbations >= 0
-                         ? cohort_perturbations
-                         : dense::pivot_perturbations() -
-                               perturbations_before);
   }
+  // If any pivot was perturbed, the factor is exact only for a nearby
+  // matrix: every solve refines against the true one and reports degraded.
+  result.perturbed_pivots =
+      cohort_perturbations >= 0
+          ? cohort_perturbations
+          : dense::pivot_perturbations() - perturbations_before;
+  if (result.perturbed_pivots > 0) result.status = SolveStatus::degraded;
+  if (!result.factor_from_checkpoint) {
+    write_checkpoint(options, fingerprint, f.factor, result.perturbed_pivots);
+  }
+  if (p == 0) return s;
 
   // Phase 2: redistribute the factor 2-D -> 1-D for the solvers.  The
   // rank-local storage produced here is what the solve phase reads.
-  const mapping::SubcubeMapping solve_map =
-      mapping::subtree_to_subcube(part, p);
+  f.solve_map = mapping::subtree_to_subcube(part, p);
   const redist::Options redist_options;
-  partrisolve::DistributedFactor local_factor;
   {
     obs::PhaseScope phase("redistribution");
     maybe_arm_test_kill(options, "redistribution");
     const Stack st = make_stack(p, options);
-    const redist::Report report = run_phase(
-        "redistribution", st, &result, [&] {
-          return redist::redistribute_factor(*st.comm, factor, solve_map,
-                                             redist_options, &local_factor);
-        });
+    const redist::Report report = run_phase("redistribution", st, [&] {
+      return redist::redistribute_factor(*st.comm, f.factor, f.solve_map,
+                                         redist_options, &f.local);
+    });
     result.redist_time = report.time();
     phase.set_parallel(exec::to_phase_stats(report.stats));
     accumulate_report(st, &result);
   }
+  partrisolve::Options solver_options;
+  solver_options.block_size = redist_options.block_1d;
+  f.trisolver.emplace(f.factor, &f.local, f.solve_map, solver_options);
+  return s;
+}
 
-  // Phase 3: pipelined triangular solves.
-  std::vector<real_t> b_perm(b.size());
-  for (index_t c = 0; c < m; ++c) {
-    for (index_t k = 0; k < n; ++k) {
-      b_perm[static_cast<std::size_t>(c * n + k)] =
-          b[static_cast<std::size_t>(c * n + perm.old_of_new(k))];
-    }
-  }
+ParallelSolveResult SparseSolver::solve(std::span<const real_t> b, index_t m,
+                                        int refine_sweeps) const {
+  const index_t n = a_perm_.n();
+  SPARTS_CHECK(static_cast<index_t>(b.size()) == n * m,
+               "right-hand side has the wrong size");
+  const Factored& f = *factored_;
+  ParallelSolveResult result = factor_report_;
+  dense::set_kernel_impl(options_.kernels);
+  const std::vector<real_t> b_perm = permute_rows(perm_, b, m, true);
   std::vector<real_t> x_perm(b.size(), 0.0);
-  {
-    partrisolve::Options solver_options;
-    solver_options.block_size = redist_options.block_1d;
-    const partrisolve::DistributedTrisolver solver(factor, &local_factor,
-                                                   solve_map, solver_options);
-    const Stack st = make_stack(p, options);
+
+  // Phase 3: the triangular solves, forward then backward.
+  if (p_ == 0) {
+    x_perm = b_perm;
+    {
+      obs::PhaseScope phase("forward");
+      const WallTimer timer;
+      trisolve::forward_solve(f.factor, x_perm.data(), m);
+      result.forward_time = timer.seconds();
+    }
+    obs::PhaseScope phase("backward");
+    const WallTimer timer;
+    trisolve::backward_solve(f.factor, x_perm.data(), m);
+    result.backward_time = timer.seconds();
+  } else {
+    // Pipelined on a fresh stack, so this solve's stats start from zero.
+    const Stack st = make_stack(p_, options_);
     exec::Comm& machine = *st.comm;
     std::vector<real_t> y_perm(b.size(), 0.0);
     {
       obs::PhaseScope phase("forward");
-      maybe_arm_test_kill(options, "forward");
-      const partrisolve::PhaseReport fw = run_phase(
-          "forward", st, &result,
-          [&] { return solver.forward(machine, b_perm, y_perm, m); });
+      maybe_arm_test_kill(options_, "forward");
+      const partrisolve::PhaseReport fw = run_phase("forward", st, [&] {
+        return f.trisolver->forward(machine, b_perm, y_perm, m);
+      });
       result.forward_time = fw.time();
       result.forward_dag = fw.graph;
       result.forward_critical_path = critical_path_of(st);
@@ -676,10 +697,10 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
     }
     {
       obs::PhaseScope phase("backward");
-      maybe_arm_test_kill(options, "backward");
-      const partrisolve::PhaseReport bw = run_phase(
-          "backward", st, &result,
-          [&] { return solver.backward(machine, y_perm, x_perm, m); });
+      maybe_arm_test_kill(options_, "backward");
+      const partrisolve::PhaseReport bw = run_phase("backward", st, [&] {
+        return f.trisolver->backward(machine, y_perm, x_perm, m);
+      });
       result.backward_time = bw.time();
       result.backward_dag = bw.graph;
       result.backward_critical_path = critical_path_of(st);
@@ -688,12 +709,11 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
     }
     if (machine.distributed()) {
       // Each process wrote only its own rank's rows of x_perm; mirror so
-      // the host-side refinement and the un-permutation below see the
-      // complete solution — and every rank of the cohort returns the
-      // identical x.
-      run_phase("solution-mirror", st, &result, [&] {
+      // the refinement and the un-permutation below see the complete
+      // solution — and every rank of the cohort returns the identical x.
+      run_phase("solution-mirror", st, [&] {
         machine.run([&](exec::Process& pr) {
-          exec::allmerge_nonzero(pr, exec::Group{0, p, 1},
+          exec::allmerge_nonzero(pr, exec::Group{0, p_, 1},
                                  std::span<real_t>(x_perm), kMirrorTagBase);
         });
         return 0;
@@ -701,62 +721,22 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
     }
   }
 
-  // Graceful numerical degradation: if any pivot was perturbed, the factor
-  // is exact only for a nearby matrix.  Recover accuracy with host-side
-  // residual-driven refinement against the true matrix (parallel_solve
-  // holds the complete factor, so corrections use the sequential solver),
-  // and report the result as degraded.
-  result.perturbed_pivots =
-      cohort_perturbations >= 0
-          ? cohort_perturbations
-          : dense::pivot_perturbations() - perturbations_before;
-  if (result.perturbed_pivots > 0) {
-    result.status = SolveStatus::degraded;
-    real_t b_norm = 0.0;
-    for (const real_t v : b_perm) b_norm += v * v;
-    b_norm = std::sqrt(b_norm);
-    std::vector<real_t> r_perm(b.size());
-    auto compute_residual = [&]() -> real_t {
-      real_t rn = 0.0;
-      for (index_t c = 0; c < m; ++c) {
-        std::vector<real_t> ax(static_cast<std::size_t>(n), 0.0);
-        a_perm.symv(1.0,
-                    std::span<const real_t>(
-                        x_perm.data() + static_cast<std::size_t>(c * n),
-                        static_cast<std::size_t>(n)),
-                    ax);
-        for (index_t k = 0; k < n; ++k) {
-          const std::size_t z = static_cast<std::size_t>(c * n + k);
-          r_perm[z] = b_perm[z] - ax[static_cast<std::size_t>(k)];
-          rn += r_perm[z] * r_perm[z];
-        }
-      }
-      return b_norm > 0.0 ? std::sqrt(rn) / b_norm : 0.0;
-    };
-    result.residual = compute_residual();
-    while (result.residual > options.refine_tolerance &&
-           result.refine_iterations < options.refine_max_iterations) {
-      std::vector<real_t> dx = r_perm;
-      trisolve::full_solve(factor, dx.data(), m);
-      for (std::size_t z = 0; z < x_perm.size(); ++z) x_perm[z] += dx[z];
-      ++result.refine_iterations;
-      const real_t next = compute_residual();
-      if (obs::metrics_enabled()) {
-        obs::metrics().counter("solve.refine_iterations").add(1);
-      }
-      if (!(next < result.residual)) break;  // stagnated (or NaN): stop
-      result.residual = next;
-    }
+  const bool degraded = result.status == SolveStatus::degraded;
+  if (degraded || refine_sweeps > 0) {
+    const int sweeps = std::max(
+        refine_sweeps, degraded ? options_.refine_max_iterations : 0);
+    refine(a_perm_, f.factor, b_perm, x_perm, m, sweeps,
+           options_.refine_tolerance, &result);
   }
-
-  result.x.assign(b.size(), 0.0);
-  for (index_t c = 0; c < m; ++c) {
-    for (index_t k = 0; k < n; ++k) {
-      result.x[static_cast<std::size_t>(c * n + perm.old_of_new(k))] =
-          x_perm[static_cast<std::size_t>(c * n + k)];
-    }
-  }
+  result.x = permute_rows(perm_, x_perm, m, false);
   return result;
+}
+
+ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
+                                   std::span<const real_t> b, index_t m,
+                                   index_t p, const Options& options) {
+  SPARTS_CHECK(static_cast<index_t>(b.size()) == a.n() * m);
+  return SparseSolver::factorize(a, options, p).solve(b, m);
 }
 
 }  // namespace sparts::solver

@@ -1,9 +1,10 @@
-// High-level solver facade: the four phases of a sparse direct solve
-// (reordering, symbolic factorization, numerical factorization, triangular
-// solution) behind one API — sequential, plus a distributed variant that
-// reproduces the paper's full pipeline on the simulated machine
+// High-level solver: the four phases of a sparse direct solve (reordering,
+// symbolic factorization, numerical factorization, triangular solution)
+// behind one object that factors once and solves many times.  At p = 0 it
+// factors and solves on the host; at p >= 1 it runs the paper's pipeline
 // (2-D-partitioned factorization -> redistribution -> 1-D pipelined
-// triangular solves).
+// triangular solves) on p ranks of an exec backend: the simulator, threads,
+// fibers on the task scheduler, or a cohort of OS processes.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +36,9 @@ enum class OrderingMethod {
   rcm,
 };
 
-/// Which exec backend runs the parallel phases of parallel_solve.  The
-/// message audit (Options::check) and the fault stack (Options::faults)
-/// are layers over it, not backends of their own.
+/// Which exec backend runs the parallel phases at p >= 1.  The message
+/// audit (Options::check) and the fault stack (Options::faults) are layers
+/// over it, not backends of their own.
 enum class ExecutionBackend {
   simulated,  ///< simpar::Machine: deterministic cost-model clocks
   threads,    ///< exec::ThreadBackend: one std::thread per rank, wall clock
@@ -89,19 +90,21 @@ struct Options {
   /// Relaxed supernode amalgamation: 0 disables (fundamental supernodes).
   index_t amalgamation_max_width = 0;
   nnz_t amalgamation_relax_zeros = 0;
-  /// Backend for parallel_solve.  With `simulated` the reported phase times
-  /// are predicted T3D seconds; with `threads` they are measured wall-clock
-  /// seconds on this host.
+  /// Backend of the parallel phases at p >= 1.  With `simulated` the
+  /// reported phase times are predicted T3D seconds; on threads, tasks and
+  /// proc they are measured wall-clock seconds on this host.
   ExecutionBackend backend = ExecutionBackend::simulated;
   /// Audit every phase's traffic with exec::CheckedBackend (wildcard
   /// races, tag collisions, orphaned sends, deadlock cycles); any finding
-  /// raises AnalysisError.  Composes over sim, threads and tasks; times
-  /// stay those of the backend below.
+  /// raises AnalysisError.  Composes over sim, threads and tasks at
+  /// p >= 1 (InvalidArgument at p = 0 or over proc); times stay those of
+  /// the backend below.
   bool check = false;
   /// Inject this fault scenario under the reliability envelope
   /// (Reliable(Faulty(backend))): the envelope recovers, or the phase
   /// aborts with a structured SolveError.  Composes over sim, threads and
-  /// tasks; with `check` the audit sits above the envelope.
+  /// tasks at p >= 1, like `check`; with `check` the audit sits above the
+  /// envelope.
   std::optional<exec::FaultPlan> faults;
   /// Dense kernel implementation used by every phase (reference loops or
   /// the tiled/vectorized kernels).  Defaults to the SPARTS_KERNELS
@@ -114,8 +117,8 @@ struct Options {
   /// `degraded`).  See dense/pivot.hpp and docs/robustness.md.
   dense::PivotMode pivot_mode = dense::PivotMode::fail;
   double pivot_rel_floor = 1e-12;
-  /// Bound on the host-side refinement sweeps parallel_solve runs after a
-  /// degraded factorization, and the residual it tries to reach.
+  /// Bound on the refinement sweeps a solve runs after a degraded
+  /// factorization, and the residual every refinement tries to reach.
   int refine_max_iterations = 5;
   real_t refine_tolerance = 1e-10;
   /// Process backend (--backend proc) wiring, ignored by every other
@@ -127,7 +130,7 @@ struct Options {
   index_t proc_rank = 0;
   std::string proc_rendezvous_dir;
   std::string proc_rankfile;
-  /// When non-empty, parallel_solve caches the numeric factor here
+  /// When non-empty, factorize caches the numeric factor here
   /// (factor.bin + factor.meta carrying a fingerprint of the permuted
   /// matrix and the factor-relevant options) and on a later run of the
   /// same problem loads it and skips factorization — so a solve aborted
@@ -142,42 +145,6 @@ struct AnalysisInfo {
   nnz_t factor_flops = 0;
   index_t num_supernodes = 0;
   nnz_t solve_flops_per_rhs = 0;
-};
-
-/// Sequential sparse SPD solver.
-class SparseSolver {
- public:
-  /// Run ordering + symbolic + numerical factorization.
-  static SparseSolver factorize(const sparse::SymmetricCsc& a,
-                                const Options& options = {});
-
-  /// Solve A X = B; `b` is n x m column-major in the *original* ordering;
-  /// returns X in the original ordering.
-  std::vector<real_t> solve(std::span<const real_t> b, index_t m) const;
-
-  /// Solve with iterative refinement: after the direct solve, repeat
-  /// r = B - A X; X += A^{-1} r up to `max_iterations` times or until the
-  /// relative residual drops below `tolerance`.  Returns X and (optionally)
-  /// the final residual via `residual_out`.
-  std::vector<real_t> solve_refined(std::span<const real_t> b, index_t m,
-                                    int max_iterations = 3,
-                                    real_t tolerance = 1e-14,
-                                    real_t* residual_out = nullptr) const;
-
-  const AnalysisInfo& info() const { return info_; }
-  const numeric::SupernodalFactor& factor() const { return factor_; }
-  const sparse::Permutation& permutation() const { return perm_; }
-  const sparse::SymmetricCsc& permuted_matrix() const { return a_perm_; }
-  const symbolic::SupernodePartition& partition() const {
-    return factor_.partition();
-  }
-
- private:
-  SparseSolver() = default;
-  sparse::Permutation perm_;
-  sparse::SymmetricCsc a_perm_;
-  numeric::SupernodalFactor factor_;
-  AnalysisInfo info_;
 };
 
 /// A parallel phase failed in a structured way: an injected crash, an
@@ -218,10 +185,13 @@ enum class SolveStatus {
   degraded,  ///< pivots were perturbed; x comes from iterative refinement
 };
 
-/// Result of a full distributed solve on the simulated machine.
+/// A solution and the accounting of the phases that produced it: the
+/// factorization's and the solve's.
 struct ParallelSolveResult {
   std::vector<real_t> x;       ///< solution, original ordering
-  double factor_time = 0.0;    ///< simulated seconds
+  /// Phase times: simulated seconds on `sim`, wall-clock seconds on the
+  /// other backends and on the host (p = 0, where redist_time stays 0).
+  double factor_time = 0.0;
   double redist_time = 0.0;
   double forward_time = 0.0;
   double backward_time = 0.0;
@@ -246,9 +216,9 @@ struct ParallelSolveResult {
   /// refinement did not run (clean direct solve, residual not computed).
   real_t residual = -1.0;
   /// Shapes of the supernode task DAGs the parallel phases executed —
-  /// filled for every backend, because the SPMD loops are lowerings of the
-  /// same graphs the tasks backend runs (see parfact/factor_dag.hpp and
-  /// partrisolve/solve_dag.hpp).
+  /// filled for every backend, because the SPMD loops walk per-rank
+  /// ascending supernode lists that are schedules of these graphs (see
+  /// parfact/factor_dag.hpp and partrisolve/solve_dag.hpp).
   exec::GraphStats factor_dag;
   exec::GraphStats forward_dag;
   exec::GraphStats backward_dag;
@@ -266,10 +236,62 @@ struct ParallelSolveResult {
   double solve_time() const { return forward_time + backward_time; }
 };
 
-/// Full pipeline on `p` simulated processors: 2-D-partitioned parallel
-/// multifrontal factorization, 2-D -> 1-D redistribution, then the
-/// pipelined triangular solvers.  Host-side ordering/symbolic phases are
-/// not timed (the paper's tables start at numerical factorization).
+/// Sparse SPD direct solver: factor once, then solve any number of
+/// right-hand-side blocks against the kept factor.
+class SparseSolver {
+ public:
+  /// Order, analyse and factor `a`.  At p = 0 the host's multifrontal
+  /// factorization.  At p >= 1 the 2-D-partitioned parallel factorization
+  /// on p ranks of options.backend, then its 2-D -> 1-D redistribution
+  /// into the rank-local storage the pipelined solves read.  Host-side
+  /// ordering and symbolic analysis are not timed (the paper's tables
+  /// start at numerical factorization).
+  static SparseSolver factorize(const sparse::SymmetricCsc& a,
+                                const Options& options = {}, index_t p = 0);
+
+  SparseSolver(SparseSolver&&) noexcept;
+  SparseSolver& operator=(SparseSolver&&) noexcept;
+  ~SparseSolver();
+
+  /// Solve A X = B; `b` is n x m column-major in the *original* ordering,
+  /// and so is the returned x.  Runs the forward and backward solves (at
+  /// p >= 1 on a fresh backend stack), then iterative refinement against
+  /// A: up to options.refine_max_iterations sweeps when pivots were
+  /// perturbed, or up to `refine_sweeps` when that is more, each stopping
+  /// once the residual reaches options.refine_tolerance or stops falling.
+  /// The result carries the factorization's accounting plus this solve's,
+  /// and the residual of the x it returns.
+  ParallelSolveResult solve(std::span<const real_t> b, index_t m,
+                            int refine_sweeps = 0) const;
+
+  const AnalysisInfo& info() const { return info_; }
+  const numeric::SupernodalFactor& factor() const;
+  const sparse::Permutation& permutation() const { return perm_; }
+  const sparse::SymmetricCsc& permuted_matrix() const { return a_perm_; }
+  const symbolic::SupernodePartition& partition() const {
+    return factor().partition();
+  }
+
+ private:
+  /// The factor and, at p >= 1, the solve mapping, the rank-local factor
+  /// and the trisolver that reads all three; on the heap so that moving
+  /// the solver keeps the addresses the trisolver holds.
+  struct Factored;
+
+  SparseSolver();
+
+  Options options_;
+  index_t p_ = 0;
+  sparse::Permutation perm_;
+  sparse::SymmetricCsc a_perm_;
+  AnalysisInfo info_;
+  std::unique_ptr<Factored> factored_;
+  /// The factorization's accounting; each solve starts from a copy.
+  ParallelSolveResult factor_report_;
+};
+
+/// The whole pipeline once: SparseSolver::factorize(a, options, p), then
+/// one solve of the n x m block `b`.
 ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
                                    std::span<const real_t> b, index_t m,
                                    index_t p, const Options& options = {});

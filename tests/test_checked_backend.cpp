@@ -242,7 +242,7 @@ TEST(CheckedBackend, FullParallelSolveRunsCleanUnderChecked) {
   EXPECT_GT(result.checked_messages, 0);
   EXPECT_EQ(result.x, solver::parallel_solve(a, b, m, 8, {}).x);
 
-  const auto reference = solver::SparseSolver::factorize(a).solve(b, m);
+  const auto reference = solver::SparseSolver::factorize(a).solve(b, m).x;
   ASSERT_EQ(result.x.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_NEAR(result.x[i], reference[i], 1e-8);

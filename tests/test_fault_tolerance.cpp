@@ -3,8 +3,9 @@
 // delays, reorders and stalls with a solution bit-identical to the clean
 // run; a crash must surface as a structured SolveError (no hang); and a
 // singular matrix must complete with degraded status under the perturbing
-// pivot policy.  Registered under the CTest label `faults` and included in
-// the TSan preset, so the threaded scenarios run under the race detector.
+// pivot policy, on the host (p = 0) as in the parallel pipeline.
+// Registered under the CTest label `faults` and included in the TSan
+// preset, so the threaded scenarios run under the race detector.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -174,19 +175,24 @@ TEST(FaultTolerance, TimeoutUnderTheAuditNamesTheSupernode) {
 }
 
 TEST(FaultTolerance, LayersRejectBackendsTheyCannotCompose) {
-  // Rejected before any rank starts: either layer over separate processes.
+  // Rejected before any rank starts: either layer over separate processes,
+  // or over the host solve (p = 0), which sends no messages.
   const Problem prob = make_problem();
-  auto solve = [&](solver::ExecutionBackend backend, bool check,
+  auto solve = [&](solver::ExecutionBackend backend, index_t p, bool check,
                    bool faults) {
     solver::Options opt;
     opt.backend = backend;
     opt.check = check;
     if (faults) opt.faults = exec::FaultPlan::parse("seed=1");
-    return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
+    return solver::parallel_solve(prob.a, prob.b, 1, p, opt);
   };
-  EXPECT_THROW(solve(solver::ExecutionBackend::proc, false, true),
+  EXPECT_THROW(solve(solver::ExecutionBackend::proc, 4, false, true),
                InvalidArgument);
-  EXPECT_THROW(solve(solver::ExecutionBackend::proc, true, false),
+  EXPECT_THROW(solve(solver::ExecutionBackend::proc, 4, true, false),
+               InvalidArgument);
+  EXPECT_THROW(solve(solver::ExecutionBackend::simulated, 0, false, true),
+               InvalidArgument);
+  EXPECT_THROW(solve(solver::ExecutionBackend::simulated, 0, true, false),
                InvalidArgument);
 }
 
@@ -261,25 +267,34 @@ TEST(Degradation, SingularMatrixCompletesDegradedWithPerturbedPivots) {
   solver::Options opt;
   opt.ordering = solver::OrderingMethod::natural;
   opt.pivot_mode = dense::PivotMode::perturb;
-  const auto r = solver::parallel_solve(a, b, 1, 4, opt);
-  EXPECT_EQ(r.status, solver::SolveStatus::degraded);
-  EXPECT_GE(r.perturbed_pivots, 1);
-  // Refinement ran (residual was computed) and converged.
-  EXPECT_GE(r.residual, 0.0);
-  EXPECT_LT(r.residual, 1e-8);
-  EXPECT_LT(trisolve::relative_residual(a, r.x, b, 1), 1e-8);
+  // The host solver (p = 0) and the parallel pipeline share the
+  // accounting and the refinement.
+  for (const index_t p : {0, 4}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    const auto r = solver::parallel_solve(a, b, 1, p, opt);
+    EXPECT_EQ(r.status, solver::SolveStatus::degraded);
+    EXPECT_GE(r.perturbed_pivots, 1);
+    // Refinement ran (residual was computed) and converged.
+    EXPECT_GE(r.residual, 0.0);
+    EXPECT_LT(r.residual, 1e-8);
+    EXPECT_LT(trisolve::relative_residual(a, r.x, b, 1), 1e-8);
+  }
 }
 
 TEST(Degradation, PerturbModeLeavesHealthyMatricesUntouched) {
   const Problem prob = make_problem();
-  const auto clean = clean_solve(prob);
   solver::Options opt;
   opt.pivot_mode = dense::PivotMode::perturb;
-  const auto r = solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
-  EXPECT_EQ(r.status, solver::SolveStatus::ok);
-  EXPECT_EQ(r.perturbed_pivots, 0);
-  EXPECT_EQ(r.refine_iterations, 0);
-  EXPECT_EQ(clean.x, r.x);
+  for (const index_t p : {0, 4}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    const auto clean = solver::parallel_solve(prob.a, prob.b, 1, p);
+    const auto r = solver::parallel_solve(prob.a, prob.b, 1, p, opt);
+    EXPECT_EQ(r.status, solver::SolveStatus::ok);
+    EXPECT_EQ(r.perturbed_pivots, 0);
+    EXPECT_EQ(r.refine_iterations, 0);
+    EXPECT_LT(r.residual, 0.0);  // no refinement ran
+    EXPECT_EQ(clean.x, r.x);
+  }
 }
 
 }  // namespace

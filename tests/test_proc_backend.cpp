@@ -515,47 +515,59 @@ TEST(ProcCohort, StatsCountsMatchSimulator) {
   EXPECT_EQ(codes, std::vector<int>(p, 0));
 }
 
-/// The conformance leg: parallel_solve over the socket cohort must be
-/// BIT-identical to the simulator's x for the same problem, at several
-/// processor counts.  Children write x to per-rank files; the parent
+/// The conformance leg: over the socket cohort, one factorization serves
+/// two solves (m = 2, then m = 1), and each x must be BIT-identical to a
+/// fresh simulator parallel_solve for the same right-hand side, at several
+/// processor counts.  Children write each x to per-rank files; the parent
 /// compares bytes.
 void conformance_at(index_t p) {
   TempDir dir;
   const sparse::SymmetricCsc a = sparse::grid2d(11, 11);
   Rng rng(4242);
-  const index_t m = 2;
-  const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
-
+  const index_t widths[] = {2, 1};
+  std::vector<std::vector<real_t>> bs, sims;
   solver::Options sim_options;
   sim_options.backend = solver::ExecutionBackend::simulated;
-  const auto sim = solver::parallel_solve(a, b, m, p, sim_options);
+  for (const index_t m : widths) {
+    bs.push_back(sparse::random_rhs(a.n(), m, rng));
+    sims.push_back(solver::parallel_solve(a, bs.back(), m, p, sim_options).x);
+  }
+  auto x_path = [&](index_t r, std::size_t i) {
+    return dir.path + "/x" + std::to_string(r) + "_" + std::to_string(i) +
+           ".bin";
+  };
 
   const auto codes = fork_ranks(p, dir.path, [&](index_t r) -> int {
     solver::Options options;
     options.backend = solver::ExecutionBackend::proc;
     options.proc_rank = r;
     options.proc_rendezvous_dir = dir.path;
-    const auto result = solver::parallel_solve(a, b, m, p, options);
-    std::ofstream out(dir.path + "/x" + std::to_string(r) + ".bin",
-                      std::ios::binary);
-    out.write(reinterpret_cast<const char*>(result.x.data()),
-              static_cast<std::streamsize>(result.x.size() * sizeof(real_t)));
-    return out ? 0 : 5;
+    const auto s = solver::SparseSolver::factorize(a, options, p);
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      const std::vector<real_t> x = s.solve(bs[i], widths[i]).x;
+      std::ofstream out(x_path(r, i), std::ios::binary);
+      out.write(reinterpret_cast<const char*>(x.data()),
+                static_cast<std::streamsize>(x.size() * sizeof(real_t)));
+      if (!out) return 5;
+    }
+    return 0;
   });
   ASSERT_EQ(codes, std::vector<int>(p, 0)) << "p=" << p;
 
   // EVERY rank must hold the bit-identical solution (the mirror's
   // whole-cohort replication contract), equal to the simulator's.
   for (index_t r = 0; r < p; ++r) {
-    std::ifstream in(dir.path + "/x" + std::to_string(r) + ".bin",
-                     std::ios::binary);
-    std::vector<real_t> x(sim.x.size());
-    in.read(reinterpret_cast<char*>(x.data()),
-            static_cast<std::streamsize>(x.size() * sizeof(real_t)));
-    ASSERT_TRUE(in) << "rank " << r << " wrote a short x";
-    EXPECT_EQ(std::memcmp(x.data(), sim.x.data(), x.size() * sizeof(real_t)),
-              0)
-        << "p=" << p << " rank " << r << " diverged from the simulator";
+    for (std::size_t i = 0; i < sims.size(); ++i) {
+      std::ifstream in(x_path(r, i), std::ios::binary);
+      std::vector<real_t> x(sims[i].size());
+      in.read(reinterpret_cast<char*>(x.data()),
+              static_cast<std::streamsize>(x.size() * sizeof(real_t)));
+      ASSERT_TRUE(in) << "rank " << r << " wrote a short x for solve " << i;
+      EXPECT_EQ(
+          std::memcmp(x.data(), sims[i].data(), x.size() * sizeof(real_t)), 0)
+          << "p=" << p << " rank " << r << " solve " << i
+          << " diverged from the simulator";
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "model/model.hpp"
@@ -28,7 +29,7 @@ TEST_P(SolverOrderingTest, EndToEndResidual) {
   const index_t n = a.n(), m = 4;
   Rng rng(3);
   std::vector<real_t> b = sparse::random_rhs(n, m, rng);
-  std::vector<real_t> x = s.solve(b, m);
+  std::vector<real_t> x = s.solve(b, m).x;
   EXPECT_LT(trisolve::relative_residual(a, x, b, m), 1e-9);
 }
 
@@ -48,7 +49,7 @@ TEST(Solver, AmalgamationOptionStillSolves) {
   const index_t n = a.n();
   Rng rng(4);
   std::vector<real_t> b = sparse::random_rhs(n, 1, rng);
-  std::vector<real_t> x = s.solve(b, 1);
+  std::vector<real_t> x = s.solve(b, 1).x;
   EXPECT_LT(trisolve::relative_residual(a, x, b, 1), 1e-9);
 }
 
@@ -105,6 +106,56 @@ TEST(ParallelSolver, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(r1.redist_time, r2.redist_time);
   EXPECT_DOUBLE_EQ(r1.forward_time, r2.forward_time);
   EXPECT_DOUBLE_EQ(r1.backward_time, r2.backward_time);
+}
+
+/// Factor once, solve many: one factorization serves solves with different
+/// right-hand sides and widths, each bit-identical to a fresh
+/// parallel_solve of the same system (on sim, with the same phase times).
+class FactorOnceSolveMany
+    : public ::testing::TestWithParam<solver::ExecutionBackend> {};
+
+TEST_P(FactorOnceSolveMany, EachSolveMatchesAFreshParallelSolve) {
+  const sparse::SymmetricCsc a = sparse::grid2d(13, 11);
+  constexpr index_t p = 4;
+  solver::Options opt;
+  opt.backend = GetParam();
+  const solver::SparseSolver s = solver::SparseSolver::factorize(a, opt, p);
+  Rng rng(97);
+  for (const index_t m : {1, 3, 2}) {
+    const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
+    const solver::ParallelSolveResult r = s.solve(b, m);
+    const solver::ParallelSolveResult fresh =
+        solver::parallel_solve(a, b, m, p, opt);
+    EXPECT_EQ(r.x, fresh.x) << "m=" << m;
+    EXPECT_LT(trisolve::relative_residual(a, r.x, b, m), 1e-9);
+    if (opt.backend == solver::ExecutionBackend::simulated) {
+      EXPECT_DOUBLE_EQ(r.factor_time, fresh.factor_time);
+      EXPECT_DOUBLE_EQ(r.redist_time, fresh.redist_time);
+      EXPECT_DOUBLE_EQ(r.forward_time, fresh.forward_time);
+      EXPECT_DOUBLE_EQ(r.backward_time, fresh.backward_time);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, FactorOnceSolveMany,
+    ::testing::Values(solver::ExecutionBackend::simulated,
+                      solver::ExecutionBackend::threads,
+                      solver::ExecutionBackend::tasks),
+    [](const ::testing::TestParamInfo<solver::ExecutionBackend>& info) {
+      return std::string(solver::execution_backend_info(info.param).name);
+    });
+
+TEST(Solver, AnalysisAndEstimatesAgreeAcrossProcessorCounts) {
+  // Ordering and analysis are the same at every p, so is the report; the
+  // condition estimate differs only by the factors' rounding.
+  const sparse::SymmetricCsc a = sparse::grid2d(14, 14, 5, 1e-2);
+  const solver::SparseSolver host = solver::SparseSolver::factorize(a);
+  const solver::SparseSolver par = solver::SparseSolver::factorize(a, {}, 4);
+  EXPECT_EQ(solver::analysis_report(host), solver::analysis_report(par));
+  const real_t cond_host = solver::estimate_condition(host).condition();
+  const real_t cond_par = solver::estimate_condition(par).condition();
+  EXPECT_NEAR(cond_par, cond_host, 1e-8 * cond_host);
 }
 
 TEST(CondEst, IdentityIsWellConditioned) {

@@ -2,12 +2,15 @@
 //
 //   sparts_solve --matrix stiffness.mtx --nrhs 4 --ordering nd
 //   sparts_solve --grid3d 20 --procs 64            # simulated machine
+//   sparts_solve --grid2d 40 --procs 4 --backend threads --refine 2
 //   sparts_solve --grid2d 100 --refine 2 --ordering md
 //
-// Reads a symmetric Matrix Market file (or generates a test grid), runs
-// the full pipeline, and prints analysis statistics, timings, and the
-// residual.  With --procs > 1 the distributed pipeline runs on the
-// simulated T3D-like machine and the per-phase simulated times are shown.
+// Reads a symmetric Matrix Market file (or generates a test grid),
+// factors it once, solves, and prints analysis statistics, per-phase
+// times and the residual.  At --procs 0 (the default) everything runs on
+// the host; with --procs P the distributed pipeline runs on P ranks of
+// the --backend (sim, threads, tasks or proc), in simulated seconds on
+// sim and wall-clock seconds on the others.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -15,7 +18,6 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "exec/socket_backend.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -58,18 +60,22 @@ options:
   std::cout <<
       R"(  --check               audit every phase's messages for wildcard races,
                         tag collisions, orphaned sends and deadlock cycles;
-                        findings fail the run (sim, threads, tasks)
+                        findings fail the run (sim, threads, tasks;
+                        needs --procs P)
   --kernels NAME        tiled (cache-blocked dense kernels) | ref (naive
                         loops; conformance oracle)  (default: SPARTS_KERNELS
                         environment variable, else tiled)
-  --refine N            iterative-refinement steps        (default 0)
+  --refine N            up to N iterative-refinement sweeps toward a
+                        1e-15 residual (default 0; a factorization with
+                        perturbed pivots refines regardless)
   --report              print the full analysis report
   --condest             estimate the 1-norm condition number
   --amalgamate W,Z      relaxed supernodes: max width W, relax Z zeros/col
 
 robustness (see docs/robustness.md):
   --faults SPEC         inject this fault scenario under the reliability
-                        envelope (sim, threads, tasks), e.g.
+                        envelope (sim, threads, tasks; needs --procs P),
+                        e.g.
                         seed=42,drop=0.05,dup=0.02,delay=0.1:0.01,
                         reorder=0.05,stall=2@0.5,crash=1@40,max_faults=100
   --pivot MODE          fail (throw on a non-positive pivot, default) |
@@ -109,9 +115,9 @@ observability:
 )";
 }
 
-/// Strict numeric argument parsing: the whole token must be an integer in
-/// range.  std::stoll alone would accept "8abc" and throw opaque
-/// std::invalid_argument on junk.
+/// Strict numeric argument parsing: the whole token must be a
+/// non-negative integer in range.  std::stoll alone would accept "8abc"
+/// and throw opaque std::invalid_argument on junk.
 long long parse_count(const std::string& flag, const std::string& value) {
   std::size_t used = 0;
   long long v = 0;
@@ -122,6 +128,9 @@ long long parse_count(const std::string& flag, const std::string& value) {
   }
   if (used != value.size()) {
     throw InvalidArgument(flag + " expects an integer, got: " + value);
+  }
+  if (v < 0) {
+    throw InvalidArgument(flag + " expects a count >= 0, got: " + value);
   }
   return v;
 }
@@ -298,31 +307,47 @@ int main(int argc, char** argv) {
     Rng rng(12345);
     const std::vector<real_t> b = sparse::random_rhs(a.n(), nrhs, rng);
 
-    if (procs > 0) {
-      // Distributed pipeline on the selected exec backend.
-      const auto result = solver::parallel_solve(a, b, nrhs, procs, options);
+    if (refine > 0) options.refine_tolerance = 1e-15;
+    const solver::SparseSolver s =
+        solver::SparseSolver::factorize(a, options, procs);
+    if (report) {
+      solver::ReportOptions ropt;
+      ropt.nrhs = nrhs;
+      std::cout << "\n" << solver::analysis_report(s, ropt) << "\n";
+    }
+    const solver::ParallelSolveResult result = s.solve(b, nrhs, refine);
+
+    std::cout << "\nanalysis:\n"
+              << "  nnz(L)          " << s.info().factor_nnz << "\n"
+              << "  factor flops    " << s.info().factor_flops << "\n"
+              << "  supernodes      " << s.info().num_supernodes << "\n";
+    if (procs == 0) {
+      std::cout << "host (sequential multifrontal), wall-clock seconds\n";
+    } else {
       const solver::BackendInfo& binfo =
           solver::execution_backend_info(options.backend);
-      const bool sim =
-          options.backend == solver::ExecutionBackend::simulated;
-      const bool tasks = options.backend == solver::ExecutionBackend::tasks;
-      std::cout << "\nbackend " << binfo.name << " (" << binfo.summary
+      std::cout << "backend " << binfo.name << " (" << binfo.summary
                 << "): " << procs
-                << (sim ? " processors, simulated seconds\n"
-                        : " ranks, wall-clock seconds\n")
-                << "  factorization  " << format_fixed(result.factor_time, 4)
-                << (result.factor_from_checkpoint
-                        ? " s  (skipped: factor loaded from checkpoint)\n"
-                        : " s\n")
-                << "  redistribution " << format_fixed(result.redist_time, 4)
-                << " s\n"
-                << "  forward solve  "
-                << format_fixed(result.forward_time, 4) << " s\n"
-                << "  backward solve "
-                << format_fixed(result.backward_time, 4) << " s\n";
+                << (options.backend == solver::ExecutionBackend::simulated
+                        ? " processors, simulated seconds\n"
+                        : " ranks, wall-clock seconds\n");
+    }
+    std::cout << "  factorization  " << format_fixed(result.factor_time, 4)
+              << (result.factor_from_checkpoint
+                      ? " s  (skipped: factor loaded from checkpoint)\n"
+                      : " s\n");
+    if (procs > 0) {
+      std::cout << "  redistribution " << format_fixed(result.redist_time, 4)
+                << " s\n";
+    }
+    std::cout << "  forward solve  " << format_fixed(result.forward_time, 4)
+              << " s\n"
+              << "  backward solve " << format_fixed(result.backward_time, 4)
+              << " s\n";
+    if (procs > 0) {
       // Shapes of the supernode task DAGs the parallel phases executed;
-      // every backend lowers the same graphs (the SPMD loops walk the
-      // graph's topological schedule).
+      // the SPMD loops of every backend walk per-rank ascending supernode
+      // lists, which are schedules of these graphs.
       auto dag_line = [](const char* name, const exec::GraphStats& g) {
         std::cout << "  " << name << " " << g.tasks << " tasks, " << g.edges
                   << " edges, depth " << g.depth << ", avg parallelism "
@@ -332,93 +357,61 @@ int main(int argc, char** argv) {
       dag_line("factor  ", result.factor_dag);
       dag_line("forward ", result.forward_dag);
       dag_line("backward", result.backward_dag);
-      if (tasks) {
-        std::cout << "task scheduler:  " << result.task_scheduler.workers
-                  << " workers, " << result.task_scheduler.jobs_run
-                  << " jobs, " << result.task_scheduler.steals << " steals, "
-                  << result.task_scheduler.parks << " parks\n";
-        // Measured critical paths of the executed fiber-segment DAGs:
-        // T1 (work) / T-inf (span) / the greedy bound T1/p + T-inf next
-        // to the measured makespan, per parallel phase.
-        auto cp_line = [](const char* name,
-                          const obs::CriticalPathReport& cp) {
-          if (!cp.valid()) return;
-          std::cout << "  " << name << " T1 " << format_fixed(cp.t1, 4)
-                    << " s, T-inf " << format_fixed(cp.t_inf, 4)
-                    << " s over " << cp.path.size()
-                    << " segments, makespan "
-                    << format_fixed(cp.makespan, 4) << " s (bound "
-                    << format_fixed(cp.span_bound, 4) << "), parallelism "
-                    << format_fixed(cp.avg_parallelism, 2) << ", slack "
-                    << format_fixed(cp.slack, 4) << " s\n";
-        };
-        std::cout << "executed critical paths:\n";
-        cp_line("factor  ", result.factor_critical_path);
-        cp_line("forward ", result.forward_critical_path);
-        cp_line("backward", result.backward_critical_path);
-      }
-      if (options.check) {
-        std::cout << "message audit:   " << result.checked_messages
-                  << " sends checked, " << result.analysis_findings
-                  << " findings\n";
-      }
-      if (options.faults) {
-        std::cout << "fault injection: " << options.faults->summary()
-                  << "\n"
-                  << "  injected " << result.faults_injected
-                  << " fault(s), recovered with " << result.retransmits
-                  << " retransmit(s), " << result.dup_discarded
-                  << " duplicate(s) discarded\n";
-      }
-      if (result.status == solver::SolveStatus::degraded) {
-        std::cout << "status: DEGRADED — " << result.perturbed_pivots
-                  << " pivot(s) perturbed, " << result.refine_iterations
-                  << " refinement sweep(s), residual " << result.residual
-                  << "\n";
-      }
-      const real_t resid =
-          trisolve::relative_residual(a, result.x, b, nrhs);
-      std::cout << "relative residual: " << resid << "\n";
-      flush_observability();
-      // Clean GOODBYE to the cohort (no-op on the in-process backends).
-      exec::socket_session_shutdown();
-      return resid < 1e-8 ? 0 : 1;
     }
-
-    // Host (sequential) solve.
-    WallTimer timer;
-    const solver::SparseSolver s = solver::SparseSolver::factorize(a, options);
-    const double factor_seconds = timer.seconds();
-    if (report) {
-      solver::ReportOptions ropt;
-      ropt.nrhs = nrhs;
-      std::cout << "\n" << solver::analysis_report(s, ropt) << "\n";
+    if (procs > 0 && options.backend == solver::ExecutionBackend::tasks) {
+      std::cout << "task scheduler:  " << result.task_scheduler.workers
+                << " workers, " << result.task_scheduler.jobs_run
+                << " jobs, " << result.task_scheduler.steals << " steals, "
+                << result.task_scheduler.parks << " parks\n";
+      // Measured critical paths of the executed fiber-segment DAGs:
+      // T1 (work) / T-inf (span) / the greedy bound T1/p + T-inf next
+      // to the measured makespan, per parallel phase.
+      auto cp_line = [](const char* name, const obs::CriticalPathReport& cp) {
+        if (!cp.valid()) return;
+        std::cout << "  " << name << " T1 " << format_fixed(cp.t1, 4)
+                  << " s, T-inf " << format_fixed(cp.t_inf, 4) << " s over "
+                  << cp.path.size() << " segments, makespan "
+                  << format_fixed(cp.makespan, 4) << " s (bound "
+                  << format_fixed(cp.span_bound, 4) << "), parallelism "
+                  << format_fixed(cp.avg_parallelism, 2) << ", slack "
+                  << format_fixed(cp.slack, 4) << " s\n";
+      };
+      std::cout << "executed critical paths:\n";
+      cp_line("factor  ", result.factor_critical_path);
+      cp_line("forward ", result.forward_critical_path);
+      cp_line("backward", result.backward_critical_path);
     }
-    std::cout << "\nanalysis/factorization (host):\n"
-              << "  nnz(L)          " << s.info().factor_nnz << "\n"
-              << "  factor flops    " << s.info().factor_flops << "\n"
-              << "  supernodes      " << s.info().num_supernodes << "\n"
-              << "  factor time     " << format_fixed(factor_seconds, 3)
-              << " s\n";
-
-    timer.reset();
-    real_t resid = 0.0;
-    std::vector<real_t> x;
-    if (refine > 0) {
-      x = s.solve_refined(b, nrhs, refine, 1e-15, &resid);
-    } else {
-      x = s.solve(b, nrhs);
-      resid = trisolve::relative_residual(a, x, b, nrhs);
+    if (options.check) {
+      std::cout << "message audit:   " << result.checked_messages
+                << " sends checked, " << result.analysis_findings
+                << " findings\n";
     }
-    std::cout << "  solve time      " << format_fixed(timer.seconds(), 4)
-              << " s\n"
-              << "relative residual: " << resid << "\n";
+    if (options.faults) {
+      std::cout << "fault injection: " << options.faults->summary() << "\n"
+                << "  injected " << result.faults_injected
+                << " fault(s), recovered with " << result.retransmits
+                << " retransmit(s), " << result.dup_discarded
+                << " duplicate(s) discarded\n";
+    }
+    if (result.status == solver::SolveStatus::degraded) {
+      std::cout << "status: DEGRADED — " << result.perturbed_pivots
+                << " pivot(s) perturbed\n";
+    }
+    if (result.residual >= 0.0) {
+      std::cout << "refinement: " << result.refine_iterations
+                << " sweep(s), residual " << result.residual << "\n";
+    }
     if (condest) {
       const auto est = solver::estimate_condition(s);
       std::cout << "condition estimate: cond_1(A) ~ " << est.condition()
                 << "  (||A||_1 = " << est.norm_a << ", ||A^-1||_1 >= "
                 << est.norm_ainv << ", " << est.solves_used << " solves)\n";
     }
+    const real_t resid = trisolve::relative_residual(a, result.x, b, nrhs);
+    std::cout << "relative residual: " << resid << "\n";
+    flush_observability();
+    // Clean GOODBYE to the cohort (no-op on the in-process backends).
+    exec::socket_session_shutdown();
     return resid < 1e-8 ? 0 : 1;
   } catch (const solver::SolveError& e) {
     // Structured failure: which phase died, why, where every rank was,
