@@ -13,13 +13,16 @@
 //     in user space and the matching send resumes it on the sender's
 //     worker: the handoff is a context switch, not a kernel round trip.
 //
-// The gap is widest where the elimination tree gives the schedule the
-// least slack and the message:compute ratio is highest — the two
-// irregular workloads below:
+// The two irregular workloads below give the schedule little slack and
+// the ranks almost no flops, so what they time is the backends' own
+// cost:
 //
 //   * chain — a tridiagonal matrix in natural order: the etree is a path,
 //     every supernode has width 1, and the root path is shared by the
-//     whole group, so the solve is one long pipelined relay.
+//     whole group.  Each of those trapezoids fits in one block, so the
+//     group's first rank holds it whole and no phase sends a message:
+//     that rank runs every kernel while the others only pass over the
+//     supernodes, so the rows time rank start-up and the walk itself.
 //   * wide-flat — a block-diagonal forest of small chains: thousands of
 //     independent tiny supernodes, so the cost is almost pure task
 //     dispatch.

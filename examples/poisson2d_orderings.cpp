@@ -59,7 +59,7 @@ int main() {
     table.add(format_si(static_cast<double>(s.info().factor_flops)));
     table.add(factor_seconds, 3);
     table.add(solve_seconds * 1e3, 2);
-    table.add(residual, 2);
+    table.add(format_sci(residual, 2));
   }
   std::cout << table;
   std::cout << "\nNested dissection gives the least fill and — crucially "

@@ -44,7 +44,7 @@ int main() {
     table.add(r.solve_time(), 4);
     table.add(total, 4);
     table.add(format_fixed(100.0 * r.solve_time() / total, 1) + "%");
-    table.add(residual, 2);
+    table.add(format_sci(residual, 2));
   }
   std::cout << table;
   std::cout << "\nFactorization and redistribution are one-time costs, paid "

@@ -80,6 +80,12 @@ std::string format_fixed(double v, int precision) {
   return oss.str();
 }
 
+std::string format_sci(double v, int precision) {
+  std::ostringstream oss;
+  oss << std::scientific << std::setprecision(precision) << v;
+  return oss.str();
+}
+
 std::string format_si(double v) {
   const char* suffix = "";
   double scaled = v;

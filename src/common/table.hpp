@@ -41,6 +41,11 @@ class TextTable {
 /// Format `v` with `precision` digits after the point.
 std::string format_fixed(double v, int precision);
 
+/// Format `v` in scientific notation with `precision` digits after the
+/// point, e.g. 1.2345e-15 -> "1.23e-15": for values such as residuals
+/// that a fixed format would print as zero.
+std::string format_sci(double v, int precision);
+
 /// Human-readable count, e.g. 1234567 -> "1.23M".
 std::string format_si(double v);
 

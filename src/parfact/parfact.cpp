@@ -301,7 +301,11 @@ Report parallel_multifrontal(exec::Comm& machine,
                            below, below, t, /*lower_only=*/true)),
                        exec::FlopKind::blas3);
         }
-      } else {
+      } else if (ns > b2d || (gr == 0 && gc == 0)) {
+        // A front that fits in one block sits whole on grid rank (0, 0),
+        // which factors its one panel alone: no broadcast or all-gather.
+        // The other ranks keep an empty front.
+        const bool spread = ns > b2d;
         const exec::Group col_group{g.base + gc, geo.qr(), geo.qc()};
         const exec::Group row_group{g.base + gr * geo.qc(), geo.qc(), 1};
 
@@ -327,7 +331,7 @@ Report parallel_multifrontal(exec::Comm& machine,
               }
             }
           }
-          if (gc == panel_gc && geo.qr() > 1) {
+          if (spread && gc == panel_gc && geo.qr() > 1) {
             exec::broadcast_from(proc, col_group, panel_gr, diag,
                                    tags.diag(s, p0 / b2d));
           }
@@ -353,7 +357,7 @@ Report parallel_multifrontal(exec::Comm& machine,
               }
             }
           }
-          if (geo.qc() > 1) {
+          if (spread && geo.qc() > 1) {
             exec::broadcast_from(proc, row_group, panel_gc, rowpiece,
                                    tags.rowbcast(s, p0 / b2d));
           }
@@ -382,7 +386,7 @@ Report parallel_multifrontal(exec::Comm& machine,
             }
           }
           std::vector<std::vector<real_t>> gathered;
-          if (geo.qr() > 1) {
+          if (spread && geo.qr() > 1) {
             gathered = exec::allgather(proc, col_group, std::move(contrib),
                                          tags.colgather(s, p0 / b2d));
           } else {
@@ -391,7 +395,8 @@ Report parallel_multifrontal(exec::Comm& machine,
           // colpiece: L(j, panel) for each of my local trailing columns.
           std::vector<real_t> colpiece(
               static_cast<std::size_t>(front.lc * bp), 0.0);
-          for (index_t src_gr = 0; src_gr < geo.qr(); ++src_gr) {
+          for (index_t src_gr = 0;
+               src_gr < static_cast<index_t>(gathered.size()); ++src_gr) {
             const auto& data = gathered[static_cast<std::size_t>(src_gr)];
             std::size_t cursor = 0;
             for (index_t blk = src_gr; blk < geo.row_layout.num_blocks();

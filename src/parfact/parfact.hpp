@@ -18,6 +18,8 @@
 //     broadcast down the grid column, row-panel triangular solves,
 //     broadcast of row pieces along grid rows, all-gather of the
 //     transposed pieces along grid columns, then local rank-b2d updates.
+//     A front no taller than b2d is one block on grid rank (0, 0), which
+//     factors its one panel alone, with no broadcast or all-gather.
 //   * extend-add routes each child Schur-complement entry from its owner
 //     in the child's grid to its owner in the parent's grid point-to-point
 //     (positions are implied by a canonical enumeration both sides

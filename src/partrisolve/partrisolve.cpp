@@ -472,11 +472,11 @@ void pack_token(exec::Process& proc, const real_t* v, index_t ldv, index_t lo,
 
 /// Column-priority pipelined forward elimination (paper Fig. 3c).
 void fw_pipelined_column_priority(exec::Process& proc, const PhaseContext& ctx,
-                                  index_t s, const Layout& lay, index_t r,
+                                  index_t s, const exec::Group& g,
+                                  const Layout& lay, index_t r,
                                   const LView& lv, real_t* v, index_t ldv,
                                   std::vector<real_t>& token) {
   const index_t q = lay.q;
-  const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   const index_t next = g.base + (r + 1) % q;
   const index_t prev = g.base + (r + q - 1) % q;
   const index_t tb = lay.num_pivot_blocks();
@@ -526,11 +526,11 @@ void fw_pipelined_column_priority(exec::Process& proc, const PhaseContext& ctx,
 /// Row-priority pipelined forward elimination (paper Fig. 3b): each rank
 /// walks its own block rows in ascending order, buffering tokens.
 void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
-                               index_t s, const Layout& lay, index_t r,
+                               index_t s, const exec::Group& g,
+                               const Layout& lay, index_t r,
                                const LView& lv, real_t* v, index_t ldv,
                                std::vector<std::vector<real_t>>& tokens) {
   const index_t q = lay.q;
-  const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   const index_t next = g.base + (r + 1) % q;
   const index_t prev = g.base + (r + q - 1) % q;
   const index_t tb = lay.num_pivot_blocks();
@@ -616,9 +616,9 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
 /// ~log q startups per block instead of overlapping them — the baseline
 /// the paper's ring pipeline improves on.
 void fw_fan_out(exec::Process& proc, const PhaseContext& ctx, index_t s,
-                const Layout& lay, index_t r, const LView& lv,
-                real_t* v, index_t ldv, std::vector<real_t>& token) {
-  const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
+                const exec::Group& g, const Layout& lay, index_t r,
+                const LView& lv, real_t* v, index_t ldv,
+                std::vector<real_t>& token) {
   const index_t tb = lay.num_pivot_blocks();
   const index_t m = ctx.m;
 
@@ -721,11 +721,10 @@ void bw_solve_pivot_block(exec::Process& proc, const PhaseContext& ctx,
 }
 
 void bw_pipelined(exec::Process& proc, const PhaseContext& ctx, index_t s,
-                  const Layout& lay, index_t r, const LView& lv,
-                  real_t* w, index_t ldw, std::vector<real_t>& acc,
-                  std::vector<real_t>& in) {
+                  const exec::Group& g, const Layout& lay, index_t r,
+                  const LView& lv, real_t* w, index_t ldw,
+                  std::vector<real_t>& acc, std::vector<real_t>& in) {
   const index_t q = lay.q;
-  const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
   // The partial-sum token for column K travels the ring in the -1
   // direction, starting at owner(K)-1 and ending at owner(K).  This order
   // matters: the chain's early links only need x-values of long-finished
@@ -769,9 +768,9 @@ void bw_pipelined(exec::Process& proc, const PhaseContext& ctx, index_t s,
 /// sums are combined with a log-q reduction to the diagonal owner instead
 /// of flowing along the ring.
 void bw_fan_in(exec::Process& proc, const PhaseContext& ctx, index_t s,
-               const Layout& lay, index_t r, const LView& lv,
-               real_t* w, index_t ldw, std::vector<real_t>& acc) {
-  const exec::Group g = ctx.map.group[static_cast<std::size_t>(s)];
+               const exec::Group& g, const Layout& lay, index_t r,
+               const LView& lv, real_t* w, index_t ldw,
+               std::vector<real_t>& acc) {
   const index_t tb = lay.num_pivot_blocks();
 
   for (index_t k = tb - 1; k >= 0; --k) {
@@ -859,6 +858,24 @@ LView make_view(const numeric::SupernodalFactor& factor,
     lv.packed = false;
   }
   return lv;
+}
+
+/// The ranks that run a shared supernode's kernel, and the layout they
+/// see.  A trapezoid that fits in one block sits whole on its group's
+/// first rank, which runs the kernel as a group of one: it sends no token,
+/// relays nothing and joins no broadcast or reduction, and the other
+/// ranks, which own none of its rows, skip the kernel.  That rank makes
+/// the same kernel calls on the same data either way.
+struct KernelRanks {
+  exec::Group g;
+  Layout lay;
+};
+
+KernelRanks kernel_ranks(const exec::Group& g, const Layout& lay) {
+  if (lay.num_blocks() > 1) return {g, lay};
+  Layout whole = lay;
+  whole.q = 1;
+  return {exec::Group{g.base, 1}, whole};
 }
 
 }  // namespace
@@ -984,15 +1001,19 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
         }
       }
 
-      const LView lv = make_view(factor_, local_values_, w, s, lay);
-      if (options_.pipelining == Pipelining::column_priority) {
-        fw_pipelined_column_priority(proc, ctx, s, lay, r, lv, v, nloc,
-                                     scratch.token);
-      } else if (options_.pipelining == Pipelining::row_priority) {
-        fw_pipelined_row_priority(proc, ctx, s, lay, r, lv, v, nloc,
-                                  scratch.tokens);
-      } else {
-        fw_fan_out(proc, ctx, s, lay, r, lv, v, nloc, scratch.token);
+      const KernelRanks kr = kernel_ranks(g, lay);
+      if (kr.g.contains(w)) {
+        const LView lv = make_view(factor_, local_values_, w, s, kr.lay);
+        if (options_.pipelining == Pipelining::column_priority) {
+          fw_pipelined_column_priority(proc, ctx, s, kr.g, kr.lay, r, lv, v,
+                                       nloc, scratch.token);
+        } else if (options_.pipelining == Pipelining::row_priority) {
+          fw_pipelined_row_priority(proc, ctx, s, kr.g, kr.lay, r, lv, v,
+                                    nloc, scratch.tokens);
+        } else {
+          fw_fan_out(proc, ctx, s, kr.g, kr.lay, r, lv, v, nloc,
+                     scratch.token);
+        }
       }
 
       publish_pivots(ctx, s, lay, r, v, y_out, n);
@@ -1101,12 +1122,15 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
         receive_from_parent(proc, scratch, s, lay, Rows{wv, nloc, 0});
       }
 
-      const LView lv = make_view(factor_, local_values_, w, s, lay);
-      if (options_.pipelining == Pipelining::fan_out) {
-        bw_fan_in(proc, ctx, s, lay, r, lv, wv, nloc, scratch.acc);
-      } else {
-        bw_pipelined(proc, ctx, s, lay, r, lv, wv, nloc, scratch.acc,
-                     scratch.token);
+      const KernelRanks kr = kernel_ranks(g, lay);
+      if (kr.g.contains(w)) {
+        const LView lv = make_view(factor_, local_values_, w, s, kr.lay);
+        if (options_.pipelining == Pipelining::fan_out) {
+          bw_fan_in(proc, ctx, s, kr.g, kr.lay, r, lv, wv, nloc, scratch.acc);
+        } else {
+          bw_pipelined(proc, ctx, s, kr.g, kr.lay, r, lv, wv, nloc,
+                       scratch.acc, scratch.token);
+        }
       }
 
       publish_pivots(ctx, s, lay, r, wv, x_out, n);

@@ -18,6 +18,8 @@
 //     algorithm of Figs. 3-4: solved sub-vectors of size b x m circulate
 //     around the group's ring while each processor updates its own block
 //     rows (column-priority) or block rows in row order (row-priority).
+//     A trapezoid that fits in one block lies whole on the group's first
+//     processor, which runs the same kernel alone, with no messages.
 //   * Between a shared supernode (or a subtree root) and its parent,
 //     right-hand-side fragments are routed point-to-point from each
 //     fragment's owner to the owner of the corresponding position in the

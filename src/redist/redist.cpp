@@ -58,9 +58,16 @@ void validate_maps(const symbolic::SupernodePartition& part,
   }
 }
 
+/// True when the group's first rank holds the whole trapezoid of height
+/// `ns` in both distributions: the group is that one rank, or the
+/// trapezoid fits in one block of each.  Such a supernode does not move.
+bool stays_on_first_rank(const exec::Group& g, index_t ns,
+                         const Options& options) {
+  return g.count == 1 || ns <= std::min(options.block_2d, options.block_1d);
+}
+
 /// Validate the maps, size `out` for the 1-D distribution, and pack the
-/// sequential supernodes, which do not move between the distributions (a
-/// single owner holds the whole trapezoid either way).
+/// supernodes that do not move between the distributions.
 void prepack_sequential(const numeric::SupernodalFactor& factor,
                         const mapping::SubcubeMapping& map,
                         const Options& options,
@@ -70,7 +77,7 @@ void prepack_sequential(const numeric::SupernodalFactor& factor,
   *out = partrisolve::DistributedFactor(part, map, options.block_1d);
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
-    if (g.count != 1) continue;
+    if (!stays_on_first_rank(g, part.height(s), options)) continue;
     auto& local = out->local_block(g.base, s);
     const auto block = factor.block(s);
     std::copy(block.begin(), block.end(), local.begin());
@@ -87,7 +94,9 @@ void redistribute_supernode(exec::Process& proc,
   const auto& part = factor.partition();
   const index_t w = proc.rank();
   const exec::Group g = map.group[static_cast<std::size_t>(s)];
-  if (g.count < 2 || !g.contains(w)) return;
+  if (!g.contains(w) || stays_on_first_rank(g, part.height(s), options)) {
+    return;
+  }
   SPARTS_TRACE_SPAN(proc, obs::Category::compute, "redist.supernode",
                     static_cast<std::int64_t>(s),
                     static_cast<std::int64_t>(g.count));

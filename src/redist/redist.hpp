@@ -36,11 +36,11 @@ struct Report {
 /// any misrouted value).
 ///
 /// If `out` is non-null it receives the rank-local 1-D factor storage,
-/// built from the *received* values for shared supernodes (sequential
-/// supernodes, which do not move, are packed locally) — pass it to
-/// DistributedTrisolver's strict constructor so the solver consumes
-/// exactly the data that traveled through the network.  The out storage
-/// uses block size options.block_1d.
+/// built from the *received* values for shared supernodes (supernodes
+/// that do not move, see redistribute_supernode, are packed locally) —
+/// pass it to DistributedTrisolver's strict constructor so the solver
+/// consumes exactly the data that traveled through the network.  The out
+/// storage uses block size options.block_1d.
 Report redistribute_factor(exec::Comm& machine,
                            const numeric::SupernodalFactor& factor,
                            const mapping::SubcubeMapping& map,
@@ -49,8 +49,10 @@ Report redistribute_factor(exec::Comm& machine,
 
 /// Convert one shared supernode 2-D -> 1-D from within a running SPMD
 /// region.  No-op for ranks outside supernode s's group and for
-/// sequential supernodes (a single owner holds the whole trapezoid under
-/// either distribution; redistribute_factor packs those on the host).
+/// supernodes that do not move: a sequential one, or one whose trapezoid
+/// is no taller than either block size (the group's first rank holds the
+/// whole trapezoid under either distribution; redistribute_factor packs
+/// those on the host).
 /// Each rank writes only its own fragment of `out`, so concurrent calls
 /// from different ranks of the group are safe.
 void redistribute_supernode(exec::Process& proc,

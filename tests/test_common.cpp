@@ -64,6 +64,8 @@ TEST(Table, RejectsOverfullRow) {
 
 TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_fixed(1.23456, 2), "1.23");
+  EXPECT_EQ(format_sci(1.2345e-15, 2), "1.23e-15");
+  EXPECT_EQ(format_sci(0.0, 2), "0.00e+00");
   EXPECT_EQ(format_si(1'500'000.0), "1.50M");
   EXPECT_EQ(format_si(2'000'000'000.0), "2.00G");
   EXPECT_EQ(format_si(999.0), "999.00");

@@ -1,10 +1,16 @@
 // Parallel multifrontal factorization must reproduce the sequential
 // factor; redistribution must route every entry correctly and cost a
-// fraction of the solve (the paper's §4 claim).
+// fraction of the solve (the paper's §4 claim).  A shared supernode that
+// fits in one block sends no message in any phase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <vector>
 
+#include "exec/task_backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -226,6 +232,151 @@ TEST(Redist, CostIsFractionOfSolve) {
   const double ratio = redist_report.time() / (fw.time() + bw.time());
   EXPECT_LT(ratio, 1.5) << "redistribution should not dwarf the solve";
   EXPECT_GT(ratio, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// A shared supernode that one rank holds whole sends no message.
+// ---------------------------------------------------------------------
+
+/// The factor-once pipeline on one backend, phase by phase as
+/// SparseSolver runs it: parfact on the factor-work map, redistribution
+/// to the solve map, then one forward and one backward sweep over the
+/// rank-local 1-D factor.
+struct PipelineRun {
+  numeric::SupernodalFactor factor;
+  std::vector<real_t> x;
+  std::array<nnz_t, 4> messages{};  ///< parfact, redist, forward, backward
+};
+
+PipelineRun run_pipeline(exec::Comm& comm, const sparse::SymmetricCsc& a,
+                         const symbolic::SupernodePartition& part,
+                         const std::vector<real_t>& rhs, index_t m) {
+  const index_t p = comm.nprocs();
+  const mapping::SubcubeMapping fmap = mapping::subtree_to_subcube(
+      part, p, mapping::factor_work_weights(part));
+  const mapping::SubcubeMapping smap = mapping::subtree_to_subcube(part, p);
+  PipelineRun run;
+  run.messages[0] =
+      parfact::parallel_multifrontal(comm, a, part, fmap, run.factor)
+          .stats.total_messages();
+  partrisolve::DistributedFactor local;
+  run.messages[1] =
+      redist::redistribute_factor(comm, run.factor, smap, {}, &local)
+          .stats.total_messages();
+  const partrisolve::DistributedTrisolver solver(run.factor, &local, smap,
+                                                 {});
+  std::vector<real_t> y(rhs.size(), 0.0);
+  run.x.assign(rhs.size(), 0.0);
+  run.messages[2] = solver.forward(comm, rhs, y, m).stats.total_messages();
+  run.messages[3] =
+      solver.backward(comm, y, run.x, m).stats.total_messages();
+  return run;
+}
+
+/// The pipeline on the simulator, threads and tasks, in that order.
+std::vector<PipelineRun> run_on_every_backend(
+    index_t p, const sparse::SymmetricCsc& a,
+    const symbolic::SupernodePartition& part, const std::vector<real_t>& rhs,
+    index_t m) {
+  std::vector<PipelineRun> runs;
+  simpar::Machine machine = make_machine(p);
+  runs.push_back(run_pipeline(machine, a, part, rhs, m));
+  exec::ThreadBackend::Config thread_cfg;
+  thread_cfg.nprocs = p;
+  exec::ThreadBackend threads(thread_cfg);
+  runs.push_back(run_pipeline(threads, a, part, rhs, m));
+  exec::TaskBackend::Config task_cfg;
+  task_cfg.nprocs = p;
+  exec::TaskBackend tasks(task_cfg);
+  runs.push_back(run_pipeline(tasks, a, part, rhs, m));
+  return runs;
+}
+
+/// max over columns of ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
+double backward_error(const sparse::SymmetricCsc& a,
+                      const std::vector<real_t>& x,
+                      const std::vector<real_t>& b, index_t m) {
+  const auto n = static_cast<std::size_t>(a.n());
+  std::vector<double> row_sums(n, 0.0);
+  for (index_t j = 0; j < a.n(); ++j) {
+    const auto rows = a.col_rows(j);
+    const auto vals = a.col_values(j);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      row_sums[static_cast<std::size_t>(rows[k])] += std::abs(vals[k]);
+      if (rows[k] != j) {
+        row_sums[static_cast<std::size_t>(j)] += std::abs(vals[k]);
+      }
+    }
+  }
+  const double a_norm = *std::max_element(row_sums.begin(), row_sums.end());
+  std::vector<real_t> r(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) r[i] = -b[i];
+  a.symm(1.0, x.data(), r.data(), m);
+  double worst = 0.0;
+  for (std::size_t c = 0; c < static_cast<std::size_t>(m); ++c) {
+    double rn = 0.0, xn = 0.0, bn = 0.0;
+    for (std::size_t i = c * n; i < (c + 1) * n; ++i) {
+      rn = std::max(rn, std::abs(r[i]));
+      xn = std::max(xn, std::abs(x[i]));
+      bn = std::max(bn, std::abs(b[i]));
+    }
+    worst = std::max(worst, rn / (a_norm * xn + bn));
+  }
+  return worst;
+}
+
+TEST(SingleBlockSupernodes, PathSendsNoMessageInAnyPhase) {
+  // A path in natural order has a chain etree: every supernode is one or
+  // two columns wide and two rows tall, so each fits in one block of
+  // every distribution, and the mapping shares them across the machine.
+  // Each group's first rank holds them whole, so no phase sends.
+  const sparse::SymmetricCsc a = sparse::grid2d(300, 1);
+  const symbolic::SupernodePartition part =
+      symbolic::fundamental_supernodes(symbolic::symbolic_cholesky(a));
+  constexpr index_t m = 3;
+  Rng rng(41);
+  const std::vector<real_t> rhs = sparse::random_rhs(a.n(), m, rng);
+  for (const index_t p : {4, 8}) {
+    const mapping::SubcubeMapping smap = mapping::subtree_to_subcube(part, p);
+    index_t shared = 0;
+    for (index_t s = 0; s < part.num_supernodes(); ++s) {
+      shared += smap.is_parallel(s) ? 1 : 0;
+    }
+    ASSERT_GT(shared, part.num_supernodes() / 2) << "p=" << p;
+
+    const std::vector<PipelineRun> runs =
+        run_on_every_backend(p, a, part, rhs, m);
+    const char* backend[] = {"sim", "threads", "tasks"};
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      EXPECT_EQ(runs[k].messages, (std::array<nnz_t, 4>{0, 0, 0, 0}))
+          << backend[k] << " p=" << p;
+      EXPECT_TRUE(std::ranges::equal(runs[k].factor.values(),
+                                     runs[0].factor.values()))
+          << backend[k] << " p=" << p;
+      EXPECT_EQ(runs[k].x, runs[0].x) << backend[k] << " p=" << p;
+    }
+    EXPECT_LE(backward_error(a, runs[0].x, rhs, m), 1e-12) << "p=" << p;
+  }
+}
+
+TEST(SingleBlockSupernodes, MultiBlockSupernodesKeepTheirMessages) {
+  // Nested dissection of a 31 x 31 grid at p = 4: its shared separators
+  // span several blocks, so the single-block rule must leave every
+  // phase's messages alone.  The pinned counts are what the pipeline
+  // sends without the rule.
+  const ProblemSetup su = make_problem(31);
+  constexpr index_t m = 2;
+  Rng rng(43);
+  const std::vector<real_t> rhs = sparse::random_rhs(su.a.n(), m, rng);
+  const std::vector<PipelineRun> runs =
+      run_on_every_backend(4, su.a, su.part, rhs, m);
+  const char* backend[] = {"sim", "threads", "tasks"};
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_EQ(runs[k].messages, (std::array<nnz_t, 4>{41, 12, 37, 37}))
+        << backend[k];
+    EXPECT_EQ(runs[k].x, runs[0].x) << backend[k];
+  }
+  EXPECT_LE(backward_error(su.a, runs[0].x, rhs, m), 1e-12);
 }
 
 }  // namespace
