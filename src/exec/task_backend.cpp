@@ -562,8 +562,8 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
 
   // Topology-aware placement: contiguous rank blocks per worker, so the
   // subtree-to-subcube mapping's neighbouring ranks start on the same
-  // worker (and, via the scheduler's victim order, stay within a steal
-  // cluster when they overflow).  One seed job queues every fiber, so the
+  // worker (and, via the scheduler's victim order, a thief takes them from
+  // its next neighbour first).  One seed job queues every fiber, so the
   // workers already running cannot start fiber r before fiber r+1 is
   // queued: with one worker the first-run order, which decides how many
   // fibers suspend, no longer depends on how fast this thread submits.

@@ -41,9 +41,9 @@
 // handshake against the sender.  send_owned() moves the payload buffer
 // through the ring (zero-copy for large panels).
 //
-// Tuning knobs (environment): SPARTS_TASK_WORKERS, SPARTS_TASK_CLUSTER
-// (see task_scheduler.hpp) and SPARTS_TASK_STACK_KB (per-fiber stack,
-// default 1024).
+// Tuning knobs (environment): SPARTS_TASK_WORKERS (see
+// task_scheduler.hpp) and SPARTS_TASK_STACK_KB (per-fiber stack, default
+// 1024).
 #pragma once
 
 #include <atomic>
@@ -57,7 +57,7 @@
 
 #include "exec/process.hpp"
 #include "exec/task_scheduler.hpp"
-#include "exec/waitgroup.hpp"
+#include "exec/latch.hpp"
 #include "obs/critical_path.hpp"
 
 namespace sparts::exec {
@@ -72,7 +72,7 @@ class TaskBackend final : public Comm {
     /// Carried as a hint source only; this backend measures wall clock.
     CostModel cost{};
     TopologyKind topology = TopologyKind::fully_connected;
-    /// Worker pool shape (worker count, steal clusters, spin budget).
+    /// Worker pool shape (the worker count).
     TaskScheduler::Config scheduler{};
     /// Per-fiber stack in KiB; 0 = $SPARTS_TASK_STACK_KB, else 1024.
     std::size_t stack_kb = 0;

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "exec/waitgroup.hpp"
+#include "exec/latch.hpp"
 #include "obs/trace.hpp"
 
 namespace sparts::exec {
@@ -20,6 +20,9 @@ namespace {
 // pools).
 thread_local const TaskScheduler* tl_scheduler = nullptr;
 thread_local int tl_worker = -1;
+
+/// Full steal sweeps before a starved worker parks.
+constexpr int kSpinSweeps = 2;
 
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
@@ -36,33 +39,9 @@ TaskScheduler::TaskScheduler(const Config& config) {
   if (w <= 0) w = env_int("SPARTS_TASK_WORKERS", 0);
   if (w <= 0) w = static_cast<int>(std::thread::hardware_concurrency());
   if (w <= 0) w = 1;
-  int cluster = config.cluster_size;
-  if (cluster <= 0) cluster = env_int("SPARTS_TASK_CLUSTER", 0);
-  if (cluster <= 0) cluster = 4;
-  spin_sweeps_ = config.spin_sweeps > 0 ? config.spin_sweeps : 1;
 
   workers_.reserve(static_cast<std::size_t>(w));
   for (int i = 0; i < w; ++i) workers_.push_back(std::make_unique<Worker>());
-
-  // Victim order for worker i: the rest of i's cluster first, then the
-  // other workers; both groups rotated by i so thieves fan out instead of
-  // converging on worker 0.
-  victim_order_.assign(static_cast<std::size_t>(w), {});
-  for (int i = 0; i < w; ++i) {
-    auto& order = victim_order_[static_cast<std::size_t>(i)];
-    const int my_cluster = i / cluster;
-    std::vector<int> remote;
-    for (int k = 1; k < w; ++k) {
-      const int v = (i + k) % w;
-      if (v / cluster == my_cluster) {
-        order.push_back(v);
-      } else {
-        remote.push_back(v);
-      }
-    }
-    order.insert(order.end(), remote.begin(), remote.end());
-  }
-
   for (int i = 0; i < w; ++i) {
     workers_[static_cast<std::size_t>(i)]->thread =
         std::thread([this, i] { worker_loop(i); });
@@ -77,8 +56,6 @@ TaskScheduler::~TaskScheduler() {
   park_cv_.notify_all();
   for (auto& w : workers_) w->thread.join();
 }
-
-int TaskScheduler::current_worker() { return tl_worker; }
 
 void TaskScheduler::submit(Job job, int affinity, bool low_priority) {
   const int w = workers();
@@ -116,7 +93,9 @@ bool TaskScheduler::try_pop(int w, Job* out) {
 }
 
 bool TaskScheduler::try_steal(int w, Job* out, int* victim) {
-  for (const int v : victim_order_[static_cast<std::size_t>(w)]) {
+  const int n = workers();
+  for (int k = 1; k < n; ++k) {
+    const int v = (w + k) % n;
     Worker& wk = *workers_[static_cast<std::size_t>(v)];
     if (wk.deque.try_steal(out)) {
       wk.depth.fetch_sub(1, std::memory_order_relaxed);
@@ -153,7 +132,7 @@ void TaskScheduler::worker_loop(int w) {
     int victim = -1;
     const bool tracing = obs::Tracer::enabled();
     const double iter_start = tracing ? tracer.run_elapsed() : 0.0;
-    for (int sweep = 0; sweep < spin_sweeps_ && !found; ++sweep) {
+    for (int sweep = 0; sweep < kSpinSweeps && !found; ++sweep) {
       if (try_pop(w, &job)) {
         found = true;
       } else if (try_steal(w, &job, &victim)) {
@@ -239,96 +218,59 @@ SchedulerStats TaskScheduler::stats() const {
   return st;
 }
 
-void TaskScheduler::run_graph(const TaskGraph& graph) {
+void TaskScheduler::run_all(std::span<const std::function<void()>> bodies) {
   SPARTS_CHECK(tl_scheduler != this,
-               "run_graph must not be called from a worker of the same pool");
-  const index_t n = graph.num_tasks();
-  if (n == 0) return;
+               "run_all must not be called from a worker of the same pool");
+  if (bodies.empty()) return;
 
   using Clock = std::chrono::steady_clock;
   const auto wall_start = Clock::now();
-  // A graph run is its own segment of the trace timeline: freeze the
-  // base so measured task spans lay out after whatever came before.
+  // A call is its own segment of the trace timeline: freeze the base so
+  // measured task spans lay out after whatever came before.
   const bool traced_run = obs::Tracer::enabled();
   if (traced_run) obs::Tracer::instance().begin_run();
 
-  struct RunState {
-    std::vector<std::atomic<index_t>> pending;
-    WaitGroup wg;
-    std::atomic<bool> cancelled{false};
-    std::mutex err_mutex;
-    std::exception_ptr first_error;
-    explicit RunState(index_t count)
-        : pending(static_cast<std::size_t>(count)), wg(count) {}
-  };
-  RunState state(n);
-  for (TaskId id = 0; id < n; ++id) {
-    state.pending[static_cast<std::size_t>(id)].store(
-        graph.num_predecessors(id), std::memory_order_relaxed);
+  Latch done(static_cast<std::int64_t>(bodies.size()));
+  std::atomic<bool> cancelled{false};
+  std::mutex err_mutex;
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    submit([&, i](const JobContext& ctx) {
+      // A body that throws flips `cancelled`: later jobs skip their
+      // bodies but still count down, so the latch reaches zero.
+      if (!cancelled.load(std::memory_order_acquire)) {
+        const bool tracing = obs::Tracer::enabled();
+        auto& tracer = obs::Tracer::instance();
+        const std::int32_t track = obs::worker_track(ctx.worker);
+        const auto task = static_cast<std::int64_t>(i);
+        if (tracing) {
+          tracer.record_local(track, obs::EventKind::span_begin,
+                              obs::Category::task, "task_run",
+                              tracer.run_elapsed(), task);
+        }
+        try {
+          bodies[i]();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(err_mutex);
+          if (!first_error) first_error = std::current_exception();
+          cancelled.store(true, std::memory_order_release);
+        }
+        if (tracing && obs::Tracer::enabled()) {
+          tracer.record_local(track, obs::EventKind::span_end,
+                              obs::Category::task, "task_run",
+                              tracer.run_elapsed(), task);
+        }
+      }
+      done.count_down();
+    });
   }
-
-  // Release = enqueue on the node's preferred worker (or wherever the
-  // releasing job is running, for locality).  Bodies that throw flip
-  // `cancelled`: later tasks skip their bodies but still drain the DAG so
-  // the wait group reaches zero.
-  std::function<void(TaskId)> release = [&](TaskId id) {
-    submit(
-        [&state, &graph, &release, id](const JobContext& ctx) {
-          const TaskNode& nd = graph.node(id);
-          if (!state.cancelled.load(std::memory_order_acquire)) {
-            const bool tracing = obs::Tracer::enabled();
-            auto& tracer = obs::Tracer::instance();
-            const std::int32_t track = obs::worker_track(ctx.worker);
-            if (tracing) {
-              tracer.record_local(track, obs::EventKind::instant,
-                                  obs::Category::task,
-                                  ctx.stolen ? "task_steal" : "task_ready",
-                                  tracer.run_elapsed(),
-                                  static_cast<std::int64_t>(id),
-                                  static_cast<std::int64_t>(nd.item));
-              tracer.record_local(track, obs::EventKind::span_begin,
-                                  obs::Category::task, "task_run",
-                                  tracer.run_elapsed(),
-                                  static_cast<std::int64_t>(id),
-                                  static_cast<std::int64_t>(nd.item));
-            }
-            try {
-              if (nd.body) nd.body();
-            } catch (...) {
-              std::lock_guard<std::mutex> lock(state.err_mutex);
-              if (!state.first_error) {
-                state.first_error = std::current_exception();
-              }
-              state.cancelled.store(true, std::memory_order_release);
-            }
-            if (tracing && obs::Tracer::enabled()) {
-              tracer.record_local(track, obs::EventKind::span_end,
-                                  obs::Category::task, "task_run",
-                                  tracer.run_elapsed(),
-                                  static_cast<std::int64_t>(id),
-                                  static_cast<std::int64_t>(nd.item));
-            }
-          }
-          for (const TaskId s : graph.successors(id)) {
-            if (state.pending[static_cast<std::size_t>(s)].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-              release(s);
-            }
-          }
-          state.wg.done();
-        },
-        graph.node(id).affinity);
-  };
-  for (TaskId id = 0; id < n; ++id) {
-    if (graph.num_predecessors(id) == 0) release(id);
-  }
-  state.wg.wait();
+  done.wait();
 
   if (traced_run) {
     obs::Tracer::instance().end_run(
         std::chrono::duration<double>(Clock::now() - wall_start).count());
   }
-  if (state.first_error) std::rethrow_exception(state.first_error);
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace sparts::exec

@@ -1,20 +1,18 @@
 // Work-stealing task scheduler: the execution engine under exec::TaskBackend
-// and TaskGraph runs.
+// and TaskScheduler::run_all.
 //
 // Structure is the classic Cilk/TBB shape:
 //   * one deque per worker thread, guarded by its own mutex.  The owner
 //     pushes and pops at the back (LIFO — depth-first, cache-warm);
 //     thieves steal from the front (FIFO — oldest, biggest subtrees);
-//   * topology-aware victim order: workers are grouped into clusters of
-//     `cluster_size` (modelling a shared L2/L3 or NUMA node), and a thief
-//     sweeps its own cluster before crossing cluster boundaries;
-//   * idle policy: a starved worker re-sweeps every deque a few times,
-//     then parks on a condition variable; submit() wakes parked workers.
+//   * victim order: worker w tries w+1, w+2, ... (mod the pool size), so
+//     thieves fan out instead of converging on worker 0;
+//   * idle policy: a starved worker re-sweeps every deque twice, then
+//     parks on a condition variable; submit() wakes parked workers.
 //
-// The scheduler runs two kinds of clients: explicit TaskGraph executions
-// (run_graph: atomically count down predecessors, release successors —
-// the per-level subgraph tasks of ordering::nested_dissection) and the
-// fiber resume-jobs of TaskBackend.
+// The scheduler runs two kinds of clients: fork-joins of independent
+// bodies (run_all — the per-level subgraph tasks of
+// ordering::nested_dissection) and the fiber resume-jobs of TaskBackend.
 // It knows nothing about either — a job is just a callable receiving the
 // worker it landed on and whether it was stolen, which is what the
 // tracing layer wants to know.
@@ -27,11 +25,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/types.hpp"
-#include "exec/taskgraph.hpp"
 #include "exec/ws_deque.hpp"
 
 namespace sparts::exec {
@@ -56,11 +54,6 @@ class TaskScheduler {
     /// Worker thread count; 0 = $SPARTS_TASK_WORKERS, else the host's
     /// hardware concurrency (at least 1).
     int workers = 0;
-    /// Workers per cluster for the victim order; 0 = $SPARTS_TASK_CLUSTER,
-    /// else 4 (a typical core-complex / L3 group size).
-    int cluster_size = 0;
-    /// Full steal sweeps before a starved worker parks.
-    int spin_sweeps = 2;
   };
 
   using Job = std::function<void(const JobContext&)>;
@@ -80,17 +73,15 @@ class TaskScheduler {
   /// fiber cannot starve its queue-mates.
   void submit(Job job, int affinity = -1, bool low_priority = false);
 
-  /// Execute an explicit task graph to completion.  Tasks are released as
-  /// their predecessors finish; a task body throwing cancels every
-  /// not-yet-started body (the DAG still drains structurally) and the
-  /// first error is rethrown here.  Blocks the calling thread; must not
-  /// be called from a worker.
-  void run_graph(const TaskGraph& graph);
+  /// Run independent bodies to completion (fork-join).  Every body is
+  /// released at once; a body throwing cancels every body not yet started,
+  /// and the first error is rethrown here.  A traced call is its own run
+  /// segment, with a `task_run` span per body on the worker tracks.
+  /// Blocks the calling thread; throws when called from a worker of this
+  /// pool.
+  void run_all(std::span<const std::function<void()>> bodies);
 
   int workers() const { return static_cast<int>(workers_.size()); }
-
-  /// Index of the calling worker thread in its scheduler, -1 off-pool.
-  static int current_worker();
 
   SchedulerStats stats() const;
 
@@ -111,8 +102,6 @@ class TaskScheduler {
   bool try_steal(int w, Job* out, int* victim);
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::vector<int>> victim_order_;  ///< per worker, cluster-first
-  int spin_sweeps_ = 2;
 
   std::atomic<std::int64_t> queued_{0};  ///< jobs pushed, not yet popped
   std::atomic<int> parked_{0};           ///< workers asleep right now

@@ -1,14 +1,11 @@
 // Critical-path analysis over the *executed* task DAG.
 //
-// `TaskGraph::analyze()` reports the cost-model critical path — what the
-// schedule could cost if the flop estimates were exact.  This module
-// answers the measured question instead: given the spans that actually
-// ran (with real start/end times) and the dependency edges between them,
-// what was T1 (total work), T∞ (the longest dependent chain, i.e. the
-// floor on any schedule), and how close did the measured makespan come
-// to the greedy-scheduler bound T1/p + T∞?  ROADMAP item 2's autotuner
-// selects trisolve strategies from exactly these numbers, and the
-// solver report prints them per phase for `--backend tasks`.
+// Given the spans that actually ran (with real start/end times) and the
+// dependency edges between them: what was T1 (total work), T∞ (the
+// longest dependent chain, i.e. the floor on any schedule), and how close
+// did the measured makespan come to the greedy-scheduler bound T1/p + T∞?
+// The solver report prints these numbers per phase for `--backend tasks`,
+// and bench_e2e reports them per workload.
 //
 // The producer of ExecutedProfile is `exec::TaskBackend`: one span per
 // fiber *segment* (the run between two suspensions), with sequential

@@ -1,11 +1,11 @@
 #include "ordering/nested_dissection.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "exec/task_scheduler.hpp"
-#include "exec/taskgraph.hpp"
 #include "ordering/mindeg.hpp"
 #include "ordering/multilevel.hpp"
 #include "ordering/rcm.hpp"
@@ -310,23 +310,24 @@ sparse::Permutation nested_dissection(const sparse::Graph& g,
   std::iota(ids.begin(), ids.end(), index_t{0});
   std::vector<index_t> order(ids.size(), -1);
   // The top dissection runs here.  The halves it spawns run as tasks, one
-  // level of the dissection tree per run_graph: a task's own spawns join
-  // the next level, and a throwing task cancels the rest of its level and
-  // is rethrown by run_graph.
+  // level of the dissection tree per run_all: a task's own spawns join the
+  // next level, and a throwing task cancels the rest of its level and is
+  // rethrown by run_all.
   std::vector<Piece> frontier;
   dissect(g, ids, 0, opts, order, &frontier);
   if (!frontier.empty()) {
     exec::TaskScheduler scheduler;
     while (!frontier.empty()) {
       std::vector<std::vector<Piece>> spawned(frontier.size());
-      exec::TaskGraph level;
+      std::vector<std::function<void()>> level;
+      level.reserve(frontier.size());
       for (std::size_t i = 0; i < frontier.size(); ++i) {
-        level.add_task("nd_dissect", [&, i] {
+        level.emplace_back([&, i] {
           const Piece piece = std::move(frontier[i]);
           dissect(piece.g, piece.ids, piece.offset, opts, order, &spawned[i]);
         });
       }
-      scheduler.run_graph(level);
+      scheduler.run_all(level);
       frontier.clear();
       for (auto& pieces : spawned) {
         for (Piece& piece : pieces) frontier.push_back(std::move(piece));

@@ -1,7 +1,5 @@
 #include "parfact/parfact.hpp"
 
-#include "parfact/factor_dag.hpp"
-
 #include "obs/span.hpp"
 
 #include <algorithm>
@@ -162,11 +160,9 @@ Report parallel_multifrontal(exec::Comm& machine,
     auto& fronts = rank_fronts[static_cast<std::size_t>(w)];
     const exec::ProgressNotes progress(proc);
 
-    // The SPMD sweep is a lowering of the supernode elimination DAG
-    // (build_supernode_dag): every rank walks its topological order —
-    // ascending supernode id, since children precede parents — and
-    // executes the tasks whose group it belongs to.  The task backend
-    // runs the same graph with message-driven dependencies instead.
+    // Every rank walks the supernodes in ascending id, which puts each
+    // child before its parent (the walk-order rule, docs/taskdag.md), and
+    // factors the ones whose group it belongs to.
     for (index_t s = 0; s < nsup; ++s) {
       const exec::Group g = map.group[static_cast<std::size_t>(s)];
       if (!g.contains(w)) continue;
@@ -475,10 +471,7 @@ Report parallel_multifrontal(exec::Comm& machine,
     }
   };
 
-  Report report;
-  report.stats = machine.run(spmd);
-  report.graph = supernode_dag_stats(part);
-  return report;
+  return {machine.run(spmd)};
 }
 
 }  // namespace sparts::parfact

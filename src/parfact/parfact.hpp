@@ -30,7 +30,6 @@
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/supernodal_factor.hpp"
 #include "exec/process.hpp"
-#include "exec/taskgraph.hpp"
 #include "sparse/formats.hpp"
 #include "symbolic/supernodes.hpp"
 
@@ -42,9 +41,6 @@ struct Options {
 
 struct Report {
   exec::RunStats stats;
-  /// Shape of the supernode elimination DAG the SPMD loop walked
-  /// (see factor_dag.hpp; the same graph the task backend executes).
-  exec::GraphStats graph;
   double time() const { return stats.parallel_time(); }
 };
 

@@ -14,7 +14,6 @@
 #include "partrisolve/fragment_stack.hpp"
 #include "partrisolve/layout.hpp"
 #include "partrisolve/packets.hpp"
-#include "partrisolve/solve_dag.hpp"
 #include "exec/collectives.hpp"
 #include "exec/reliable.hpp"
 
@@ -130,8 +129,10 @@ DistributedTrisolver::DistributedTrisolver(
                    cr.pairs.end());
   }
 
-  // Ascending per-rank walk lists: the solve DAGs' topological orders
-  // (ascending-schedule lemma, docs/taskdag.md) restricted to each rank.
+  // Ascending per-rank walk lists.  A supernode's parent and the owners of
+  // its below rows all have larger ids (the walk-order rule,
+  // docs/taskdag.md), so ascending id visits every supernode after all
+  // that feed it.
   owned_.resize(static_cast<std::size_t>(map_.p));
   for (index_t s = 0; s < nsup; ++s) {
     const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
@@ -140,9 +141,6 @@ DistributedTrisolver::DistributedTrisolver(
     }
   }
   plan_fragment_stacks();
-  const SolveDagStats graphs = solve_dag_stats(part);
-  forward_graph_ = graphs.forward;
-  backward_graph_ = graphs.backward;
 }
 
 void DistributedTrisolver::plan_local_steps() {
@@ -931,10 +929,9 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
     flush_packets(proc, pg, tag_fw_contrib(s), m, scratch.out);
   };
 
-  // The SPMD sweep is a lowering of the forward-elimination DAG (edge
-  // c -> s when c's rectangle update feeds rows of s): each rank walks
-  // the supernodes its group owns in the graph's topological order,
-  // ascending id.
+  // Each rank walks the supernodes its group owns in ascending id: every
+  // supernode whose rectangle update feeds rows of s has a smaller id, so
+  // it has been walked before s.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].forward,
@@ -1024,10 +1021,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
     }
   };
 
-  PhaseReport report;
-  report.stats = machine.run(spmd);
-  report.graph = forward_graph_;
-  return report;
+  return {machine.run(spmd)};
 }
 
 PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
@@ -1070,11 +1064,9 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
     }
   };
 
-  // Backward lowering: the backward DAG is the forward DAG with every edge
-  // reversed, so descending supernode id is a topological order of it, and
-  // the one that reproduces the historical top-down sweep byte for byte.
-  // (The backward graph's own smallest-id-first schedule would hoist
-  // below-free supernodes early.)
+  // Backward walks the forward order reversed, descending id: every
+  // supernode whose solved rows s reads has a larger id, so it has been
+  // walked before s.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].backward,
@@ -1179,10 +1171,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
     }
   };
 
-  PhaseReport report;
-  report.stats = machine.run(spmd);
-  report.graph = backward_graph_;
-  return report;
+  return {machine.run(spmd)};
 }
 
 std::pair<PhaseReport, PhaseReport> DistributedTrisolver::solve(

@@ -28,7 +28,7 @@
 // Forward elimination walks the tree bottom-up producing Y (L Y = B);
 // backward substitution walks top-down producing X (L^T X = Y).
 // The solve plan (subtree roots and tail positions, routing tables, walk
-// order, DAG stats, fragment-stack offsets) is built once per solver, so
+// order, fragment-stack offsets) is built once per solver, so
 // forward()/backward() do only right-hand-side work: each rank allocates
 // its working memory once per phase, and the supernode loop allocates
 // nothing but outgoing payloads.
@@ -43,7 +43,6 @@
 #include "numeric/supernodal_factor.hpp"
 #include "partrisolve/dist_factor.hpp"
 #include "exec/process.hpp"
-#include "exec/taskgraph.hpp"
 #include "trisolve/trisolve.hpp"
 
 namespace sparts::partrisolve {
@@ -65,11 +64,6 @@ struct Options {
 /// Result of one distributed solve phase.
 struct PhaseReport {
   exec::RunStats stats;
-  /// Shape of the supernode DAG the phase walked (forward: child ->
-  /// ancestor contribution edges; backward: the same edges reversed),
-  /// computed once per solver.  See solve_dag.hpp — the task backend
-  /// executes the same graphs.
-  exec::GraphStats graph;
   double time() const { return stats.parallel_time(); }
 };
 
@@ -205,8 +199,6 @@ class DistributedTrisolver {
   std::vector<index_t> slot_begin_;
   std::vector<FragmentSlot> fragments_;
   std::vector<FragmentStackRows> stack_rows_;  ///< per world rank
-  exec::GraphStats forward_graph_;   ///< see PhaseReport::graph
-  exec::GraphStats backward_graph_;
   /// Prefix sums of pivot-block counts: block_base_[s] is the global id
   /// of supernode s's first pivot block.  Token tags are derived from
   /// global block ids so every in-flight token has a unique tag.

@@ -594,7 +594,6 @@ SparseSolver SparseSolver::factorize(const sparse::SymmetricCsc& a,
                                             fact_map, f.factor);
     });
     result.factor_time = report.time();
-    result.factor_dag = report.graph;
     result.factor_critical_path = critical_path_of(st);
     phase.set_parallel(exec::to_phase_stats(report.stats));
     accumulate_report(st, &result);
@@ -690,7 +689,6 @@ ParallelSolveResult SparseSolver::solve(std::span<const real_t> b, index_t m,
         return f.trisolver->forward(machine, b_perm, y_perm, m);
       });
       result.forward_time = fw.time();
-      result.forward_dag = fw.graph;
       result.forward_critical_path = critical_path_of(st);
       phase.set_parallel(exec::to_phase_stats(fw.stats));
       accumulate_report(st, &result);
@@ -702,7 +700,6 @@ ParallelSolveResult SparseSolver::solve(std::span<const real_t> b, index_t m,
         return f.trisolver->backward(machine, y_perm, x_perm, m);
       });
       result.backward_time = bw.time();
-      result.backward_dag = bw.graph;
       result.backward_critical_path = critical_path_of(st);
       phase.set_parallel(exec::to_phase_stats(bw.stats));
       accumulate_report(st, &result);

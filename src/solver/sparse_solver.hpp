@@ -19,7 +19,6 @@
 #include "dense/pivot.hpp"
 #include "exec/fault_backend.hpp"
 #include "exec/task_scheduler.hpp"
-#include "exec/taskgraph.hpp"
 #include "numeric/supernodal_factor.hpp"
 #include "obs/critical_path.hpp"
 #include "simpar/machine.hpp"
@@ -45,8 +44,9 @@ enum class ExecutionBackend {
   /// exec::TaskBackend: every rank is a fiber multiplexed on a
   /// work-stealing task-scheduler pool (as many workers as cores, not as
   /// many as ranks).  A recv with no matching message suspends the fiber —
-  /// the wait becomes a dynamic dependency edge of the supernode task DAG
-  /// — and the matching send re-readies it on the sender's worker.
+  /// the wait becomes a dependency edge of the executed DAG that
+  /// obs::critical_path measures — and the matching send re-readies it on
+  /// the sender's worker.
   /// Results are bit-identical to `threads`; times are wall clock.
   tasks,
   /// exec::SocketBackend under the reliability envelope: this process is
@@ -215,13 +215,6 @@ struct ParallelSolveResult {
   /// Relative residual ||b - A x|| / ||b|| after refinement; negative when
   /// refinement did not run (clean direct solve, residual not computed).
   real_t residual = -1.0;
-  /// Shapes of the supernode task DAGs the parallel phases executed —
-  /// filled for every backend, because the SPMD loops walk per-rank
-  /// ascending supernode lists that are schedules of these graphs (see
-  /// parfact/factor_dag.hpp and partrisolve/solve_dag.hpp).
-  exec::GraphStats factor_dag;
-  exec::GraphStats forward_dag;
-  exec::GraphStats backward_dag;
   /// Work-stealing counters of the tasks backend (all zero otherwise);
   /// jobs/steals/parks are summed over the parallel phases.
   exec::SchedulerStats task_scheduler;

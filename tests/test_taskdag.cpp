@@ -1,167 +1,335 @@
-// The task-DAG execution core: WaitGroup, TaskGraph, the work-stealing
-// scheduler, and the fiber-based TaskBackend behind the Comm contract.
+// The task execution core: Latch, the work-stealing scheduler's fork-join
+// (run_all), and the fiber-based TaskBackend behind the Comm contract.
 //
 // The load-bearing assertions are the bit-identical ones: the TaskBackend
 // must solve the paper's problems with exactly the floating-point results
-// of the thread backend (same SPMD lowering, same deterministic message
-// matching), and the shared-memory task lowerings of factorization /
-// trisolve must reproduce their sequential counterparts bit for bit
-// (tests live in the parfact/partrisolve suites; here we pin the engine).
+// of the thread backend (same SPMD programs, same deterministic message
+// matching; the full-pipeline tests live in test_taskdag_lowering.cpp).
+// Here we pin the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <random>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/collectives.hpp"
+#include "exec/latch.hpp"
 #include "exec/task_backend.hpp"
 #include "exec/task_scheduler.hpp"
-#include "exec/taskgraph.hpp"
 #include "exec/thread_backend.hpp"
-#include "exec/waitgroup.hpp"
+#include "obs/trace.hpp"
 
 namespace sparts {
 namespace {
 
-TEST(WaitGroup, CountsDownAndIsReusable) {
-  exec::WaitGroup wg;
-  wg.add(3);
-  EXPECT_EQ(wg.pending(), 3);
-  wg.done();
-  wg.done();
-  wg.done();
-  wg.wait();  // returns immediately at zero
-  wg.add(1);  // reusable after reaching zero
-  wg.done();
-  wg.wait();
-}
-
-TEST(WaitGroup, ReleasesWaiterFromAnotherThread) {
-  exec::WaitGroup wg(2);
+TEST(Latch, ReleasesWaiterFromAnotherThread) {
+  exec::Latch done(2);
   exec::TaskScheduler sched({.workers = 2});
-  sched.submit([&](const exec::JobContext&) { wg.done(); });
-  sched.submit([&](const exec::JobContext&) { wg.done(); });
-  wg.wait();
-  EXPECT_EQ(wg.pending(), 0);
+  sched.submit([&](const exec::JobContext&) { done.count_down(); });
+  sched.submit([&](const exec::JobContext&) { done.count_down(); });
+  done.wait();
+  done.wait();  // a latch that has reached zero releases every later wait
 }
 
-TEST(TaskGraph, TopoScheduleIsDeterministicAndComplete) {
-  exec::TaskGraph g;
-  const auto a = g.add_task("a");
-  const auto b = g.add_task("b");
-  const auto c = g.add_task("c");
-  const auto d = g.add_task("d");
-  g.add_edge(a, c);
-  g.add_edge(b, c);
-  g.add_edge(c, d);
-  g.add_edge(a, c);  // duplicate collapses
-  EXPECT_EQ(g.num_edges(), 3);
-  const auto order = g.topo_schedule();
-  EXPECT_EQ(order, (std::vector<exec::TaskId>{a, b, c, d}));
+TEST(Latch, WaitBlocksUntilTheLastArrival) {
+  // Arrivals one at a time: the waiter stays blocked through the first
+  // two and is released by the third.
+  exec::Latch done(3);
+  exec::Latch waiter_exited(1);
+  std::atomic<bool> released{false};
+  exec::TaskScheduler sched({.workers = 1});
+  sched.submit([&](const exec::JobContext&) {
+    done.wait();
+    released = true;
+    waiter_exited.count_down();
+  });
+  done.count_down();
+  done.count_down();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(released.load()) << "released before the last arrival";
+  done.count_down();
+  waiter_exited.wait();
+  EXPECT_TRUE(released.load());
 }
 
-TEST(TaskGraph, AnalyzeComputesCriticalPathAndWidth) {
-  // Diamond: a -> {b, c} -> d, unit costs.
-  exec::TaskGraph g;
-  const auto a = g.add_task("a", {}, exec::TaskKind::panel_factor);
-  const auto b = g.add_task("b", {}, exec::TaskKind::update);
-  const auto c = g.add_task("c", {}, exec::TaskKind::update);
-  const auto d = g.add_task("d", {}, exec::TaskKind::panel_factor);
-  g.add_edge(a, b);
-  g.add_edge(a, c);
-  g.add_edge(b, d);
-  g.add_edge(c, d);
-  const exec::GraphStats st = g.analyze();
-  EXPECT_EQ(st.tasks, 4);
-  EXPECT_EQ(st.edges, 4);
-  EXPECT_DOUBLE_EQ(st.total_cost, 4.0);
-  EXPECT_DOUBLE_EQ(st.critical_path_cost, 3.0);  // a -> b -> d
-  EXPECT_EQ(st.depth, 3);
-  EXPECT_EQ(st.max_width, 2);
-  EXPECT_NEAR(st.avg_parallelism, 4.0 / 3.0, 1e-12);
-  EXPECT_EQ(st.count_of(exec::TaskKind::panel_factor), 2);
-  EXPECT_EQ(st.count_of(exec::TaskKind::update), 2);
+TEST(Latch, CountingDownPastZeroThrows) {
+  exec::Latch done(1);
+  done.count_down();
+  done.wait();
+  EXPECT_THROW(done.count_down(), Error);
+  EXPECT_THROW(exec::Latch(-1), Error);
 }
 
-TEST(TaskGraph, CycleIsRejected) {
-  exec::TaskGraph g;
-  const auto a = g.add_task("a");
-  const auto b = g.add_task("b");
-  g.add_edge(a, b);
-  g.add_edge(b, a);
-  EXPECT_THROW(g.topo_schedule(), Error);
-}
-
-TEST(TaskScheduler, RunGraphRespectsDependencies) {
-  // A fork-join over 64 tasks: every task stamps a sequence number; each
-  // task's stamp must come after all of its predecessors' stamps.
-  exec::TaskGraph g;
-  constexpr int kN = 64;
-  std::vector<std::atomic<int>> stamp(kN);
-  std::atomic<int> next{0};
-  std::vector<exec::TaskId> ids;
-  for (int i = 0; i < kN; ++i) {
-    ids.push_back(g.add_task("t", [&stamp, &next, i] {
-      stamp[static_cast<std::size_t>(i)].store(next.fetch_add(1) + 1);
-    }));
-  }
-  // Binary-tree dependencies: child i depends on parent (i-1)/2.
-  for (int i = 1; i < kN; ++i) g.add_edge(ids[(i - 1) / 2], ids[i]);
-  exec::TaskScheduler sched({.workers = 4});
-  sched.run_graph(g);
-  for (int i = 1; i < kN; ++i) {
-    EXPECT_GT(stamp[static_cast<std::size_t>(i)].load(),
-              stamp[static_cast<std::size_t>((i - 1) / 2)].load())
-        << "task " << i << " ran before its predecessor";
-  }
-  EXPECT_EQ(next.load(), kN);
-  EXPECT_GE(sched.stats().jobs_run, static_cast<std::int64_t>(kN));
-}
-
-TEST(TaskScheduler, RunGraphPropagatesTaskError) {
-  exec::TaskGraph g;
-  const auto a = g.add_task("boom", [] { throw Error("task failed"); });
-  std::atomic<bool> ran{false};
-  const auto b = g.add_task("after", [&ran] { ran.store(true); });
-  g.add_edge(a, b);
-  exec::TaskScheduler sched({.workers = 2});
-  EXPECT_THROW(sched.run_graph(g), Error);
-  EXPECT_FALSE(ran.load()) << "successor body ran after cancellation";
-}
-
-TEST(TaskScheduler, SeededRandomDagShapesDrainOnAllWorkerCounts) {
-  // The stress test of the release protocol: random DAGs (random fan-out,
-  // random edge density, diamonds and chains alike) must drain exactly
-  // once per task on 1..16 workers.  The seed makes failures replayable.
+TEST(TaskScheduler, RunAllRunsEveryBodyOnceOnEveryWorkerCount) {
+  // Every body is released at once and must run exactly once, whatever
+  // the pool size and batch size.  The seed makes failures replayable.
   std::mt19937 rng(20260809);
   for (const int workers : {1, 2, 3, 4, 8, 16}) {
-    exec::TaskScheduler sched(
-        {.workers = workers, .cluster_size = 4, .spin_sweeps = 2});
+    exec::TaskScheduler sched({.workers = workers});
     for (int round = 0; round < 4; ++round) {
       const int n = 1 + static_cast<int>(rng() % 200);
-      exec::TaskGraph g;
       std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
-      std::vector<exec::TaskId> ids;
+      std::vector<std::function<void()>> bodies;
       for (int i = 0; i < n; ++i) {
-        ids.push_back(g.add_task(
-            "t", [&runs, i] { runs[static_cast<std::size_t>(i)]++; }));
+        bodies.emplace_back(
+            [&runs, i] { runs[static_cast<std::size_t>(i)]++; });
       }
-      // Edges only point forward: any random subset stays acyclic.
-      for (int i = 1; i < n; ++i) {
-        const int fanin = static_cast<int>(rng() % 4);
-        for (int e = 0; e < fanin; ++e) {
-          g.add_edge(ids[static_cast<std::size_t>(rng() %
-                                                  static_cast<unsigned>(i))],
-                     ids[static_cast<std::size_t>(i)]);
-        }
-      }
-      sched.run_graph(g);
+      sched.run_all(bodies);
       for (int i = 0; i < n; ++i) {
         ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
-            << "workers=" << workers << " round=" << round << " task=" << i;
+            << "workers=" << workers << " round=" << round << " body=" << i;
       }
     }
+    sched.run_all({});  // an empty batch returns at once
   }
+}
+
+/// True until `seconds` have passed since the call that made it: bounds
+/// the rendezvous waits below, so a scheduler that fails to run bodies
+/// side by side fails the test instead of hanging it.
+auto within(double seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(seconds));
+  return [deadline] { return std::chrono::steady_clock::now() < deadline; };
+}
+
+TEST(TaskScheduler, RunAllReleasesEveryBodyAtOnce) {
+  // As many bodies as workers, each waiting until all of them have
+  // started: they meet only if the call releases every body at once.
+  constexpr int kWorkers = 4;
+  exec::TaskScheduler sched({.workers = kWorkers});
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  const auto waiting = within(10.0);
+  const std::vector<std::function<void()>> bodies(kWorkers, [&] {
+    started++;
+    while (started.load() < kWorkers && waiting()) std::this_thread::yield();
+    if (started.load() == kWorkers) met++;
+  });
+  sched.run_all(bodies);
+  EXPECT_EQ(met.load(), kWorkers) << "bodies were not released together";
+}
+
+TEST(TaskScheduler, RunAllJoinsRunningBodiesBeforeRethrowing) {
+  // Body 0 throws once the others are running: the call must wait for
+  // them to finish before it rethrows (they hold references into the
+  // caller's frame), and the error keeps its type.
+  constexpr int kWorkers = 4;
+  exec::TaskScheduler sched({.workers = kWorkers});
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> thrown{false};
+  const auto waiting = within(10.0);
+  std::vector<std::function<void()>> bodies;
+  bodies.emplace_back([&] {
+    while (started.load() < kWorkers - 1 && waiting()) {
+      std::this_thread::yield();
+    }
+    thrown = true;
+    throw NumericalError("body 0");
+  });
+  for (int i = 1; i < kWorkers; ++i) {
+    bodies.emplace_back([&] {
+      started++;
+      while (!thrown.load() && waiting()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      finished++;
+    });
+  }
+  EXPECT_THROW(sched.run_all(bodies), NumericalError);
+  EXPECT_EQ(started.load(), kWorkers - 1);
+  EXPECT_EQ(finished.load(), started.load())
+      << "the call returned while bodies still ran";
+}
+
+TEST(TaskScheduler, RunAllCancelsAfterAThrowAndRethrowsOnce) {
+  // One worker runs the bodies one after another, so the first body to
+  // run throws and every later one must be skipped: exactly one body
+  // starts, and its error is the one rethrown.
+  constexpr int kN = 16;
+  std::atomic<int> started{0};
+  std::atomic<int> first{-1};
+  std::vector<std::function<void()>> bodies;
+  for (int i = 0; i < kN; ++i) {
+    bodies.emplace_back([&, i] {
+      started++;
+      first.store(i);
+      throw Error("body " + std::to_string(i));
+    });
+  }
+  exec::TaskScheduler sched({.workers = 1});
+  try {
+    sched.run_all(bodies);
+    FAIL() << "expected the body's Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("body " + std::to_string(first)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(started.load(), 1) << "a body started after cancellation";
+  // The pool stays usable after a cancelled batch.
+  std::atomic<int> ran{0};
+  sched.run_all(std::vector<std::function<void()>>(3, [&ran] { ran++; }));
+  EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(TaskScheduler, RunAllFromAWorkerOfTheSamePoolThrows) {
+  exec::TaskScheduler sched({.workers = 2});
+  exec::TaskScheduler other({.workers = 1});
+  const std::vector<std::function<void()>> one{[] {}};
+  std::atomic<bool> same_threw{false};
+  std::atomic<bool> other_ran{false};
+  exec::Latch done(2);
+  sched.submit([&](const exec::JobContext&) {
+    try {
+      sched.run_all(one);
+    } catch (const Error&) {
+      same_threw = true;
+    }
+    done.count_down();
+  });
+  // A worker of another pool may fork-join on this one.
+  other.submit([&](const exec::JobContext&) {
+    sched.run_all(one);
+    other_ran = true;
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_TRUE(same_threw.load());
+  EXPECT_TRUE(other_ran.load());
+}
+
+/// One exported Chrome trace event: its phase, timestamp (microseconds)
+/// and track.
+struct ExportedEvent {
+  std::string ph;
+  double ts = 0.0;
+  int tid = 0;
+};
+
+/// The exported events named `name`, in file order (the exporter writes
+/// one event per line).
+std::vector<ExportedEvent> events_named(const std::string& json,
+                                        const std::string& name) {
+  std::vector<ExportedEvent> out;
+  std::istringstream lines(json);
+  std::string line;
+  const std::string key = "{\"name\": \"" + name + "\"";
+  while (std::getline(lines, line)) {
+    if (line.rfind(key, 0) != 0) continue;
+    const auto after = [&](const std::string& field) {
+      return line.substr(line.find(field) + field.size());
+    };
+    out.push_back({after("\"ph\": \"").substr(0, 1),
+                   std::stod(after("\"ts\": ")),
+                   std::stoi(after("\"tid\": "))});
+  }
+  return out;
+}
+
+/// Exported tids of the scheduler worker tracks.
+std::vector<int> worker_tids(const std::string& json) {
+  std::vector<int> tids;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"thread_name\"") == std::string::npos ||
+        line.find("\"worker ") == std::string::npos) {
+      continue;
+    }
+    const std::string field = "\"tid\": ";
+    tids.push_back(std::stoi(line.substr(line.find(field) + field.size())));
+  }
+  return tids;
+}
+
+TEST(TaskScheduler, TracedRunAllIsOneRunSegmentWithBalancedTaskSpans) {
+  // A traced call opens its own run segment: every body's task_run span
+  // lies between the timeline before the call and the timeline after it,
+  // on a worker track, with one begin and one end per body.
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable(1 << 14);
+  tracer.advance_timeline(0.25);  // whatever ran before the call
+  constexpr int kN = 24;
+  std::atomic<int> ran{0};
+  const std::vector<std::function<void()>> bodies(kN, [&ran] { ran++; });
+  double before = 0.0;
+  double after = 0.0;
+  {
+    exec::TaskScheduler sched({.workers = 3});
+    before = tracer.timeline();
+    sched.run_all(bodies);
+    after = tracer.timeline();
+  }  // joins the workers before the export reads their tracks
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  tracer.clear();
+
+  EXPECT_EQ(ran.load(), kN);
+  EXPECT_GT(after, before) << "the call did not close its run segment";
+  const std::string json = out.str();
+  const std::vector<int> workers = worker_tids(json);
+  int begins = 0;
+  int ends = 0;
+  for (const ExportedEvent& ev : events_named(json, "task_run")) {
+    begins += ev.ph == "B" ? 1 : 0;
+    ends += ev.ph == "E" ? 1 : 0;
+    EXPECT_NE(std::find(workers.begin(), workers.end(), ev.tid),
+              workers.end())
+        << "task_run off a worker track";
+    EXPECT_GE(ev.ts, before * 1e6 - 1.0) << "span before the call's segment";
+    EXPECT_LE(ev.ts, after * 1e6 + 1.0) << "span after the call's segment";
+  }
+  EXPECT_EQ(begins, kN);
+  EXPECT_EQ(ends, kN);
+}
+
+TEST(TaskScheduler, TracedRunAllThatThrowsStillClosesItsSegment) {
+  // An error does not leave the trace inside the call's run segment: the
+  // segment is closed before the rethrow, and the throwing body's
+  // task_run span is closed too.  One worker, so the bodies after the
+  // first are cancelled and write no span.
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable(1 << 14);
+  tracer.advance_timeline(0.25);  // whatever ran before the call
+  double before = 0.0;
+  double after = 0.0;
+  {
+    exec::TaskScheduler sched({.workers = 1});
+    const std::vector<std::function<void()>> bodies(
+        4, [] { throw Error("traced body"); });
+    before = tracer.timeline();
+    EXPECT_THROW(sched.run_all(bodies), Error);
+    after = tracer.timeline();
+  }  // joins the worker before the export reads its track
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  tracer.clear();
+
+  EXPECT_GT(after, before) << "the call did not close its run segment";
+  const std::string json = out.str();
+  const std::vector<int> workers = worker_tids(json);
+  int begins = 0;
+  int ends = 0;
+  for (const ExportedEvent& ev : events_named(json, "task_run")) {
+    begins += ev.ph == "B" ? 1 : 0;
+    ends += ev.ph == "E" ? 1 : 0;
+    EXPECT_NE(std::find(workers.begin(), workers.end(), ev.tid),
+              workers.end())
+        << "task_run off a worker track";
+  }
+  EXPECT_EQ(begins, 1);
+  EXPECT_EQ(ends, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,14 @@
-// The lowering guarantee (see parfact/factor_dag.hpp and
-// partrisolve/solve_dag.hpp): factorization and the triangular solves are
-// expressed once as supernode task DAGs, and every lowering of those
-// graphs — the sequential loop, and the SPMD ranks walking the topological
-// schedule on threads or on the work-stealing task scheduler's fibers —
-// must produce bit-identical numbers.  These tests pin that contract:
+// The walk-order guarantee: the SPMD programs of factorization and the
+// triangular solves walk supernodes in ascending id (backward: descending),
+// and every lowering of that walk — the sequential loop, and the SPMD
+// ranks on threads or on the work-stealing task scheduler's fibers — must
+// produce bit-identical numbers.  These tests pin that contract:
 //
-//   * the coarse/forward DAG schedules are exactly 0..nsup-1 (all edges go
-//     small -> large id), which is what makes walking the schedule
-//     byte-identical to the historical `for s` loops;
-//   * the graph stats the SPMD lowerings cache (DistributedTrisolver,
-//     parallel_multifrontal) equal analyze() of the built graphs, field
-//     for field, and a solver's reused plan carries no state between
-//     solves;
+//   * every dependency of a supernode points to a larger id (its parent
+//     and the supernodes that own its below rows), on fundamental and on
+//     amalgamated partitions, which is what makes the ascending walk
+//     correct (docs/taskdag.md, the walk-order rule);
+//   * a solver's reused plan carries no state between solves;
 //   * DistributedTrisolver at p = 1 == trisolve::full_solve bit for bit
 //     (every supernode is a single-rank step in place), on every backend
 //     and from the shared factor or rank-local storage alike;
@@ -30,11 +27,8 @@
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
-#include "parfact/factor_dag.hpp"
-#include "parfact/parfact.hpp"
 #include "partrisolve/dist_factor.hpp"
 #include "partrisolve/partrisolve.hpp"
-#include "partrisolve/solve_dag.hpp"
 #include "simpar/machine.hpp"
 #include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
@@ -69,74 +63,44 @@ symbolic::SupernodePartition partition_of(const sparse::SymmetricCsc& a) {
 const char* kFamilies[] = {"grid2d", "grid3d", "chain", "random",
                            "jittered", "figure1"};
 
-TEST(TaskDagLowering, CoarseAndForwardSchedulesAreAscending) {
-  // Every edge of the supernode DAG (and of the forward-solve DAG) goes
-  // from a smaller id to a larger one, so the deterministic
-  // smallest-ready-id-first schedule is exactly 0, 1, ..., nsup-1.  The
-  // SPMD loops rely on this to stay byte-identical to the historical
-  // ascending-supernode loops.
-  for (const char* family : kFamilies) {
-    const sparse::SymmetricCsc a = ordered(family);
-    const symbolic::SupernodePartition part = partition_of(a);
-    const index_t nsup = part.num_supernodes();
-    for (const exec::TaskGraph& g : {parfact::build_supernode_dag(part),
-                                     partrisolve::build_forward_dag(part)}) {
-      const std::vector<exec::TaskId> sched = g.topo_schedule();
-      ASSERT_EQ(static_cast<index_t>(sched.size()), nsup) << family;
-      for (index_t s = 0; s < nsup; ++s) {
-        ASSERT_EQ(sched[static_cast<std::size_t>(s)], s) << family;
-      }
+/// The walk-order rule on one partition: for every supernode s, its
+/// parent is -1 or larger than s, and every below row of s lies in a
+/// supernode larger than s.
+void expect_walk_order(const symbolic::SupernodePartition& part,
+                       const std::string& what) {
+  const index_t nsup = part.num_supernodes();
+  for (index_t s = 0; s < nsup; ++s) {
+    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+    ASSERT_TRUE(parent == -1 || parent > s)
+        << what << ": supernode " << s << " has parent " << parent;
+    const auto rows = part.row_indices(s);
+    for (std::size_t k = static_cast<std::size_t>(part.width(s));
+         k < rows.size(); ++k) {
+      const index_t owner =
+          part.sup_of_col[static_cast<std::size_t>(rows[k])];
+      ASSERT_GT(owner, s) << what << ": below row " << rows[k]
+                          << " of supernode " << s;
     }
   }
 }
 
-void expect_same_stats(const exec::GraphStats& got,
-                       const exec::GraphStats& want, const std::string& what) {
-  EXPECT_EQ(got.tasks, want.tasks) << what;
-  EXPECT_EQ(got.edges, want.edges) << what;
-  EXPECT_EQ(got.total_cost, want.total_cost) << what;
-  EXPECT_EQ(got.critical_path_cost, want.critical_path_cost) << what;
-  EXPECT_EQ(got.depth, want.depth) << what;
-  EXPECT_EQ(got.max_width, want.max_width) << what;
-  EXPECT_EQ(got.avg_parallelism, want.avg_parallelism) << what;
-  for (std::size_t k = 0; k < std::size(want.kind_counts); ++k) {
-    EXPECT_EQ(got.kind_counts[k], want.kind_counts[k])
-        << what << " kind " << k;
-  }
-}
-
-TEST(TaskDagLowering, CachedGraphStatsMatchAnalyze) {
-  // The SPMD lowerings report their DAG's shape from a direct sweep
-  // computed once per solver / factorization; it must equal analyze() of
-  // the materialized graph exactly.
-  constexpr index_t p = 4;
+TEST(TaskDagLowering, EveryDependencyPointsToALargerSupernode) {
+  // The SPMD walks rely on this: ascending id visits a supernode after
+  // every child and every contribution source, and descending id visits
+  // it after every supernode whose solved rows it reads.
   for (const char* family : kFamilies) {
     const sparse::SymmetricCsc a = ordered(family);
-    const symbolic::SupernodePartition part = partition_of(a);
-    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
-    simpar::Machine::Config cfg;
-    cfg.nprocs = p;
-    simpar::Machine machine(cfg);
-
-    numeric::SupernodalFactor l;
-    const parfact::Report fact =
-        parfact::parallel_multifrontal(machine, a, part, map, l);
-    expect_same_stats(fact.graph,
-                      parfact::build_supernode_dag(part).analyze(),
-                      std::string(family) + " parfact");
-
-    const partrisolve::DistributedTrisolver solver(l, map, {});
-    const index_t n = a.n();
-    Rng rng(3);
-    const std::vector<real_t> b = sparse::random_rhs(n, 1, rng);
-    std::vector<real_t> y(b.size()), x(b.size());
-    expect_same_stats(solver.forward(machine, b, y, 1).graph,
-                      partrisolve::build_forward_dag(part).analyze(),
-                      std::string(family) + " forward");
-    expect_same_stats(solver.backward(machine, y, x, 1).graph,
-                      partrisolve::build_backward_dag(part).analyze(),
-                      std::string(family) + " backward");
+    expect_walk_order(partition_of(a), family);
   }
+  // Options::amalgamation_max_width hands the walks a merged partition.
+  const sparse::SymmetricCsc a = ordered("grid3d");
+  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
+  const symbolic::SupernodePartition fundamental =
+      symbolic::fundamental_supernodes(sym);
+  const symbolic::SupernodePartition merged =
+      symbolic::amalgamate(sym, fundamental, 16, 8);
+  ASSERT_LT(merged.num_supernodes(), fundamental.num_supernodes());
+  expect_walk_order(merged, "grid3d amalgamated");
 }
 
 TEST(TaskDagLowering, ReusedSolvePlanMatchesFreshSolverBitwise) {
@@ -245,12 +209,7 @@ TEST(TaskDagLowering, ParallelSolveTasksMatchesThreadsBitwise) {
       const auto rt = solver::parallel_solve(a, b, m, p, threads_opt);
       const auto rk = solver::parallel_solve(a, b, m, p, tasks_opt);
       EXPECT_EQ(rt.x, rk.x) << family << " p=" << p;
-      // DAG shapes are reported for both backends (the SPMD loops lower
-      // the same graphs), and only the tasks backend reports scheduler
-      // activity.
-      EXPECT_EQ(rt.factor_dag.tasks, rk.factor_dag.tasks) << family;
-      EXPECT_EQ(rt.forward_dag.edges, rk.forward_dag.edges) << family;
-      EXPECT_GT(rk.factor_dag.tasks, 0) << family;
+      // Only the tasks backend reports scheduler activity.
       EXPECT_GT(rk.task_scheduler.jobs_run, 0) << family;
       EXPECT_EQ(rt.task_scheduler.jobs_run, 0) << family;
     }

@@ -344,20 +344,6 @@ int main(int argc, char** argv) {
               << " s\n"
               << "  backward solve " << format_fixed(result.backward_time, 4)
               << " s\n";
-    if (procs > 0) {
-      // Shapes of the supernode task DAGs the parallel phases executed;
-      // the SPMD loops of every backend walk per-rank ascending supernode
-      // lists, which are schedules of these graphs.
-      auto dag_line = [](const char* name, const exec::GraphStats& g) {
-        std::cout << "  " << name << " " << g.tasks << " tasks, " << g.edges
-                  << " edges, depth " << g.depth << ", avg parallelism "
-                  << format_fixed(g.avg_parallelism, 2) << "\n";
-      };
-      std::cout << "task DAG shapes:\n";
-      dag_line("factor  ", result.factor_dag);
-      dag_line("forward ", result.forward_dag);
-      dag_line("backward", result.backward_dag);
-    }
     if (procs > 0 && options.backend == solver::ExecutionBackend::tasks) {
       std::cout << "task scheduler:  " << result.task_scheduler.workers
                 << " workers, " << result.task_scheduler.jobs_run
