@@ -14,7 +14,7 @@
 namespace sparts::bench {
 namespace {
 
-void run_matrix(const PreparedProblem& prob, BenchJson& json) {
+void run_matrix(const PreparedProblem& prob) {
   std::cout << "\n--- " << prob.name << " (N = " << prob.a.n() << ") ---\n";
   std::vector<index_t> procs;
   for (index_t p = 1; p <= bench_max_p(); p *= 4) procs.push_back(p);
@@ -33,17 +33,6 @@ void run_matrix(const PreparedProblem& prob, BenchJson& json) {
       table.add(meas.mflops, 1);
       if (p == 1) first = meas.fb_time;
       last = meas.fb_time;
-      json.row()
-          .field("matrix", prob.name)
-          .field("n", prob.a.n())
-          .field("nrhs", m)
-          .field("p", p)
-          .field("mflops", meas.mflops)
-          .field("fb_seconds", meas.fb_time)
-          .field("forward_seconds", meas.fw_time)
-          .field("backward_seconds", meas.bw_time)
-          .field("messages", static_cast<long long>(meas.messages))
-          .field("speedup", exec::speedup(first, meas.fb_time));
     }
     table.add(exec::speedup(first, last), 2);
   }
@@ -53,11 +42,9 @@ void run_matrix(const PreparedProblem& prob, BenchJson& json) {
 void run() {
   print_header("E11 (Figure 8)", "FBsolve MFLOPS vs processors");
   const double scale = bench_scale();
-  BenchJson json("fig8", "SPARTS_BENCH_FIG8_JSON");
   for (const char* name : {"BCSSTK15", "BCSSTK31", "CUBE35", "COPTER2"}) {
-    run_matrix(prepare(solver::paper_problem(name, scale)), json);
+    run_matrix(prepare(solver::paper_problem(name, scale)));
   }
-  json.write();
   std::cout << "\nPaper reference shape: every curve increases with p;"
                " larger NRHS shifts curves up\nand steepens them (BLAS-3"
                " rates + amortized pipeline startups).\n";

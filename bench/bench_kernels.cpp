@@ -1,154 +1,20 @@
-// Microbenchmarks of the dense kernels and core sparse phases
-// (google-benchmark).  These measure *host* throughput — useful for
-// knowing how fast the simulator itself runs — as opposed to the
-// simulated T3D times of the experiment benches.
-//
-// Before the google-benchmark suite runs, a flop-rate sweep times every
-// panel kernel in both implementations (reference and tiled) across a
-// size ladder and writes the GFLOP/s figures to BENCH_kernels.json
-// (override the path with SPARTS_BENCH_KERNELS_JSON).  That file is the
-// machine-readable record for kernel perf regression tracking; see
-// docs/kernels.md.
-#include <benchmark/benchmark.h>
-
+// Flop-rate sweep of the dense panel kernels on the host: every kernel,
+// reference against tiled, across a size ladder, printed to stdout as
+// GFLOP/s.  These are *host* rates, as opposed to the simulated T3D times
+// of the experiment benches; bench/e2e's `dense.*` rows are the tracked
+// kernel numbers (docs/kernels.md).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dense/cholesky.hpp"
 #include "dense/kernels.hpp"
-#include "numeric/multifrontal.hpp"
-#include "ordering/etree.hpp"
-#include "ordering/mindeg.hpp"
-#include "ordering/nested_dissection.hpp"
-#include "sparse/generators.hpp"
-#include "sparse/permutation.hpp"
-#include "symbolic/symbolic.hpp"
-#include "trisolve/trisolve.hpp"
 
 namespace sparts {
 namespace {
-
-void BM_PanelGemm(benchmark::State& state) {
-  const index_t n = state.range(0);
-  Rng rng(1);
-  std::vector<real_t> a(static_cast<std::size_t>(n * n));
-  std::vector<real_t> b(static_cast<std::size_t>(n * n));
-  std::vector<real_t> c(static_cast<std::size_t>(n * n), 0.0);
-  for (auto& v : a) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  for (auto _ : state) {
-    dense::panel_gemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_PanelGemm)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_PanelCholesky(benchmark::State& state) {
-  const index_t n = state.range(0);
-  Rng rng(2);
-  dense::Matrix base(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = j; i < n; ++i) {
-      base(i, j) = i == j ? static_cast<real_t>(n) : rng.uniform(-1.0, 1.0);
-    }
-  }
-  for (auto _ : state) {
-    dense::Matrix a = base;
-    dense::panel_cholesky(n, n, a.col(0), n);
-    benchmark::DoNotOptimize(a.col(0));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n / 3);
-}
-BENCHMARK(BM_PanelCholesky)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_PanelTrsm(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const index_t m = 8;
-  Rng rng(3);
-  dense::Matrix l(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = j; i < n; ++i) {
-      l(i, j) = i == j ? 2.0 : rng.uniform(-0.1, 0.1);
-    }
-  }
-  std::vector<real_t> b(static_cast<std::size_t>(n * m), 1.0);
-  for (auto _ : state) {
-    std::vector<real_t> x = b;
-    dense::panel_trsm_lower(n, m, l.col(0), n, x.data(), n);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * m);
-}
-BENCHMARK(BM_PanelTrsm)->Arg(64)->Arg(256);
-
-void BM_SymbolicCholesky(benchmark::State& state) {
-  const index_t k = state.range(0);
-  sparse::SymmetricCsc a = sparse::permute_symmetric(
-      sparse::grid2d(k, k), ordering::nested_dissection_grid2d(k, k));
-  for (auto _ : state) {
-    auto sym = symbolic::symbolic_cholesky(a);
-    benchmark::DoNotOptimize(sym.nnz());
-  }
-}
-BENCHMARK(BM_SymbolicCholesky)->Arg(32)->Arg(64);
-
-void BM_MultifrontalFactor(benchmark::State& state) {
-  const index_t k = state.range(0);
-  sparse::SymmetricCsc a = sparse::permute_symmetric(
-      sparse::grid2d(k, k), ordering::nested_dissection_grid2d(k, k));
-  for (auto _ : state) {
-    auto l = numeric::multifrontal_cholesky(a);
-    benchmark::DoNotOptimize(l.stored_entries());
-  }
-}
-BENCHMARK(BM_MultifrontalFactor)->Arg(32)->Arg(64);
-
-void BM_SequentialSolve(benchmark::State& state) {
-  const index_t k = state.range(0);
-  const index_t m = state.range(1);
-  sparse::SymmetricCsc a = sparse::permute_symmetric(
-      sparse::grid2d(k, k), ordering::nested_dissection_grid2d(k, k));
-  auto l = numeric::multifrontal_cholesky(a);
-  Rng rng(4);
-  std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
-  for (auto _ : state) {
-    std::vector<real_t> x = b;
-    trisolve::full_solve(l, x.data(), m);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SequentialSolve)->Args({64, 1})->Args({64, 10});
-
-void BM_NestedDissection(benchmark::State& state) {
-  const index_t k = state.range(0);
-  sparse::SymmetricCsc a = sparse::grid2d(k, k);
-  for (auto _ : state) {
-    auto p = ordering::nested_dissection(a);
-    benchmark::DoNotOptimize(p.n());
-  }
-}
-BENCHMARK(BM_NestedDissection)->Arg(24)->Arg(48);
-
-void BM_MinimumDegree(benchmark::State& state) {
-  const index_t k = state.range(0);
-  sparse::SymmetricCsc a = sparse::grid2d(k, k);
-  for (auto _ : state) {
-    auto p = ordering::minimum_degree(a);
-    benchmark::DoNotOptimize(p.n());
-  }
-}
-BENCHMARK(BM_MinimumDegree)->Arg(16)->Arg(24);
-
-// ===========================================================================
-// Flop-rate sweep: every panel kernel, reference vs tiled, size ladder.
-// ===========================================================================
 
 /// One timed case: `flops` per call, `run` performs exactly one call
 /// (any per-call reset it needs is included in the timing — it is the
@@ -269,7 +135,7 @@ std::vector<RateResult> run_rate_sweep() {
   return results;
 }
 
-void print_and_write_rates(const std::vector<RateResult>& results) {
+void print_rates(const std::vector<RateResult>& results) {
   std::printf("\nkernel flop rates (best of 5), reference vs tiled:\n");
   std::printf("%-28s %6s %12s %12s %9s\n", "kernel", "n", "ref GF/s",
               "tiled GF/s", "speedup");
@@ -278,35 +144,12 @@ void print_and_write_rates(const std::vector<RateResult>& results) {
                 static_cast<long long>(r.size), r.gflops_ref, r.gflops_tiled,
                 r.gflops_tiled / r.gflops_ref);
   }
-  const char* env = std::getenv("SPARTS_BENCH_KERNELS_JSON");
-  const std::string path =
-      (env != nullptr && *env != '\0') ? env : "BENCH_kernels.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"kernels\",\n  \"unit\": \"gflops\",\n"
-      << "  \"flop_rates\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RateResult& r = results[i];
-    out << "    {\"kernel\": \"" << r.kernel << "\", \"n\": " << r.size
-        << ", \"reference\": " << r.gflops_ref
-        << ", \"tiled\": " << r.gflops_tiled << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n\n", path.c_str());
 }
 
 }  // namespace
 }  // namespace sparts
 
-int main(int argc, char** argv) {
-  sparts::print_and_write_rates(sparts::run_rate_sweep());
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
+  sparts::print_rates(sparts::run_rate_sweep());
   return 0;
 }

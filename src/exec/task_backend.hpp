@@ -10,9 +10,9 @@
 // re-readies that fiber on the sender's worker, so a producer-consumer
 // chain of supernodes executes depth-first on one core with user-space
 // context switches instead of condvar wakeups through the kernel
-// scheduler.  This is what makes the backend win on irregular elimination
-// trees (chains, wide flat forests) where ThreadBackend's p threads spend
-// their lives parked at merge points — see bench/bench_taskdag.cpp.
+// scheduler.  This is meant to pay on irregular elimination trees (chains,
+// wide flat forests), where ThreadBackend's p threads park at merge
+// points; bench/e2e's `*.threads` and `*.tasks` rows measure if it does.
 //
 // Semantics are those of the Process contract, matching ThreadBackend:
 //   * buffered sends, blocking tag-matched recv, try_recv polling;

@@ -212,6 +212,20 @@ SymmetricCsc jittered_mesh2d(index_t kx, index_t ky, Rng& rng) {
   return laplacian_from_edges(n, edges, 1e-2);
 }
 
+SymmetricCsc wide_flat(index_t blocks, index_t block_len) {
+  SPARTS_CHECK(blocks >= 1 && block_len >= 1);
+  const index_t n = blocks * block_len;
+  Triplets t(n, n);
+  for (index_t b = 0; b < blocks; ++b) {
+    const index_t base = b * block_len;
+    for (index_t i = 0; i < block_len; ++i) {
+      t.add(base + i, base + i, 4.0);
+      if (i + 1 < block_len) t.add(base + i + 1, base + i, -1.0);
+    }
+  }
+  return SymmetricCsc::from_triplets(t);
+}
+
 SymmetricCsc figure1_matrix() {
   // Paper Figure 1: a 19-node matrix whose elimination tree (with natural
   // ordering) is a balanced hierarchy: leaf supernodes {0,1,2}, {3,4,5},

@@ -54,6 +54,12 @@ SymmetricCsc random_symmetric_dd(index_t n, index_t avg_off_diag,
 /// harsher ordering workload than a perfect grid.
 SymmetricCsc jittered_mesh2d(index_t kx, index_t ky, Rng& rng);
 
+/// Block-diagonal forest: `blocks` independent tridiagonal chains of
+/// `block_len` unknowns each (diagonal 4, off-diagonal -1).  The graph is
+/// disconnected, and in natural order the elimination tree is `blocks`
+/// paths with one root each: a maximally wide, flat etree.
+SymmetricCsc wide_flat(index_t blocks, index_t block_len);
+
 /// The 19-node symmetric matrix of the paper's Figure 1 (as a pattern with
 /// SPD values).  Nodes 0..18, elimination tree as in the figure.
 SymmetricCsc figure1_matrix();

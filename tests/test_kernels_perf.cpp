@@ -1,8 +1,9 @@
 // Cheap perf smoke test: the tiled panel_gemm must not be slower than
 // the reference kernel at n = 256 in an optimized build.  This is a
-// regression tripwire for the kernel dispatch layer (the full GFLOP/s
-// trajectory lives in bench_kernels / BENCH_kernels.json); it is skipped
-// in unoptimized and sanitizer builds, where relative kernel timings are
+// regression tripwire for the kernel dispatch layer (bench_kernels prints
+// the full reference-vs-tiled GFLOP/s sweep, and bench/e2e's `dense.*`
+// rows track the kernels inside a real solve); it is skipped in
+// unoptimized and sanitizer builds, where relative kernel timings are
 // meaningless.
 #include <gtest/gtest.h>
 

@@ -519,8 +519,10 @@ TEST(ProcCohort, StatsCountsMatchSimulator) {
 /// two solves (m = 2, then m = 1), and each x must be BIT-identical to a
 /// fresh simulator parallel_solve for the same right-hand side, at several
 /// processor counts.  Children write each x to per-rank files; the parent
-/// compares bytes.
-void conformance_at(index_t p) {
+/// compares bytes.  With a `chaos` spec every child sets SPARTS_CHAOS, so
+/// the wire below the reliability envelope corrupts, truncates or delays
+/// frames as the spec says, and the envelope must still deliver exactly.
+void conformance_at(index_t p, const char* chaos = nullptr) {
   TempDir dir;
   const sparse::SymmetricCsc a = sparse::grid2d(11, 11);
   Rng rng(4242);
@@ -538,6 +540,7 @@ void conformance_at(index_t p) {
   };
 
   const auto codes = fork_ranks(p, dir.path, [&](index_t r) -> int {
+    if (chaos != nullptr) setenv("SPARTS_CHAOS", chaos, 1);
     solver::Options options;
     options.backend = solver::ExecutionBackend::proc;
     options.proc_rank = r;
@@ -574,6 +577,12 @@ void conformance_at(index_t p) {
 TEST(ProcCohort, SolveBitIdenticalToSim2) { conformance_at(2); }
 TEST(ProcCohort, SolveBitIdenticalToSim4) { conformance_at(4); }
 TEST(ProcCohort, SolveBitIdenticalToSim8) { conformance_at(8); }
+// A whole solve, not just a ping-pong, with 5% of the frames corrupted on
+// the wire: every rejected frame is retransmitted, and x stays the
+// simulator's bit for bit.
+TEST(ProcCohort, SolveUnderCorruptionBitIdenticalToSim2) {
+  conformance_at(2, "seed=7,corrupt=0.05");
+}
 
 TEST(ProcCohort, HeartbeatDetectsKilledPeerWithinBound) {
   TempDir dir;

@@ -13,7 +13,8 @@
 //     (every supernode is a single-rank step in place), on every backend
 //     and from the shared factor or rank-local storage alike;
 //   * parallel_solve(--backend tasks) == parallel_solve(--backend threads)
-//     bit for bit on a corpus of matrices and processor counts;
+//     bit for bit on a corpus of matrices and processor counts, including
+//     a forest of chains in natural order (a multi-root elimination tree);
 //   * the --backend registry holds the four machines, round-trips, and
 //     rejects junk (and the retired layer spellings) with a message that
 //     enumerates every registered name.
@@ -48,6 +49,8 @@ sparse::SymmetricCsc make_family(const std::string& family) {
   if (family == "random") return sparse::random_spd(80, 4, rng);
   if (family == "jittered") return sparse::jittered_mesh2d(9, 9, rng);
   if (family == "figure1") return sparse::figure1_matrix();
+  // A forest of 24 chains: a disconnected graph, a multi-root partition.
+  if (family == "wide-flat") return sparse::wide_flat(24, 8);
   throw Error("unknown family " + family);
 }
 
@@ -60,8 +63,8 @@ symbolic::SupernodePartition partition_of(const sparse::SymmetricCsc& a) {
   return symbolic::fundamental_supernodes(symbolic::symbolic_cholesky(a));
 }
 
-const char* kFamilies[] = {"grid2d", "grid3d", "chain", "random",
-                           "jittered", "figure1"};
+const char* kFamilies[] = {"grid2d",   "grid3d",  "chain",    "random",
+                           "jittered", "figure1", "wide-flat"};
 
 /// The walk-order rule on one partition: for every supernode s, its
 /// parent is -1 or larger than s, and every below row of s lies in a
@@ -192,27 +195,52 @@ TEST(TaskDagLowering, OneRankDistributedSolveMatchesSequentialBitwise) {
   }
 }
 
+/// parallel_solve on the tasks backend against the thread backend on one
+/// matrix: x bit-identical, and only tasks reports scheduler activity.
+/// Returns the x they agree on.
+std::vector<real_t> expect_tasks_match_threads(
+    const sparse::SymmetricCsc& a, const std::vector<real_t>& b, index_t m,
+    index_t p, solver::OrderingMethod ordering, const std::string& what) {
+  solver::Options threads_opt;
+  threads_opt.backend = solver::ExecutionBackend::threads;
+  threads_opt.ordering = ordering;
+  solver::Options tasks_opt = threads_opt;
+  tasks_opt.backend = solver::ExecutionBackend::tasks;
+  const auto rt = solver::parallel_solve(a, b, m, p, threads_opt);
+  const auto rk = solver::parallel_solve(a, b, m, p, tasks_opt);
+  EXPECT_EQ(rt.x, rk.x) << what;
+  EXPECT_GT(rk.task_scheduler.jobs_run, 0) << what;
+  EXPECT_EQ(rt.task_scheduler.jobs_run, 0) << what;
+  return rk.x;
+}
+
 TEST(TaskDagLowering, ParallelSolveTasksMatchesThreadsBitwise) {
   // The full distributed pipeline: the tasks backend runs the identical
   // SPMD programs (rank fibers instead of rank threads), so x must match
   // the thread backend bit for bit.
-  for (const char* family : {"grid2d", "grid3d", "random", "figure1"}) {
+  const index_t m = 2;
+  for (const char* family :
+       {"grid2d", "grid3d", "random", "figure1", "wide-flat"}) {
     const sparse::SymmetricCsc a = make_family(family);
-    const index_t m = 2;
     Rng rng(7);
     const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
     for (const index_t p : {index_t{4}, index_t{8}}) {
-      solver::Options threads_opt;
-      threads_opt.backend = solver::ExecutionBackend::threads;
-      solver::Options tasks_opt;
-      tasks_opt.backend = solver::ExecutionBackend::tasks;
-      const auto rt = solver::parallel_solve(a, b, m, p, threads_opt);
-      const auto rk = solver::parallel_solve(a, b, m, p, tasks_opt);
-      EXPECT_EQ(rt.x, rk.x) << family << " p=" << p;
-      // Only the tasks backend reports scheduler activity.
-      EXPECT_GT(rk.task_scheduler.jobs_run, 0) << family;
-      EXPECT_EQ(rt.task_scheduler.jobs_run, 0) << family;
+      expect_tasks_match_threads(
+          a, b, m, p, solver::OrderingMethod::nested_dissection,
+          std::string(family) + " p=" + std::to_string(p));
     }
+  }
+  // The forest in natural order keeps one elimination-tree path per chain,
+  // so the subcube mapping deals out 24 independent subtrees, down to one
+  // or two per rank at p = 16.
+  const sparse::SymmetricCsc a = make_family("wide-flat");
+  Rng rng(7);
+  const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
+  for (const index_t p : {index_t{4}, index_t{8}, index_t{16}}) {
+    const std::string what = "wide-flat natural p=" + std::to_string(p);
+    const std::vector<real_t> x = expect_tasks_match_threads(
+        a, b, m, p, solver::OrderingMethod::natural, what);
+    EXPECT_LE(trisolve::relative_residual(a, x, b, m), 1e-12) << what;
   }
 }
 
