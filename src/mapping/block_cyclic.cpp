@@ -20,45 +20,6 @@ BlockCyclic2d BlockCyclic2d::near_square(index_t q, index_t b) {
   return BlockCyclic2d{b, qr, qc};
 }
 
-void validate_block_cyclic(const BlockCyclic1d& map, index_t n) {
-  SPARTS_CHECK(map.b >= 1, "[block-cyclic-shape] block size must be >= 1, got "
-                               << map.b);
-  SPARTS_CHECK(map.q >= 1,
-               "[block-cyclic-shape] processor count must be >= 1, got "
-                   << map.q);
-  SPARTS_CHECK(n >= 0, "[block-cyclic-shape] index count must be >= 0");
-  // Ownership sweep: every index maps to a rank in range and to a fresh
-  // packed slot on that rank; counts must partition n exactly.
-  std::vector<index_t> next_local(static_cast<std::size_t>(map.q), 0);
-  index_t assigned = 0;
-  for (index_t i = 0; i < n; ++i) {
-    const index_t r = map.owner(i);
-    SPARTS_CHECK(r >= 0 && r < map.q, "[block-cyclic-ownership] index "
-                                          << i << " owned by rank " << r
-                                          << " outside [0, " << map.q << ")");
-    const index_t local = map.local_index(i, n);
-    SPARTS_CHECK(local == next_local[static_cast<std::size_t>(r)],
-                 "[block-cyclic-ownership] index "
-                     << i << " packs to local slot " << local << " on rank "
-                     << r << ", expected "
-                     << next_local[static_cast<std::size_t>(r)]
-                     << " (packed storage must be dense and ascending)");
-    ++next_local[static_cast<std::size_t>(r)];
-    ++assigned;
-  }
-  for (index_t r = 0; r < map.q; ++r) {
-    SPARTS_CHECK(next_local[static_cast<std::size_t>(r)] ==
-                     map.local_count(r, n),
-                 "[block-cyclic-ownership] rank "
-                     << r << " owns " << next_local[static_cast<std::size_t>(r)]
-                     << " indices but local_count reports "
-                     << map.local_count(r, n));
-  }
-  SPARTS_CHECK(assigned == n,
-               "[block-cyclic-ownership] ownership must partition all " << n
-                   << " indices");
-}
-
 void validate_block_cyclic(const BlockCyclic2d& map) {
   SPARTS_CHECK(map.b >= 1, "[block-cyclic-shape] block size must be >= 1, got "
                                << map.b);

@@ -1,65 +1,14 @@
-// Block-cyclic distribution maps.
-//
-// 1-D: row (or column) i belongs to block I = i/b; block I is owned by
-// processor I mod q.  This is the distribution the paper proves necessary
-// for scalable pipelined triangular solves.
-//
-// 2-D: entry (i, j) belongs to block (I, J); block (I, J) is owned by grid
-// processor (I mod qr, J mod qc).  This is the factorization distribution
-// that must be converted before solving (paper §4).
+// 2-D block-cyclic distribution map: entry (i, j) belongs to block (I, J);
+// block (I, J) is owned by grid processor (I mod qr, J mod qc).  This is
+// the factorization distribution that must be converted before solving
+// (paper §4).  The 1-D row-wise map the solvers need (row i belongs to
+// block I = i/b, owned by processor I mod q) is partrisolve::Layout.
 #pragma once
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace sparts::mapping {
-
-/// 1-D block-cyclic map of `n` indices over `q` processors with blocks of
-/// size `b`.
-struct BlockCyclic1d {
-  index_t b = 1;  ///< block size
-  index_t q = 1;  ///< number of processors
-
-  /// Owning processor (0..q-1) of index i.
-  index_t owner(index_t i) const { return (i / b) % q; }
-
-  /// Block index of i.
-  index_t block_of(index_t i) const { return i / b; }
-
-  /// Owning processor of block I.
-  index_t block_owner(index_t block) const { return block % q; }
-
-  /// Number of blocks covering n indices.
-  index_t num_blocks(index_t n) const { return (n + b - 1) / b; }
-
-  /// Number of indices in block I given the total count n.
-  index_t block_size(index_t block, index_t n) const {
-    const index_t lo = block * b;
-    SPARTS_DCHECK(lo < n);
-    return std::min(b, n - lo);
-  }
-
-  /// Number of indices owned by processor r out of n.
-  index_t local_count(index_t r, index_t n) const {
-    index_t count = 0;
-    for (index_t blk = r; blk < num_blocks(n); blk += q) {
-      count += block_size(blk, n);
-    }
-    return count;
-  }
-
-  /// Position of global index i within owner's local packed storage
-  /// (blocks concatenated in ascending order).
-  index_t local_index(index_t i, index_t n) const {
-    const index_t blk = block_of(i);
-    const index_t r = block_owner(blk);
-    index_t offset = 0;
-    for (index_t pb = r; pb < blk; pb += q) {
-      offset += block_size(pb, n);
-    }
-    return offset + (i - blk * b);
-  }
-};
 
 /// 2-D block-cyclic map over a qr x qc processor grid.
 struct BlockCyclic2d {
@@ -82,12 +31,6 @@ struct BlockCyclic2d {
   /// qr >= qc, qr * qc = q.
   static BlockCyclic2d near_square(index_t q, index_t b);
 };
-
-/// Structural validator (SPARTS_CHECKS system) for a 1-D map over n
-/// indices: shape ([block-cyclic-shape]) plus a full ownership sweep —
-/// every index owned by exactly one rank, packed local indices form a
-/// bijection, per-rank counts sum to n ([block-cyclic-ownership]).  O(n).
-void validate_block_cyclic(const BlockCyclic1d& map, index_t n);
 
 /// Structural validator for a 2-D grid map: shape and grid-ownership
 /// consistency over one full period of block coordinates.

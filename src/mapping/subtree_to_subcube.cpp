@@ -42,14 +42,6 @@ void SubcubeMapping::check_consistent(
   }
 }
 
-std::vector<index_t> SubcubeMapping::participation_slots() const {
-  std::vector<index_t> slots(group.size() + 1, 0);
-  for (std::size_t s = 0; s < group.size(); ++s) {
-    slots[s + 1] = slots[s] + group[s].count;
-  }
-  return slots;
-}
-
 namespace {
 
 void assign_forest(const std::vector<std::vector<index_t>>& children,

@@ -36,12 +36,6 @@ struct SubcubeMapping {
   /// Validates: child groups are sub-groups of parents; every leaf path
   /// reaches a group; group sizes are powers of two.
   void check_consistent(const symbolic::SupernodePartition& part) const;
-
-  /// Dense numbering of the (supernode, group rank) participations: the
-  /// ranks r = 0..q-1 of supernode s's group hold slots
-  /// `slots[s] + r`, and `slots.back()` is the total.  Lets per-rank,
-  /// per-supernode data live in flat arrays with O(1) lookup.
-  std::vector<index_t> participation_slots() const;
 };
 
 /// Compute the mapping.  `work[s]` is the weight of supernode s (e.g. its

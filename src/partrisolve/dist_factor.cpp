@@ -8,26 +8,27 @@ namespace sparts::partrisolve {
 DistributedFactor::DistributedFactor(const symbolic::SupernodePartition& part,
                                      const mapping::SubcubeMapping& map,
                                      index_t block_size)
-    : block_size_(block_size), slots_(map.participation_slots()) {
+    : block_size_(block_size) {
   SPARTS_CHECK(block_size >= 1);
   const index_t nsup = part.num_supernodes();
   SPARTS_CHECK(static_cast<index_t>(map.group.size()) == nsup,
                "mapping must cover all " << nsup << " supernodes");
-  const auto total = static_cast<std::size_t>(slots_.back());
+  slots_.assign(static_cast<std::size_t>(nsup) + 1, 0);
   group_base_.resize(static_cast<std::size_t>(nsup));
-  blocks_.resize(total);
-  local_rows_.resize(total);
   for (index_t s = 0; s < nsup; ++s) {
-    const exec::Group& g = map.group[static_cast<std::size_t>(s)];
-    group_base_[static_cast<std::size_t>(s)] = g.base;
-    const Layout lay{g.count, block_size, part.height(s), part.width(s)};
-    for (index_t r = 0; r < g.count; ++r) {
-      const auto k =
-          static_cast<std::size_t>(slots_[static_cast<std::size_t>(s)] + r);
-      const index_t nloc = lay.local_count(r);
-      local_rows_[k] = nloc;
-      blocks_[k].assign(static_cast<std::size_t>(nloc * part.width(s)), 0.0);
+    const auto su = static_cast<std::size_t>(s);
+    const exec::Group& g = map.group[su];
+    group_base_[su] = g.base;
+    if (map.is_parallel(s)) {
+      const Layout lay{g.count, block_size, part.height(s), part.width(s)};
+      for (index_t r = 0; r < g.count; ++r) {
+        const index_t nloc = lay.local_count(r);
+        local_rows_.push_back(nloc);
+        blocks_.emplace_back(static_cast<std::size_t>(nloc * part.width(s)),
+                             0.0);
+      }
     }
+    slots_[su + 1] = static_cast<index_t>(blocks_.size());
   }
 }
 
@@ -37,6 +38,7 @@ DistributedFactor DistributedFactor::pack_from(
   const auto& part = factor.partition();
   DistributedFactor df(part, map, block_size);
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    if (!map.is_parallel(s)) continue;
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     const Layout lay{g.count, block_size, part.height(s), part.width(s)};
     const auto block = factor.block(s);

@@ -73,4 +73,10 @@ struct Layout {
   }
 };
 
+/// Structural validator (SPARTS_CHECKS system) for a layout: shape
+/// ([block-cyclic-shape]) plus a full ownership sweep — every position
+/// owned by exactly one rank, packed local offsets form a bijection,
+/// per-rank counts sum to ns ([block-cyclic-ownership]).  O(ns).
+void validate_block_cyclic(const Layout& lay);
+
 }  // namespace sparts::partrisolve

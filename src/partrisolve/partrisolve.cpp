@@ -9,7 +9,6 @@
 #include "common/prefetch.hpp"
 #include "dense/kernels.hpp"
 #include "obs/span.hpp"
-#include "mapping/block_cyclic.hpp"
 #include "ordering/etree.hpp"
 #include "partrisolve/fragment_stack.hpp"
 #include "partrisolve/layout.hpp"
@@ -63,25 +62,27 @@ DistributedTrisolver::DistributedTrisolver(
     Options options)
     : factor_(factor), local_values_(local_values), map_(map),
       options_(options) {
-  if (local_values_ != nullptr) {
-    SPARTS_CHECK(local_values_->block_size() == options_.block_size,
-                 "DistributedFactor block size must match solver options");
-  }
   SPARTS_CHECK(options_.block_size >= 1);
   const auto& part = factor_.partition();
   SPARTS_VALIDATE_CHEAP(map_.check_consistent(part));
   // Expensive: the 1-D block-cyclic ownership of every shared supernode's
   // trapezoid must partition its positions (the solver's routing tables
-  // are derived from exactly this arithmetic).
+  // and the packed panels are derived from exactly this arithmetic).
   if (checks_at_least(CheckLevel::expensive)) {
     for (index_t s = 0; s < part.num_supernodes(); ++s) {
       const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
       if (g.count == 1) continue;
-      mapping::validate_block_cyclic(
-          mapping::BlockCyclic1d{options_.block_size, g.count},
-          part.height(s));
+      validate_block_cyclic(
+          Layout{g.count, options_.block_size, part.height(s), part.width(s)});
     }
   }
+  if (local_values_ == nullptr) {
+    own_values_ = std::make_unique<DistributedFactor>(
+        DistributedFactor::pack_from(factor_, map_, options_.block_size));
+    local_values_ = own_values_.get();
+  }
+  SPARTS_CHECK(local_values_->block_size() == options_.block_size,
+               "DistributedFactor block size must match solver options");
   children_ = ordering::tree_children(part.stree);
 
   const index_t nsup = part.num_supernodes();
@@ -292,18 +293,13 @@ void DistributedTrisolver::plan_fragment_stacks() {
   }
 }
 
-trisolve::SupernodeStep DistributedTrisolver::local_step(index_t w, index_t s,
+trisolve::SupernodeStep DistributedTrisolver::local_step(index_t s,
                                                          real_t* tail) const {
   const auto& part = factor_.partition();
   const LocalStep& ls = local_[static_cast<std::size_t>(s)];
   trisolve::SupernodeStep step;
-  if (local_values_ != nullptr) {
-    step.l = local_values_->local_block(w, s).data();
-    step.ldl = local_values_->local_rows(w, s);
-  } else {
-    step.l = factor_.block(s).data();
-    step.ldl = part.height(s);
-  }
+  step.l = factor_.block(s).data();
+  step.ldl = part.height(s);
   step.t = part.width(s);
   step.rows = part.row_indices(s);
   step.split = ls.split;
@@ -400,18 +396,16 @@ Layout layout_of(const PhaseContext& ctx, index_t s) {
                 ctx.options.block_size, part.height(s), part.width(s)};
 }
 
-/// View of one supernode's factor trapezoid as seen by one rank: either
-/// the shared host-resident block (rows indexed by global position) or the
-/// rank's packed local copy from a DistributedFactor (rows indexed by
-/// packed local offset).  Every access in the kernels below is to a row
-/// the rank owns, so both forms serve the same requests.
+/// View of one shared supernode's factor trapezoid as seen by one rank:
+/// its packed local copy from the DistributedFactor, rows indexed by
+/// packed local offset.  Every access in the kernels below is to a row
+/// the rank owns.
 struct LView {
   const real_t* base = nullptr;
   index_t ld = 0;
-  bool packed = false;
   const Layout* lay = nullptr;
 
-  index_t row(index_t pos) const { return packed ? lay->local_of(pos) : pos; }
+  index_t row(index_t pos) const { return lay->local_of(pos); }
   const real_t* col(index_t c) const { return base + c * ld; }
 };
 
@@ -838,24 +832,11 @@ void flush_packets(exec::Process& proc, const exec::Group& g, int tag,
   }
 }
 
-/// Build the factor view for (rank, supernode): packed local copy when a
-/// DistributedFactor is attached, shared host block otherwise.
-LView make_view(const numeric::SupernodalFactor& factor,
-                const DistributedFactor* local_values, index_t w, index_t s,
+/// The factor view of rank w's packed block of shared supernode s.
+LView make_view(const DistributedFactor& local_values, index_t w, index_t s,
                 const Layout& lay) {
-  LView lv;
-  lv.lay = &lay;
-  if (local_values != nullptr) {
-    const auto& block = local_values->local_block(w, s);
-    lv.base = block.data();
-    lv.ld = local_values->local_rows(w, s);
-    lv.packed = true;
-  } else {
-    lv.base = factor.block(s).data();
-    lv.ld = lay.ns;
-    lv.packed = false;
-  }
-  return lv;
+  return LView{local_values.local_block(w, s).data(),
+               local_values.local_rows(w, s), &lay};
 }
 
 /// The ranks that run a shared supernode's kernel, and the layout they
@@ -951,7 +932,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
         // shared ancestors go into the subtree root's tail.
         const FragmentSlot& tail = fragments_[slot(ls.root, w)];
         real_t* tv = scratch.fragment(tail.fw_offset);
-        const trisolve::SupernodeStep step = local_step(w, s, tv);
+        const trisolve::SupernodeStep step = local_step(s, tv);
         if (ls.first) std::fill(tv, tv + step.tail_ld * m, 0.0);
         proc.compute_at(static_cast<double>(trisolve::forward_step(
                             step, y_out.data(), n, m, scratch.temp)),
@@ -1000,7 +981,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
 
       const KernelRanks kr = kernel_ranks(g, lay);
       if (kr.g.contains(w)) {
-        const LView lv = make_view(factor_, local_values_, w, s, kr.lay);
+        const LView lv = make_view(*local_values_, w, s, kr.lay);
         if (options_.pipelining == Pipelining::column_priority) {
           fw_pipelined_column_priority(proc, ctx, s, kr.g, kr.lay, r, lv, v,
                                        nloc, scratch.token);
@@ -1087,7 +1068,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
         // Single-rank: the sequential step in place in x_out, reading the
         // rows of shared ancestors from the subtree root's tail.
         real_t* tv = scratch.fragment(fragments_[slot(ls.root, w)].bw_offset);
-        const trisolve::SupernodeStep step = local_step(w, s, tv);
+        const trisolve::SupernodeStep step = local_step(s, tv);
         if (ls.root == s && parent != -1) {
           receive_from_parent(proc, scratch, s, lay,
                               Rows{tv, step.tail_ld, lay.t});
@@ -1116,7 +1097,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
 
       const KernelRanks kr = kernel_ranks(g, lay);
       if (kr.g.contains(w)) {
-        const LView lv = make_view(factor_, local_values_, w, s, kr.lay);
+        const LView lv = make_view(*local_values_, w, s, kr.lay);
         if (options_.pipelining == Pipelining::fan_out) {
           bw_fan_in(proc, ctx, s, kr.g, kr.lay, r, lv, wv, nloc, scratch.acc);
         } else {

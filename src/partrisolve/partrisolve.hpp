@@ -8,11 +8,12 @@
 //     subtrees run entirely on one processor.
 //   * A single-rank subtree runs the sequential solve's per-supernode
 //     steps (trisolve::forward_step/backward_step) in place in the output
-//     vector.  Below rows owned by the subtree's own supernodes are
-//     updated there directly; rows owned by shared ancestors go into the
-//     subtree root's *tail*, which travels to the shared parent like any
-//     other contribution.  At p = 1 every supernode is such a step, so the
-//     distributed solve equals trisolve::full_solve bit for bit.
+//     vector, reading L from the factor's own panels.  Below rows owned
+//     by the subtree's own supernodes are updated there directly; rows
+//     owned by shared ancestors go into the subtree root's *tail*, which
+//     travels to the shared parent like any other contribution.  At
+//     p = 1 every supernode is such a step, so the distributed solve
+//     equals trisolve::full_solve bit for bit.
 //   * A supernode shared by q processors is distributed 1-D row-wise
 //     block-cyclic with block size b and processed with the pipelined
 //     algorithm of Figs. 3-4: solved sub-vectors of size b x m circulate
@@ -34,6 +35,7 @@
 // nothing but outgoing payloads.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -69,20 +71,23 @@ struct PhaseReport {
 
 /// Distributed triangular solver bound to a factor and a processor mapping.
 ///
-/// The factor's numeric blocks are shared read-only across the virtual
-/// processors (the factor is already distributed conformally after
-/// factorization + redistribution; see redist/).  Right-hand-side data
-/// flows through explicit simulated messages.
+/// Each supernode's solve-map group decides where L is read: a
+/// single-rank supernode's panel from `factor` (it sits whole on its one
+/// rank, in the layout the sequential step reads), a shared supernode's
+/// block rows from the rank's packed copy in a DistributedFactor (the
+/// 2-D -> 1-D redistribution's output; see redist/).  Right-hand-side
+/// data flows through explicit messages.
 class DistributedTrisolver {
  public:
+  /// Packs the shared supernodes of `factor` once into a DistributedFactor
+  /// the solver owns.
   DistributedTrisolver(const numeric::SupernodalFactor& factor,
                        const mapping::SubcubeMapping& map, Options options);
 
-  /// Strict-distribution variant: L values are read from each rank's
-  /// private packed storage (`local_values`, e.g. produced by the 2-D ->
-  /// 1-D redistribution) instead of the shared factor.  `factor` still
-  /// provides the symbolic structure.  `local_values` must outlive the
-  /// solver and match options.block_size.
+  /// Reads the shared supernodes from `local_values` (e.g. produced by the
+  /// redistribution), which must outlive the solver and match
+  /// options.block_size; null packs them as the constructor above does.
+  /// `factor` provides the symbolic structure and the single-rank panels.
   DistributedTrisolver(const numeric::SupernodalFactor& factor,
                        const DistributedFactor* local_values,
                        const mapping::SubcubeMapping& map, Options options);
@@ -167,13 +172,15 @@ class DistributedTrisolver {
   /// a FragmentStackPlanner; fills fragments_ and the stack heights.
   void plan_fragment_stacks();
 
-  /// The step of single-rank supernode s on rank w, with the root's tail
-  /// at `tail`.
-  trisolve::SupernodeStep local_step(index_t w, index_t s,
-                                     real_t* tail) const;
+  /// The step of single-rank supernode s, with the root's tail at `tail`:
+  /// L is read from the factor.
+  trisolve::SupernodeStep local_step(index_t s, real_t* tail) const;
 
   const numeric::SupernodalFactor& factor_;
-  const DistributedFactor* local_values_ = nullptr;
+  /// The shared supernodes' packed blocks when no DistributedFactor was
+  /// given; on the heap, so a moved solver's local_values_ stays valid.
+  std::unique_ptr<DistributedFactor> own_values_;
+  const DistributedFactor* local_values_ = nullptr;  ///< never null
   const mapping::SubcubeMapping& map_;
   Options options_;
   std::vector<std::vector<index_t>> children_;  ///< per supernode

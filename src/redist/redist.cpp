@@ -52,8 +52,8 @@ void validate_maps(const symbolic::SupernodePartition& part,
       if (g.count == 1) continue;
       mapping::validate_block_cyclic(
           mapping::BlockCyclic2d::near_square(g.count, options.block_2d));
-      mapping::validate_block_cyclic(
-          mapping::BlockCyclic1d{options.block_1d, g.count}, part.height(s));
+      partrisolve::validate_block_cyclic(partrisolve::Layout{
+          g.count, options.block_1d, part.height(s), part.width(s)});
     }
   }
 }
@@ -66,18 +66,21 @@ bool stays_on_first_rank(const exec::Group& g, index_t ns,
   return g.count == 1 || ns <= std::min(options.block_2d, options.block_1d);
 }
 
-/// Validate the maps, size `out` for the 1-D distribution, and pack the
-/// supernodes that do not move between the distributions.
-void prepack_sequential(const numeric::SupernodalFactor& factor,
-                        const mapping::SubcubeMapping& map,
-                        const Options& options,
-                        partrisolve::DistributedFactor* out) {
+/// Validate the maps, size `out` for the 1-D distribution of the shared
+/// supernodes, and pack the shared ones that do not move (the solve reads
+/// a single-rank supernode from the factor itself).
+void prepack_single_block(const numeric::SupernodalFactor& factor,
+                          const mapping::SubcubeMapping& map,
+                          const Options& options,
+                          partrisolve::DistributedFactor* out) {
   const auto& part = factor.partition();
   validate_maps(part, map, options);
   *out = partrisolve::DistributedFactor(part, map, options.block_1d);
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
-    if (!stays_on_first_rank(g, part.height(s), options)) continue;
+    if (g.count == 1 || !stays_on_first_rank(g, part.height(s), options)) {
+      continue;
+    }
     auto& local = out->local_block(g.base, s);
     const auto block = factor.block(s);
     std::copy(block.begin(), block.end(), local.begin());
@@ -177,7 +180,7 @@ Report redistribute_factor(exec::Comm& machine,
   SPARTS_CHECK(machine.nprocs() == map.p);
   const index_t nsup = part.num_supernodes();
   if (out != nullptr) {
-    prepack_sequential(factor, map, options, out);
+    prepack_single_block(factor, map, options, out);
   } else {
     validate_maps(part, map, options);
   }

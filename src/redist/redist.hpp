@@ -35,12 +35,13 @@ struct Report {
 /// the routing is verified entry-by-entry on the receiving side (throws on
 /// any misrouted value).
 ///
-/// If `out` is non-null it receives the rank-local 1-D factor storage,
-/// built from the *received* values for shared supernodes (supernodes
-/// that do not move, see redistribute_supernode, are packed locally) —
-/// pass it to DistributedTrisolver's strict constructor so the solver
-/// consumes exactly the data that traveled through the network.  The out
-/// storage uses block size options.block_1d.
+/// If `out` is non-null it receives the rank-local 1-D storage of the
+/// shared supernodes, built from the *received* values — pass it to
+/// DistributedTrisolver so the solver consumes exactly the data that
+/// traveled through the network.  A shared supernode that does not move
+/// (see redistribute_supernode) is copied on the host to its group's
+/// first rank.  Single-rank supernodes get no storage: the solve reads
+/// them from `factor`.  The out storage uses block size options.block_1d.
 Report redistribute_factor(exec::Comm& machine,
                            const numeric::SupernodalFactor& factor,
                            const mapping::SubcubeMapping& map,
@@ -51,8 +52,8 @@ Report redistribute_factor(exec::Comm& machine,
 /// region.  No-op for ranks outside supernode s's group and for
 /// supernodes that do not move: a sequential one, or one whose trapezoid
 /// is no taller than either block size (the group's first rank holds the
-/// whole trapezoid under either distribution; redistribute_factor packs
-/// those on the host).
+/// whole trapezoid under either distribution; redistribute_factor copies
+/// the shared ones on the host).
 /// Each rank writes only its own fragment of `out`, so concurrent calls
 /// from different ranks of the group are safe.
 void redistribute_supernode(exec::Process& proc,

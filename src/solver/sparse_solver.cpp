@@ -600,8 +600,8 @@ SparseSolver SparseSolver::factorize(const sparse::SymmetricCsc& a,
     if (machine.distributed()) {
       // Process-separated ranks hold only the factor entries their own
       // rank computed, but everything downstream — redistribution
-      // senders, the sequential prepack, host-side refinement — reads
-      // the complete factor.  Mirror it across the cohort; exclusive 2-D
+      // senders, the single-block prepack, the solve's single-rank
+      // steps, host-side refinement — reads the complete factor.  Mirror it across the cohort; exclusive 2-D
       // ownership of zero-initialized storage makes the merge bit-exact
       // and order-independent.  The piggybacked allreduce makes the
       // perturbed-pivot count (and hence the degraded-status refinement

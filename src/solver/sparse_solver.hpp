@@ -235,10 +235,11 @@ class SparseSolver {
  public:
   /// Order, analyse and factor `a`.  At p = 0 the host's multifrontal
   /// factorization.  At p >= 1 the 2-D-partitioned parallel factorization
-  /// on p ranks of options.backend, then its 2-D -> 1-D redistribution
-  /// into the rank-local storage the pipelined solves read.  Host-side
-  /// ordering and symbolic analysis are not timed (the paper's tables
-  /// start at numerical factorization).
+  /// on p ranks of options.backend, then the 2-D -> 1-D redistribution of
+  /// its shared supernodes into the rank-local storage the pipelined
+  /// solves read (they read a single-rank supernode from the factor
+  /// itself).  Host-side ordering and symbolic analysis are not timed
+  /// (the paper's tables start at numerical factorization).
   static SparseSolver factorize(const sparse::SymmetricCsc& a,
                                 const Options& options = {}, index_t p = 0);
 
@@ -266,9 +267,10 @@ class SparseSolver {
   }
 
  private:
-  /// The factor and, at p >= 1, the solve mapping, the rank-local factor
-  /// and the trisolver that reads all three; on the heap so that moving
-  /// the solver keeps the addresses the trisolver holds.
+  /// The factor and, at p >= 1, the solve mapping, the rank-local storage
+  /// of the shared supernodes and the trisolver that reads all three; on
+  /// the heap so that moving the solver keeps the addresses the
+  /// trisolver holds.
   struct Factored;
 
   SparseSolver();

@@ -5,9 +5,13 @@ Drives the REAL binaries the way a user (or CI) would:
 
     sparts_launch --procs P -- sparts_solve --grid2d N --backend proc ...
 
+Every leg passes the launcher a --logdir that the script removes itself,
+so a leg leaves nothing in /tmp whatever its outcome.
+
 Legs:
 
-  1. clean        -- p=4 solve exits 0 on every rank, launcher aggregate 0.
+  1. clean        -- p=4 solve exits 0 on every rank, launcher aggregate 0,
+                     and the launcher removed its rendezvous directory.
   2. crash        -- SPARTS_TEST_KILL SIGKILLs rank 1 two sends into the
                      forward sweep; the killed rank must show 137, every
                      SURVIVOR must exit 3 by itself (structured SolveError
@@ -43,12 +47,21 @@ def run(name, launch_args, solve_args, env_extra=None, timeout=240):
     env.pop("SPARTS_TEST_KILL", None)
     if env_extra:
         env.update(env_extra)
-    cmd = [LAUNCH] + launch_args + ["--", SOLVE] + solve_args
-    proc = subprocess.run(
-        cmd, env=env, timeout=timeout,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    print(f"--- {name}: exit {proc.returncode}")
-    sys.stdout.write(proc.stdout)
+    logdir = tempfile.mkdtemp(prefix="sparts_logs.")
+    try:
+        cmd = ([LAUNCH, "--logdir", logdir] + launch_args + ["--", SOLVE]
+               + solve_args)
+        proc = subprocess.run(
+            cmd, env=env, timeout=timeout,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        print(f"--- {name}: exit {proc.returncode}")
+        sys.stdout.write(proc.stdout)
+        for log in sorted(os.listdir(logdir)):
+            with open(os.path.join(logdir, log)) as f:
+                print(f"--- {name}: {log}")
+                sys.stdout.write(f.read())
+    finally:
+        shutil.rmtree(logdir, ignore_errors=True)
     return proc
 
 
@@ -74,6 +87,11 @@ def leg_clean():
     codes = rank_codes(p.stdout)
     check("clean.aggregate", p.returncode == 0, f"exit={p.returncode}")
     check("clean.ranks", codes == {0: 0, 1: 0, 2: 0, 3: 0}, f"codes={codes}")
+    m = re.search(r"rendezvous (\S+),", p.stdout)
+    rendezvous = m.group(1) if m else None
+    check("clean.rendezvous_removed",
+          rendezvous is not None and not os.path.exists(rendezvous),
+          f"rendezvous={rendezvous}")
 
 
 def leg_crash():

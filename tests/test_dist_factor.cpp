@@ -1,7 +1,8 @@
-// Rank-local factor storage: packing, redistribution-produced storage,
-// and the strict-distribution solve path.
+// Rank-local storage of the shared supernodes: packing, redistribution-
+// produced storage, and the solve that reads it.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mapping/subtree_to_subcube.hpp"
@@ -51,6 +52,7 @@ TEST(DistFactor, PackCoversEveryEntry) {
 
   const auto& part = prob.l.partition();
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    if (!map.is_parallel(s)) continue;
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     const partrisolve::Layout lay{g.count, b, part.height(s), part.width(s)};
     const auto block = prob.l.block(s);
@@ -70,9 +72,9 @@ TEST(DistFactor, PackCoversEveryEntry) {
 }
 
 TEST(DistFactor, BlocksExistExactlyForGroupMembers) {
-  // Storage is indexed by (supernode, group rank): a rank outside the
-  // group, or a supernode out of range, has no block and a lookup names
-  // the pair instead of returning a neighbour's panel.
+  // Storage is indexed by (shared supernode, group rank): a rank outside
+  // the group, or a supernode out of range, has no block and a lookup
+  // names the pair instead of returning a neighbour's panel.
   Prob prob = make_prob(11);
   const index_t p = 8, b = 3;
   const mapping::SubcubeMapping map =
@@ -80,6 +82,7 @@ TEST(DistFactor, BlocksExistExactlyForGroupMembers) {
   const partrisolve::DistributedFactor df(prob.l.partition(), map, b);
   const auto& part = prob.l.partition();
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    if (!map.is_parallel(s)) continue;
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     const partrisolve::Layout lay{g.count, b, part.height(s), part.width(s)};
     for (index_t w = 0; w < p; ++w) {
@@ -100,6 +103,56 @@ TEST(DistFactor, BlocksExistExactlyForGroupMembers) {
   EXPECT_FALSE(partrisolve::DistributedFactor().has_block(0, 0));
 }
 
+/// Expect `df` to hold a block exactly for the group ranks of every
+/// shared supernode, none for a single-rank one, and Σ ns·t entries over
+/// the shared supernodes.
+void expect_only_shared_blocks(const partrisolve::DistributedFactor& df,
+                               const symbolic::SupernodePartition& part,
+                               const mapping::SubcubeMapping& map) {
+  nnz_t stored = 0, shared_entries = 0;
+  for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    const exec::Group& g = map.group[static_cast<std::size_t>(s)];
+    const bool shared = map.is_parallel(s);
+    for (index_t w = 0; w < map.p; ++w) {
+      ASSERT_EQ(df.has_block(w, s), shared && g.contains(w))
+          << "s=" << s << " w=" << w;
+      if (df.has_block(w, s)) {
+        stored += static_cast<nnz_t>(df.local_block(w, s).size());
+      }
+    }
+    if (shared) {
+      shared_entries += static_cast<nnz_t>(part.height(s)) *
+                        static_cast<nnz_t>(part.width(s));
+    }
+  }
+  EXPECT_GT(shared_entries, 0);
+  EXPECT_EQ(stored, shared_entries);
+}
+
+TEST(DistFactor, HoldsOnlySharedSupernodes) {
+  // A single-rank supernode's panel is read from the SupernodalFactor, so
+  // neither the redistribution nor direct packing stores it again.
+  Prob prob = make_prob(31);
+  const auto& part = prob.l.partition();
+  for (const index_t p : {index_t{4}, index_t{8}}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+    index_t single_rank = 0;
+    for (index_t s = 0; s < part.num_supernodes(); ++s) {
+      single_rank += map.is_parallel(s) ? 0 : 1;
+    }
+    ASSERT_GT(single_rank, part.num_supernodes() / 2);
+    const redist::Options ropt;
+    partrisolve::DistributedFactor via_network;
+    simpar::Machine machine = make_machine(p);
+    redist::redistribute_factor(machine, prob.l, map, ropt, &via_network);
+    expect_only_shared_blocks(via_network, part, map);
+    expect_only_shared_blocks(
+        partrisolve::DistributedFactor::pack_from(prob.l, map, ropt.block_1d),
+        part, map);
+  }
+}
+
 class StrictSolveTest : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(StrictSolveTest, MatchesSharedFactorSolve) {
@@ -112,18 +165,20 @@ TEST_P(StrictSolveTest, MatchesSharedFactorSolve) {
 
   Rng rng(51);
   std::vector<real_t> rhs = sparse::random_rhs(n, m, rng);
-  std::vector<real_t> ref = rhs;
-  trisolve::full_solve(prob.l, ref.data(), m);
 
+  // The same bytes reach the same kernel calls whether the solver is
+  // handed the packed shared supernodes or packs them itself.
   const auto df = partrisolve::DistributedFactor::pack_from(
       prob.l, map, opt.block_size);
-  partrisolve::DistributedTrisolver solver(prob.l, &df, map, opt);
-  simpar::Machine machine = make_machine(p);
+  const partrisolve::DistributedTrisolver strict(prob.l, &df, map, opt);
+  const partrisolve::DistributedTrisolver self_packing(prob.l, map, opt);
   std::vector<real_t> x(static_cast<std::size_t>(n * m), 0.0);
-  solver.solve(machine, rhs, x, m);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i], ref[i], 1e-9);
-  }
+  std::vector<real_t> x_self(x.size(), 0.0);
+  simpar::Machine machine = make_machine(p);
+  strict.solve(machine, rhs, x, m);
+  simpar::Machine machine_self = make_machine(p);
+  self_packing.solve(machine_self, rhs, x_self, m);
+  EXPECT_EQ(x, x_self);
 }
 
 INSTANTIATE_TEST_SUITE_P(Powers, StrictSolveTest,
@@ -145,6 +200,7 @@ TEST(DistFactor, RedistributionProducesPackedStorage) {
 
   const auto& part = prob.l.partition();
   for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    if (!map.is_parallel(s)) continue;
     const exec::Group& g = map.group[static_cast<std::size_t>(s)];
     for (index_t r = 0; r < g.count; ++r) {
       const index_t w = g.world(r);
@@ -159,9 +215,9 @@ TEST(DistFactor, RedistributionProducesPackedStorage) {
 }
 
 TEST(DistFactor, FullPipelineFactorRedistSolveStrict) {
-  // The complete paper pipeline with no shared-factor shortcut anywhere in
-  // the solve: parallel factorization (2-D) -> redistribution (network)
-  // -> strict 1-D solve from rank-local storage.
+  // The complete paper pipeline: parallel factorization (2-D) ->
+  // redistribution (network) -> 1-D solve of the shared supernodes from
+  // rank-local storage.
   sparse::SymmetricCsc a = sparse::permute_symmetric(
       sparse::grid3d(6, 6, 6), ordering::nested_dissection_grid3d(6, 6, 6));
   const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);

@@ -6,6 +6,7 @@
 #include "mapping/block_cyclic.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "ordering/nested_dissection.hpp"
+#include "partrisolve/layout.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "symbolic/supernodes.hpp"
@@ -15,20 +16,20 @@ namespace sparts {
 namespace {
 
 TEST(BlockCyclic1d, OwnershipAndLocality) {
-  mapping::BlockCyclic1d map{4, 3};  // b = 4, q = 3
-  EXPECT_EQ(map.owner(0), 0);
-  EXPECT_EQ(map.owner(3), 0);
-  EXPECT_EQ(map.owner(4), 1);
-  EXPECT_EQ(map.owner(11), 2);
-  EXPECT_EQ(map.owner(12), 0);  // wraps around
-  const index_t n = 26;
+  // The solvers' 1-D row-wise map is partrisolve::Layout.
+  const partrisolve::Layout map{/*q=*/3, /*b=*/4, /*ns=*/26, /*t=*/0};
+  EXPECT_EQ(map.owner_of(0), 0);
+  EXPECT_EQ(map.owner_of(3), 0);
+  EXPECT_EQ(map.owner_of(4), 1);
+  EXPECT_EQ(map.owner_of(11), 2);
+  EXPECT_EQ(map.owner_of(12), 0);  // wraps around
   // Every index is owned exactly once and local indices are consistent.
   index_t total = 0;
-  for (index_t r = 0; r < map.q; ++r) total += map.local_count(r, n);
-  EXPECT_EQ(total, n);
-  for (index_t i = 0; i < n; ++i) {
-    const index_t r = map.owner(i);
-    EXPECT_LT(map.local_index(i, n), map.local_count(r, n));
+  for (index_t r = 0; r < map.q; ++r) total += map.local_count(r);
+  EXPECT_EQ(total, map.ns);
+  for (index_t i = 0; i < map.ns; ++i) {
+    const index_t r = map.owner_of(i);
+    EXPECT_LT(map.local_of(i), map.local_count(r));
   }
 }
 

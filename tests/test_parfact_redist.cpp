@@ -143,6 +143,7 @@ TEST(Redist, BlockSizeCombinations) {
       const auto direct =
           partrisolve::DistributedFactor::pack_from(su.seq, map, b1);
       for (index_t s = 0; s < su.part.num_supernodes(); ++s) {
+        if (!map.is_parallel(s)) continue;
         const auto& g = map.group[static_cast<std::size_t>(s)];
         for (index_t r = 0; r < g.count; ++r) {
           EXPECT_EQ(df.local_block(g.world(r), s),

@@ -51,7 +51,8 @@ simpar::Machine make_machine(index_t p) {
   return simpar::Machine(cfg);
 }
 
-// (p, block size, nrhs, pipelining variant, L from rank-local storage)
+// (p, block size, nrhs, pipelining variant, shared supernodes packed by
+// the caller rather than by the solver)
 using Combo = std::tuple<index_t, index_t, index_t, Pipelining, bool>;
 
 class ParTrisolveTest : public ::testing::TestWithParam<Combo> {};
@@ -116,8 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{2, 8, 1, kFan, false}, Combo{4, 4, 2, kFan, false},
         Combo{8, 8, 1, kFan, false}, Combo{16, 3, 4, kFan, false}));
 
-// Single-rank subtrees under shared supernodes: every pipelining, on the
-// shared factor and on rank-local storage.
+// Single-rank subtrees under shared supernodes: every pipelining, with the
+// shared supernodes packed by the caller or by the solver.
 INSTANTIATE_TEST_SUITE_P(
     MixedSubtrees, ParTrisolveTest,
     ::testing::Combine(::testing::Values<index_t>(2, 4, 8),

@@ -2,8 +2,10 @@
 // sizes its working memory (a fragment stack for its shared supernodes and
 // subtree-root tails, the in-place steps' scratch, packet and token
 // buffers) once per forward()/backward(), so a sweep's heap traffic is
-// O(p + messages) however many supernodes it walks.  This binary replaces
-// the global allocation function to count every heap allocation.
+// O(p + messages) however many supernodes it walks.  The redistribution
+// that feeds it stores only the shared supernodes, so its heap traffic is
+// O(shared participations + messages).  This binary replaces the global
+// allocation function to count every heap allocation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "ordering/nested_dissection.hpp"
 #include "partrisolve/dist_factor.hpp"
 #include "partrisolve/partrisolve.hpp"
+#include "redist/redist.hpp"
 #include "simpar/machine.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
@@ -81,8 +84,8 @@ Counted count_solve(const partrisolve::DistributedTrisolver& solver,
 TEST(SolveAllocations, SequentialSweepAllocatesOncePerPhase) {
   // p = 1: every supernode is a single-rank step in place and no message
   // moves, so the fragment stack is empty and the sweep's allocations are
-  // the phase's fixed working memory — none per supernode, on the shared
-  // and on the rank-local factor alike.
+  // the phase's fixed working memory — none per supernode, whether the
+  // solver is handed a DistributedFactor or packs its own.
   const Problem prob = grid_problem(31);
   const index_t nsup = prob.l.partition().num_supernodes();
   ASSERT_GT(nsup, 500);
@@ -155,6 +158,43 @@ TEST(SolveAllocations, TasksSweepAllocatesPerMessageNotPerSupernode) {
   cfg.scheduler.workers = 2;
   exec::TaskBackend backend(cfg);
   expect_allocations_per_message(backend);
+}
+
+TEST(SolveAllocations, RedistributionAllocatesPerSharedParticipation) {
+  // The solve reads a single-rank supernode from the factor, so the
+  // redistribution allocates for the (rank, shared supernode)
+  // participations and the messages that move them, never once per
+  // supernode below the subcube boundary.  A participation's allocations
+  // are its packed block, its outgoing payloads (grown by doubling) and
+  // the hypercube all-to-all's log q stages of packets.
+  const Problem prob = grid_problem(95);
+  const auto& part = prob.l.partition();
+  const index_t nsup = part.num_supernodes();
+  for (const index_t p : {index_t{4}, index_t{8}}) {
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+    std::size_t participations = 0;
+    for (index_t s = 0; s < nsup; ++s) {
+      if (map.is_parallel(s)) {
+        participations += static_cast<std::size_t>(
+            map.group[static_cast<std::size_t>(s)].count);
+      }
+    }
+    simpar::Machine::Config cfg;
+    cfg.nprocs = p;
+    simpar::Machine machine(cfg);
+    partrisolve::DistributedFactor df;
+    const std::size_t before = allocations();
+    const nnz_t messages =
+        redist::redistribute_factor(machine, prob.l, map, {}, &df)
+            .stats.total_messages();
+    const std::size_t allocs = allocations() - before;
+    ASSERT_GT(messages, 0);
+    EXPECT_LE(allocs, 96 * participations +
+                          static_cast<std::size_t>(4 * messages + 32 * p))
+        << "p=" << p << " participations=" << participations
+        << " messages=" << messages;
+    EXPECT_LT(allocs, static_cast<std::size_t>(nsup) / 2) << "p=" << p;
+  }
 }
 
 }  // namespace

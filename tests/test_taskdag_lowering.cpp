@@ -10,8 +10,9 @@
 //     correct (docs/taskdag.md, the walk-order rule);
 //   * a solver's reused plan carries no state between solves;
 //   * DistributedTrisolver at p = 1 == trisolve::full_solve bit for bit
-//     (every supernode is a single-rank step in place), on every backend
-//     and from the shared factor or rank-local storage alike;
+//     (every supernode is a single-rank step in place, reading the
+//     factor), on every backend, whether the solver is handed a
+//     DistributedFactor or packs its own;
 //   * parallel_solve(--backend tasks) == parallel_solve(--backend threads)
 //     bit for bit on a corpus of matrices and processor counts, including
 //     a forest of chains in natural order (a multi-root elimination tree);
@@ -185,7 +186,7 @@ TEST(TaskDagLowering, OneRankDistributedSolveMatchesSequentialBitwise) {
           solver.backward(*comm, y, x, m);
           const std::string what =
               std::string(family) + " m=" + std::to_string(m) +
-              (local != nullptr ? " strict " : " shared ") +
+              (local != nullptr ? " given " : " self-packed ") +
               (comm == &sim ? "sim" : comm == &threads ? "threads" : "tasks");
           EXPECT_EQ(y, y_seq) << what;
           EXPECT_EQ(x, x_seq) << what;

@@ -10,8 +10,8 @@
 
 #include "common/checks.hpp"
 #include "common/error.hpp"
-#include "mapping/block_cyclic.hpp"
 #include "ordering/etree.hpp"
+#include "partrisolve/layout.hpp"
 #include "sparse/formats.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
@@ -137,13 +137,13 @@ TEST(Validators, ValidStructuresPass) {
   const ordering::EliminationTree t = ordering::elimination_tree(a);
   EXPECT_NO_THROW(ordering::validate_etree(t));
   EXPECT_NO_THROW(ordering::validate_postorder(t, ordering::postorder(t)));
-  mapping::BlockCyclic1d map{/*b=*/4, /*q=*/4};
-  EXPECT_NO_THROW(mapping::validate_block_cyclic(map, a.n()));
+  const partrisolve::Layout map{/*q=*/4, /*b=*/4, /*ns=*/a.n(), /*t=*/0};
+  EXPECT_NO_THROW(partrisolve::validate_block_cyclic(map));
 }
 
 TEST(Validators, BlockCyclicShapeRejected) {
-  mapping::BlockCyclic1d map{/*b=*/0, /*q=*/4};
-  expect_invariant_violation([&] { mapping::validate_block_cyclic(map, 16); },
+  const partrisolve::Layout map{/*q=*/4, /*b=*/0, /*ns=*/16, /*t=*/0};
+  expect_invariant_violation([&] { partrisolve::validate_block_cyclic(map); },
                              "[block-cyclic-shape]");
 }
 

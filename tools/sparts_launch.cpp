@@ -11,6 +11,9 @@
 //     per-rank trace/flight/metrics paths work: --flight fl-{rank}.json.
 //   * rank 0 inherits the launcher's stdout/stderr; every other rank is
 //     redirected to <logdir>/rank-R.log (default: the rendezvous dir).
+//   * the rendezvous dir is removed when the launcher exits, unless it
+//     holds the rank logs (no --logdir) of a cohort in which a rank
+//     failed; then its path is printed.
 //   * on the first nonzero exit, the survivors get a grace window
 //     (--grace, default 10 s) to finish their own structured abort —
 //     a failure-detection cohort *should* exit 3 by itself — and are
@@ -38,8 +41,10 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -62,7 +67,8 @@ options:
   --rankfile FILE  use a RANK HOST:PORT rank file instead of a rendezvous
                    directory (multi-machine cohorts; this launcher still
                    only forks the local ranks listed for this machine)
-  --logdir DIR     where rank-R.log files go (default: rendezvous dir)
+  --logdir DIR     where rank-R.log files go (default: rendezvous dir,
+                   removed on exit unless a rank failed)
   --kill R@SEC     SIGKILL rank R after SEC seconds (crash tests)
   --grace SEC      grace window after the first failure before the
                    survivors are SIGKILLed (default 10)
@@ -197,6 +203,17 @@ int main(int argc, char** argv) {
   if (logdir.empty()) logdir = rendezvous;
   std::cerr << "sparts_launch: " << procs << " ranks, rendezvous "
             << rendezvous << ", logs " << logdir << "\n";
+  // The rendezvous directory is this cohort's alone: remove it on exit,
+  // unless it holds the rank logs of a cohort in which a rank failed.
+  auto finish = [&](int exit_code, bool rank_failed) {
+    if (rank_failed && logdir == rendezvous) {
+      std::cerr << "sparts_launch: rank logs kept in " << rendezvous << "\n";
+    } else {
+      std::error_code ignored;
+      std::filesystem::remove_all(rendezvous, ignored);
+    }
+    return exit_code;
+  };
 
   std::vector<pid_t> pid(static_cast<std::size_t>(procs), -1);
   std::vector<int> code(static_cast<std::size_t>(procs), -1);  // -1: running
@@ -225,7 +242,7 @@ int main(int argc, char** argv) {
       std::cerr << "sparts_launch: fork failed: " << std::strerror(errno)
                 << "\n";
       for (int r = 0; r < rank; ++r) kill(pid[static_cast<std::size_t>(r)], SIGKILL);
-      return 1;
+      return finish(1, false);
     }
     if (child == 0) {
       if (rank != 0) {
@@ -313,10 +330,12 @@ int main(int argc, char** argv) {
     nanosleep(&nap, nullptr);
   }
 
+  const bool rank_failed =
+      std::any_of(code.begin(), code.end(), [](int c) { return c != 0; });
   if (timed_out) {
     std::cerr << "sparts_launch: TIMEOUT after " << now_seconds() - start
               << "s\n";
-    return 124;
+    return finish(124, rank_failed);
   }
   int aggregate = 0;
   for (int r = 0; r < procs; ++r) {
@@ -326,5 +345,5 @@ int main(int argc, char** argv) {
   }
   std::cerr << "sparts_launch: cohort done, aggregate exit " << aggregate
             << "\n";
-  return aggregate;
+  return finish(aggregate, rank_failed);
 }
