@@ -10,7 +10,6 @@
 #include "dense/kernels.hpp"
 #include "obs/span.hpp"
 #include "ordering/etree.hpp"
-#include "partrisolve/fragment_stack.hpp"
 #include "partrisolve/layout.hpp"
 #include "partrisolve/packets.hpp"
 #include "exec/collectives.hpp"
@@ -104,13 +103,10 @@ DistributedTrisolver::DistributedTrisolver(
     if (parent == -1 || (root != -1 && root != s)) continue;
     const auto rows = part.row_indices(s);
     const auto prows = part.row_indices(parent);
-    const index_t t = part.width(s);
-    const index_t below = part.height(s) - t;
-    const Layout child_layout{map_.group[static_cast<std::size_t>(s)].count, b,
-                              part.height(s), t};
-    const Layout parent_layout{
-        map_.group[static_cast<std::size_t>(parent)].count, b,
-        part.height(parent), part.width(parent)};
+    const Layout child_layout = layout(s);
+    const Layout parent_layout = layout(parent);
+    const index_t t = child_layout.t;
+    const index_t below = child_layout.ns - t;
 
     ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
     cr.parent_pos.resize(static_cast<std::size_t>(below));
@@ -130,18 +126,56 @@ DistributedTrisolver::DistributedTrisolver(
                    cr.pairs.end());
   }
 
-  // Ascending per-rank walk lists.  A supernode's parent and the owners of
-  // its below rows all have larger ids (the walk-order rule,
-  // docs/taskdag.md), so ascending id visits every supernode after all
-  // that feed it.
+  // Ascending per-rank walk lists over the compute groups, and the slots:
+  // each rank's fragments (its rows of a shared supernode, or a subtree
+  // root's tail) lie one after another in walk order.  A supernode's
+  // parent and the owners of its below rows all have larger ids (the
+  // walk-order rule, docs/taskdag.md), so ascending id visits every
+  // supernode after all that feed it.
   owned_.resize(static_cast<std::size_t>(map_.p));
+  slot_begin_.assign(static_cast<std::size_t>(nsup) + 1, 0);
   for (index_t s = 0; s < nsup; ++s) {
-    const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
+    const exec::Group g = compute_group(s);
     for (index_t w = g.base; w < g.base + g.count; ++w) {
       owned_[static_cast<std::size_t>(w)].push_back(s);
     }
+    const index_t root = local_[static_cast<std::size_t>(s)].root;
+    const index_t slots = root == -1 ? g.count : (root == s ? 1 : 0);
+    slot_begin_[static_cast<std::size_t>(s) + 1] =
+        slot_begin_[static_cast<std::size_t>(s)] + slots;
   }
-  plan_fragment_stacks();
+  offset_.assign(static_cast<std::size_t>(slot_begin_.back()), 0);
+  stack_rows_.assign(static_cast<std::size_t>(map_.p), 0);
+  shared_.resize(static_cast<std::size_t>(map_.p));
+  for (index_t w = 0; w < map_.p; ++w) {
+    index_t& rows = stack_rows_[static_cast<std::size_t>(w)];
+    for (const index_t s : owned_[static_cast<std::size_t>(w)]) {
+      const index_t root = local_[static_cast<std::size_t>(s)].root;
+      if (root != -1 && root != s) continue;
+      const Layout lay = layout(s);
+      offset_[slot(s, w)] = rows;
+      if (root == s) {
+        rows += lay.ns - lay.t;
+      } else {
+        rows += lay.local_count(w - compute_group(s).base);
+        shared_[static_cast<std::size_t>(w)].push_back(s);
+      }
+    }
+  }
+}
+
+exec::Group DistributedTrisolver::compute_group(index_t s) const {
+  const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
+  if (factor_.partition().height(s) <= options_.block_size) {
+    return exec::Group{g.base, 1};
+  }
+  return g;
+}
+
+Layout DistributedTrisolver::layout(index_t s) const {
+  const auto& part = factor_.partition();
+  return Layout{compute_group(s).count, options_.block_size, part.height(s),
+                part.width(s)};
 }
 
 void DistributedTrisolver::plan_local_steps() {
@@ -163,16 +197,12 @@ void DistributedTrisolver::plan_local_steps() {
   tail_pos_.clear();
   local_runs_.assign(static_cast<std::size_t>(map_.p), {});
   max_below_.assign(static_cast<std::size_t>(map_.p), 0);
-  std::vector<char> seen(static_cast<std::size_t>(nsup), 0);
   for (index_t s = 0; s < nsup; ++s) {
     LocalStep& ls = local_[static_cast<std::size_t>(s)];
     if (ls.root == -1) continue;
     const index_t w = map_.group[static_cast<std::size_t>(s)].base;
     const index_t t = part.width(s);
     const auto below = part.row_indices(s).subspan(static_cast<std::size_t>(t));
-    auto& seen_root = seen[static_cast<std::size_t>(ls.root)];
-    ls.first = seen_root == 0;
-    seen_root = 1;
     // Ancestors have higher ids and columns, so the rows of the subtree's
     // supernodes are exactly those before the root's last column.
     const index_t end = part.first_col[static_cast<std::size_t>(ls.root) + 1];
@@ -203,96 +233,6 @@ void DistributedTrisolver::plan_local_steps() {
   }
 }
 
-void DistributedTrisolver::plan_fragment_stacks() {
-  // A shared supernode's fragment is live from its fill to the end of its
-  // visit.  Forward: it is filled at its visit unless an owned child hands
-  // its tail off into it first — then the lowest owned child fills it as
-  // it finishes.  Backward: a root's fragment is filled at its visit,
-  // every other one by its parent's visit (which copies the parent's
-  // values into it); each rank's parent is always owned too, because a
-  // child's group lies inside its parent's.  A subtree root's tail is
-  // live across its subtree: forward from the subtree's first visit to
-  // the root's hand-off, backward from the parent's visit (the root's own
-  // at a tree root) to the subtree's last visit.
-  const auto& part = factor_.partition();
-  const index_t nsup = part.num_supernodes();
-  slot_begin_.assign(static_cast<std::size_t>(nsup) + 1, 0);
-  for (index_t s = 0; s < nsup; ++s) {
-    const index_t root = local_[static_cast<std::size_t>(s)].root;
-    const index_t slots =
-        root == -1 ? map_.group[static_cast<std::size_t>(s)].count
-                   : (root == s ? 1 : 0);
-    slot_begin_[static_cast<std::size_t>(s) + 1] =
-        slot_begin_[static_cast<std::size_t>(s)] + slots;
-  }
-  fragments_.assign(static_cast<std::size_t>(slot_begin_.back()), {});
-  stack_rows_.assign(static_cast<std::size_t>(map_.p), {});
-  // Every slot belongs to exactly one rank, so one handle table serves
-  // all ranks' replays.
-  constexpr auto kNone = static_cast<FragmentStackPlanner::Handle>(-1);
-  std::vector<FragmentStackPlanner::Handle> handle(fragments_.size(), kNone);
-  auto open = [&](FragmentStackPlanner& stack, index_t s, index_t w,
-                  index_t FragmentSlot::*offset) {
-    const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
-    const Layout lay{g.count, options_.block_size, part.height(s),
-                     part.width(s)};
-    const index_t rows = local_[static_cast<std::size_t>(s)].root == s
-                             ? lay.ns - lay.t
-                             : lay.local_count(w - g.base);
-    const std::size_t k = slot(s, w);
-    handle[k] = stack.open(rows);
-    fragments_[k].*offset = stack.offset(handle[k]);
-  };
-
-  for (index_t w = 0; w < map_.p; ++w) {
-    const auto& walk = owned_[static_cast<std::size_t>(w)];
-    FragmentStackPlanner fw;
-    for (const index_t s : walk) {
-      const LocalStep& ls = local_[static_cast<std::size_t>(s)];
-      if (ls.root != -1) {
-        if (ls.first) open(fw, ls.root, w, &FragmentSlot::fw_offset);
-        if (ls.root != s) continue;
-      } else if (handle[slot(s, w)] == kNone) {
-        open(fw, s, w, &FragmentSlot::fw_offset);
-      }
-      const std::size_t k = slot(s, w);
-      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      if (parent != -1 && handle[slot(parent, w)] == kNone) {
-        open(fw, parent, w, &FragmentSlot::fw_offset);
-        fragments_[slot(parent, w)].fw_filled_by_child = true;
-        fragments_[k].fw_fills_parent = true;
-      }
-      fw.close(handle[k]);
-    }
-    for (const index_t s : walk) {
-      if (slot_begin_[static_cast<std::size_t>(s) + 1] >
-          slot_begin_[static_cast<std::size_t>(s)]) {
-        handle[slot(s, w)] = kNone;
-      }
-    }
-
-    FragmentStackPlanner bw;
-    for (const index_t s : std::views::reverse(walk)) {
-      const LocalStep& ls = local_[static_cast<std::size_t>(s)];
-      const bool tree_root =
-          part.stree.parent[static_cast<std::size_t>(s)] == -1;
-      if (ls.root != -1) {
-        if (tree_root) open(bw, s, w, &FragmentSlot::bw_offset);
-        if (ls.first) bw.close(handle[slot(ls.root, w)]);
-        continue;
-      }
-      if (tree_root) open(bw, s, w, &FragmentSlot::bw_offset);
-      for (const index_t c : children_[static_cast<std::size_t>(s)]) {
-        if (map_.group[static_cast<std::size_t>(c)].contains(w)) {
-          open(bw, c, w, &FragmentSlot::bw_offset);
-        }
-      }
-      bw.close(handle[slot(s, w)]);
-    }
-    stack_rows_[static_cast<std::size_t>(w)] = {fw.peak(), bw.peak()};
-  }
-}
-
 trisolve::SupernodeStep DistributedTrisolver::local_step(index_t s,
                                                          real_t* tail) const {
   const auto& part = factor_.partition();
@@ -309,8 +249,7 @@ trisolve::SupernodeStep DistributedTrisolver::local_step(index_t s,
   return step;
 }
 
-DistributedTrisolver::FragmentStackRows
-DistributedTrisolver::fragment_stack_rows(index_t rank) const {
+index_t DistributedTrisolver::fragment_stack_rows(index_t rank) const {
   SPARTS_CHECK(rank >= 0 && rank < map_.p, "rank " << rank << " out of range");
   return stack_rows_[static_cast<std::size_t>(rank)];
 }
@@ -320,20 +259,18 @@ namespace {
 /// Everything a phase's SPMD body needs, bundled to keep lambdas small.
 struct PhaseContext {
   const numeric::SupernodalFactor& factor;
-  const mapping::SubcubeMapping& map;
-  const Options& options;
-  const std::vector<std::vector<index_t>>& children;
   const std::vector<index_t>& block_base;  ///< global id of first pivot block
   index_t m;
 };
 
 /// One rank's working memory for a phase, allocated once per phase by the
-/// rank itself: the fragment stack (every fragment of a shared supernode
-/// and every subtree-root tail of the sweep, at the offsets the plan
-/// assigned), the in-place steps' scratch, outgoing packets by
-/// group-relative destination, and reusable receive and token buffers.
-/// Their capacities grow to the largest supernode and then stay, so the
-/// supernode loop allocates nothing but the payloads it sends.
+/// rank itself: the fragment stack (the rank's fragment of every shared
+/// supernode it computes and every subtree-root tail, each at its fixed
+/// offset, zeroed on allocation), the in-place steps' scratch, outgoing
+/// packets by group-relative destination, and reusable receive and token
+/// buffers.  Their capacities grow to the largest supernode and then
+/// stay, so the supernode loop allocates nothing but the payloads it
+/// sends.
 struct RankScratch {
   RankScratch(index_t stack_rows, index_t max_below, index_t nrhs, index_t p)
       : stack(static_cast<std::size_t>(stack_rows * nrhs)),
@@ -388,12 +325,6 @@ int tag_fw_token(const PhaseContext& ctx, index_t s, index_t k) {
 int tag_bw_token(const PhaseContext& ctx, index_t s, index_t k) {
   return static_cast<int>(
       4 * (ctx.block_base[static_cast<std::size_t>(s)] + k) + 3);
-}
-
-Layout layout_of(const PhaseContext& ctx, index_t s) {
-  const auto& part = ctx.factor.partition();
-  return Layout{ctx.map.group[static_cast<std::size_t>(s)].count,
-                ctx.options.block_size, part.height(s), part.width(s)};
 }
 
 /// View of one shared supernode's factor trapezoid as seen by one rank:
@@ -780,18 +711,16 @@ void bw_fan_in(exec::Process& proc, const PhaseContext& ctx, index_t s,
 // Shared helpers for both phases.
 // ---------------------------------------------------------------------------
 
-/// Fill rank r's fragment `v` of supernode s (nloc x m, ld nloc): pivot
-/// positions from `source` (B for forward, Y for backward), below
-/// positions zero.
-void fill_fragment(const PhaseContext& ctx, index_t s, const Layout& lay,
-                   index_t r, std::span<const real_t> source, index_t n,
-                   real_t* v) {
+/// Copy the pivot positions of rank r's fragment `v` of supernode s (nloc
+/// x m, ld nloc) from `source` (n x m).
+void fill_pivots(const numeric::SupernodalFactor& factor, index_t s,
+                 const Layout& lay, index_t r, std::span<const real_t> source,
+                 index_t n, index_t m, real_t* v) {
   const index_t nloc = lay.local_count(r);
-  std::fill(v, v + nloc * ctx.m, 0.0);
-  const auto rows = ctx.factor.partition().row_indices(s);
+  const auto rows = factor.partition().row_indices(s);
   lay.for_owned_runs(r, 0, lay.t, [&](index_t i0, index_t i1) {
     const index_t lo = lay.local_of(i0);
-    for (index_t c = 0; c < ctx.m; ++c) {
+    for (index_t c = 0; c < m; ++c) {
       for (index_t i = i0; i < i1; ++i) {
         v[c * nloc + lo + (i - i0)] =
             source[static_cast<std::size_t>(
@@ -839,25 +768,17 @@ LView make_view(const DistributedFactor& local_values, index_t w, index_t s,
                local_values.local_rows(w, s), &lay};
 }
 
-/// The ranks that run a shared supernode's kernel, and the layout they
-/// see.  A trapezoid that fits in one block sits whole on its group's
-/// first rank, which runs the kernel as a group of one: it sends no token,
-/// relays nothing and joins no broadcast or reduction, and the other
-/// ranks, which own none of its rows, skip the kernel.  That rank makes
-/// the same kernel calls on the same data either way.
-struct KernelRanks {
-  exec::Group g;
-  Layout lay;
-};
-
-KernelRanks kernel_ranks(const exec::Group& g, const Layout& lay) {
-  if (lay.num_blocks() > 1) return {g, lay};
-  Layout whole = lay;
-  whole.q = 1;
-  return {exec::Group{g.base, 1}, whole};
-}
-
 }  // namespace
+
+void DistributedTrisolver::fill_fragments(index_t w,
+                                          std::span<const real_t> source,
+                                          index_t m, real_t* stack) const {
+  const index_t n = factor_.partition().n();
+  for (const index_t s : shared_[static_cast<std::size_t>(w)]) {
+    fill_pivots(factor_, s, layout(s), w - compute_group(s).base, source, n, m,
+                stack + offset_[slot(s, w)] * m);
+  }
+}
 
 PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
                                           std::span<const real_t> b_in,
@@ -870,7 +791,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
   SPARTS_CHECK(static_cast<index_t>(b_in.size()) == n * m);
   SPARTS_CHECK(static_cast<index_t>(y_out.size()) == n * m);
 
-  PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
+  PhaseContext ctx{factor_, block_base_, m};
 
   // Hand rank w's below rows of s (a shared supernode or a subtree root,
   // rows in `src`) to the parent: rows the rank also owns there add into
@@ -878,17 +799,22 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
   // owners in one packet per destination.
   auto route_to_parent = [&](exec::Process& proc, RankScratch& scratch,
                              index_t s, const Layout& lay, index_t r,
-                             const Rows& src, bool fills_parent) {
+                             const Rows& src) {
     const index_t w = proc.rank();
     const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
     const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
-    const Layout play = layout_of(ctx, parent);
-    const exec::Group pg = map_.group[static_cast<std::size_t>(parent)];
-    // A child's group lies inside its parent's, so w is in pg.
+    const Layout play = layout(parent);
+    const exec::Group pg = compute_group(parent);
+    // A child's group lies inside its parent's, but w lies outside the
+    // parent's compute group when the parent fits in one block on another
+    // rank: then w owns none of its rows, and every row travels.
     const index_t pr = w - pg.base;
-    const index_t pnloc = play.local_count(pr);
-    real_t* pv = scratch.fragment(fragments_[slot(parent, w)].fw_offset);
-    if (fills_parent) fill_fragment(ctx, parent, play, pr, b_in, n, pv);
+    real_t* pv = nullptr;
+    index_t pnloc = 0;
+    if (pg.contains(w)) {
+      pv = scratch.fragment(offset_[slot(parent, w)]);
+      pnloc = play.local_count(pr);
+    }
     lay.for_owned_runs(r, lay.t, lay.ns, [&](index_t i0, index_t i1) {
       for (index_t pos = i0, lo = lay.local_of(i0); pos < i1; ++pos, ++lo) {
         const index_t ppos =
@@ -910,30 +836,30 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
     flush_packets(proc, pg, tag_fw_contrib(s), m, scratch.out);
   };
 
-  // Each rank walks the supernodes its group owns in ascending id: every
+  // Each rank walks the supernodes it computes in ascending id: every
   // supernode whose rectangle update feeds rows of s has a smaller id, so
-  // it has been walked before s.
+  // it has been walked before s.  The zeroed stack already holds every
+  // fragment's below rows and every tail; only the pivot rows come from B.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].forward,
+    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)],
                         max_below_[static_cast<std::size_t>(w)], m, map_.p);
     const exec::ProgressNotes progress(proc);
     copy_runs(local_runs_[static_cast<std::size_t>(w)], b_in, y_out, n, m);
+    fill_fragments(w, b_in, m, scratch.stack.data());
     for (const index_t s : owned_[static_cast<std::size_t>(w)]) {
-      const exec::Group g = map_.group[static_cast<std::size_t>(s)];
+      const exec::Group g = compute_group(s);
       progress.note("fw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
-      const Layout lay = layout_of(ctx, s);
+      const Layout lay = layout(s);
       const LocalStep& ls = local_[static_cast<std::size_t>(s)];
       if (ls.root != -1) {
         // Single-rank: the sequential step in place in y_out; rows of
         // shared ancestors go into the subtree root's tail.
-        const FragmentSlot& tail = fragments_[slot(ls.root, w)];
-        real_t* tv = scratch.fragment(tail.fw_offset);
+        real_t* tv = scratch.fragment(offset_[slot(ls.root, w)]);
         const trisolve::SupernodeStep step = local_step(s, tv);
-        if (ls.first) std::fill(tv, tv + step.tail_ld * m, 0.0);
         proc.compute_at(static_cast<double>(trisolve::forward_step(
                             step, y_out.data(), n, m, scratch.temp)),
                         proc.cost().panel_flop(m));
@@ -943,17 +869,14 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
                           proc.cost().t_mem);
         } else if (part.stree.parent[static_cast<std::size_t>(s)] != -1) {
           route_to_parent(proc, scratch, s, lay, 0,
-                          Rows{tv, step.tail_ld, lay.t},
-                          tail.fw_fills_parent);
+                          Rows{tv, step.tail_ld, lay.t});
         }
         continue;
       }
 
       const index_t r = w - g.base;
       const index_t nloc = lay.local_count(r);
-      const FragmentSlot& frag = fragments_[slot(s, w)];
-      real_t* v = scratch.fragment(frag.fw_offset);
-      if (!frag.fw_filled_by_child) fill_fragment(ctx, s, lay, r, b_in, n, v);
+      real_t* v = scratch.fragment(offset_[slot(s, w)]);
 
       // Receive remote child contributions.
       for (index_t c : children_[static_cast<std::size_t>(s)]) {
@@ -979,25 +902,20 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
         }
       }
 
-      const KernelRanks kr = kernel_ranks(g, lay);
-      if (kr.g.contains(w)) {
-        const LView lv = make_view(*local_values_, w, s, kr.lay);
-        if (options_.pipelining == Pipelining::column_priority) {
-          fw_pipelined_column_priority(proc, ctx, s, kr.g, kr.lay, r, lv, v,
-                                       nloc, scratch.token);
-        } else if (options_.pipelining == Pipelining::row_priority) {
-          fw_pipelined_row_priority(proc, ctx, s, kr.g, kr.lay, r, lv, v,
-                                    nloc, scratch.tokens);
-        } else {
-          fw_fan_out(proc, ctx, s, kr.g, kr.lay, r, lv, v, nloc,
-                     scratch.token);
-        }
+      const LView lv = make_view(*local_values_, w, s, lay);
+      if (options_.pipelining == Pipelining::column_priority) {
+        fw_pipelined_column_priority(proc, ctx, s, g, lay, r, lv, v, nloc,
+                                     scratch.token);
+      } else if (options_.pipelining == Pipelining::row_priority) {
+        fw_pipelined_row_priority(proc, ctx, s, g, lay, r, lv, v, nloc,
+                                  scratch.tokens);
+      } else {
+        fw_fan_out(proc, ctx, s, g, lay, r, lv, v, nloc, scratch.token);
       }
 
       publish_pivots(ctx, s, lay, r, v, y_out, n);
       if (part.stree.parent[static_cast<std::size_t>(s)] != -1) {
-        route_to_parent(proc, scratch, s, lay, r, Rows{v, nloc, 0},
-                        frag.fw_fills_parent);
+        route_to_parent(proc, scratch, s, lay, r, Rows{v, nloc, 0});
       }
     }
   };
@@ -1016,7 +934,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
   SPARTS_CHECK(static_cast<index_t>(y_in.size()) == n * m);
   SPARTS_CHECK(static_cast<index_t>(x_out.size()) == n * m);
 
-  PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
+  PhaseContext ctx{factor_, block_base_, m};
 
   // Receive the below-part values of s (a shared supernode or a subtree
   // root, rows in `dst`) from the parent ranks that own them.
@@ -1047,27 +965,30 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
 
   // Backward walks the forward order reversed, descending id: every
   // supernode whose solved rows s reads has a larger id, so it has been
-  // walked before s.
+  // walked before s.  The pivot rows of every fragment come from Y as the
+  // phase starts; the parent's visit (the local copies) and messages
+  // (receive_from_parent) supply the below rows.
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)].backward,
+    RankScratch scratch(stack_rows_[static_cast<std::size_t>(w)],
                         max_below_[static_cast<std::size_t>(w)], m, map_.p);
     const exec::ProgressNotes progress(proc);
     copy_runs(local_runs_[static_cast<std::size_t>(w)], y_in, x_out, n, m);
+    fill_fragments(w, y_in, m, scratch.stack.data());
     for (const index_t s :
          std::views::reverse(owned_[static_cast<std::size_t>(w)])) {
-      const exec::Group g = map_.group[static_cast<std::size_t>(s)];
+      const exec::Group g = compute_group(s);
       progress.note("bw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));
       const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      const Layout lay = layout_of(ctx, s);
+      const Layout lay = layout(s);
       const LocalStep& ls = local_[static_cast<std::size_t>(s)];
       if (ls.root != -1) {
         // Single-rank: the sequential step in place in x_out, reading the
         // rows of shared ancestors from the subtree root's tail.
-        real_t* tv = scratch.fragment(fragments_[slot(ls.root, w)].bw_offset);
+        real_t* tv = scratch.fragment(offset_[slot(ls.root, w)]);
         const trisolve::SupernodeStep step = local_step(s, tv);
         if (ls.root == s && parent != -1) {
           receive_from_parent(proc, scratch, s, lay,
@@ -1086,24 +1007,17 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
 
       const index_t r = w - g.base;
       const index_t nloc = lay.local_count(r);
-      real_t* wv = scratch.fragment(fragments_[slot(s, w)].bw_offset);
-      // A root fills its own fragment; every other one was filled by its
-      // parent's visit, apart from the values remote parent ranks send.
-      if (parent == -1) {
-        fill_fragment(ctx, s, lay, r, y_in, n, wv);
-      } else {
+      real_t* wv = scratch.fragment(offset_[slot(s, w)]);
+      if (parent != -1) {
         receive_from_parent(proc, scratch, s, lay, Rows{wv, nloc, 0});
       }
 
-      const KernelRanks kr = kernel_ranks(g, lay);
-      if (kr.g.contains(w)) {
-        const LView lv = make_view(*local_values_, w, s, kr.lay);
-        if (options_.pipelining == Pipelining::fan_out) {
-          bw_fan_in(proc, ctx, s, kr.g, kr.lay, r, lv, wv, nloc, scratch.acc);
-        } else {
-          bw_pipelined(proc, ctx, s, kr.g, kr.lay, r, lv, wv, nloc,
-                       scratch.acc, scratch.token);
-        }
+      const LView lv = make_view(*local_values_, w, s, lay);
+      if (options_.pipelining == Pipelining::fan_out) {
+        bw_fan_in(proc, ctx, s, g, lay, r, lv, wv, nloc, scratch.acc);
+      } else {
+        bw_pipelined(proc, ctx, s, g, lay, r, lv, wv, nloc, scratch.acc,
+                     scratch.token);
       }
 
       publish_pivots(ctx, s, lay, r, wv, x_out, n);
@@ -1113,17 +1027,16 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
       // or to the child rank that owns them.
       for (index_t c : children_[static_cast<std::size_t>(s)]) {
         const ChildRouting& cr = routing_[static_cast<std::size_t>(c)];
-        const Layout clay = layout_of(ctx, c);
-        const exec::Group cg = map_.group[static_cast<std::size_t>(c)];
+        const Layout clay = layout(c);
+        const exec::Group cg = compute_group(c);
         Rows dst;
         if (cg.contains(w)) {
-          dst.v = scratch.fragment(fragments_[slot(c, w)].bw_offset);
+          dst.v = scratch.fragment(offset_[slot(c, w)]);
           if (local_[static_cast<std::size_t>(c)].root == c) {
             dst.ld = clay.ns - clay.t;
             dst.first = clay.t;
           } else {
             dst.ld = clay.local_count(w - cg.base);
-            fill_fragment(ctx, c, clay, w - cg.base, y_in, n, dst.v);
           }
         }
         const index_t cbelow = clay.ns - clay.t;

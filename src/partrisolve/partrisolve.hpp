@@ -20,7 +20,8 @@
 //     around the group's ring while each processor updates its own block
 //     rows (column-priority) or block rows in row order (row-priority).
 //     A trapezoid that fits in one block lies whole on the group's first
-//     processor, which runs the same kernel alone, with no messages.
+//     processor, which runs the same kernel alone, with no messages; the
+//     group's other processors do not visit it.
 //   * Between a shared supernode (or a subtree root) and its parent,
 //     right-hand-side fragments are routed point-to-point from each
 //     fragment's owner to the owner of the corresponding position in the
@@ -29,10 +30,10 @@
 // Forward elimination walks the tree bottom-up producing Y (L Y = B);
 // backward substitution walks top-down producing X (L^T X = Y).
 // The solve plan (subtree roots and tail positions, routing tables, walk
-// order, fragment-stack offsets) is built once per solver, so
-// forward()/backward() do only right-hand-side work: each rank allocates
-// its working memory once per phase, and the supernode loop allocates
-// nothing but outgoing payloads.
+// order, fragment offsets) is built once per solver, so forward()/
+// backward() do only right-hand-side work: each rank allocates its working
+// memory once per phase and fills every fragment as the phase starts, and
+// the supernode loop allocates nothing but outgoing payloads.
 #pragma once
 
 #include <memory>
@@ -48,6 +49,8 @@
 #include "trisolve/trisolve.hpp"
 
 namespace sparts::partrisolve {
+
+struct Layout;
 
 /// Pipelining variant for the shared-supernode kernels.
 enum class Pipelining {
@@ -110,15 +113,12 @@ class DistributedTrisolver {
 
   const Options& options() const { return options_; }
 
-  /// Height in rows of a rank's fragment stack — the buffer that holds
-  /// the rank's fragments of shared supernodes and the tails of its
-  /// subtree roots during a sweep (empty at p = 1).  A phase with m
-  /// right-hand sides allocates rows x m values per rank, once.
-  struct FragmentStackRows {
-    index_t forward = 0;
-    index_t backward = 0;
-  };
-  FragmentStackRows fragment_stack_rows(index_t rank) const;
+  /// Height in rows of a rank's fragment stack — the buffer that holds,
+  /// each at a fixed offset, the rank's fragments of the shared
+  /// supernodes it computes and the tails of its subtree roots (empty at
+  /// p = 1).  Each phase with m right-hand sides allocates rows x m
+  /// values per rank, once.
+  index_t fragment_stack_rows(index_t rank) const;
 
  private:
   /// How a shared supernode or a subtree root reaches its parent.
@@ -140,24 +140,18 @@ class DistributedTrisolver {
     index_t split = 0;        ///< below rows [0, split) are in place
     index_t tail_begin = 0;   ///< tail_pos_ offset of below row `split`
     index_t child_rows = 0;   ///< below rows of its children, summed
-    bool first = false;       ///< first of its subtree in ascending order
   };
 
-  /// Where one rank's fragment of a shared supernode, or a subtree root's
-  /// tail, lives in the rank's fragment stack (in rows; a phase scales by
-  /// m), and when the forward sweep fills it.  One per slot.
-  struct FragmentSlot {
-    index_t fw_offset = 0;
-    index_t bw_offset = 0;
-    /// Forward: filled when the supernode's lowest owned child finishes
-    /// (that child's tail hands off into it), not at its own visit.
-    bool fw_filled_by_child = false;
-    /// Forward: this supernode fills its parent's fragment as it finishes.
-    bool fw_fills_parent = false;
-  };
+  /// The ranks that compute supernode s: its group, or the group's first
+  /// rank alone when s's trapezoid fits in one block (it sits whole
+  /// there, and the other ranks own none of its rows).
+  exec::Group compute_group(index_t s) const;
 
-  /// Fragment-stack slot of (supernode s, world rank w in s's group); only
-  /// shared supernodes and subtree roots have slots.
+  /// Supernode s's layout over its compute group.
+  Layout layout(index_t s) const;
+
+  /// Fragment-stack slot of (supernode s, world rank w in s's compute
+  /// group); only shared supernodes and subtree roots have slots.
   std::size_t slot(index_t s, index_t w) const {
     return static_cast<std::size_t>(
         slot_begin_[static_cast<std::size_t>(s)] + w -
@@ -168,9 +162,10 @@ class DistributedTrisolver {
   /// supernodes; fills local_, tail_pos_, local_runs_ and max_below_.
   void plan_local_steps();
 
-  /// Replay every rank's forward and backward open/close sequence through
-  /// a FragmentStackPlanner; fills fragments_ and the stack heights.
-  void plan_fragment_stacks();
+  /// Copy the pivot rows of rank w's shared fragments from `source` (B or
+  /// Y, n x m) into the zeroed fragment stack `stack`.
+  void fill_fragments(index_t w, std::span<const real_t> source, index_t m,
+                      real_t* stack) const;
 
   /// The step of single-rank supernode s, with the root's tail at `tail`:
   /// L is read from the factor.
@@ -197,15 +192,21 @@ class DistributedTrisolver {
   /// Per world rank: the most below rows of one of its single-rank
   /// supernodes (sizes the step scratch).
   std::vector<index_t> max_below_;
-  /// Per world rank: the supernodes whose group holds it, ascending — the
-  /// forward walk (the backward walk is its reverse).
+  /// Per world rank: the supernodes whose compute group holds it,
+  /// ascending — the forward walk (the backward walk is its reverse).
   std::vector<std::vector<index_t>> owned_;
+  /// Per world rank: the shared supernodes among them, whose fragments'
+  /// pivot rows each phase fills as it starts.
+  std::vector<std::vector<index_t>> shared_;
   /// Slot numbering: supernode s's slots are [slot_begin_[s],
-  /// slot_begin_[s + 1]), one per group rank of a shared supernode, one
-  /// for a subtree root, none below it.
+  /// slot_begin_[s + 1]), one per compute-group rank of a shared
+  /// supernode, one for a subtree root, none below it.
   std::vector<index_t> slot_begin_;
-  std::vector<FragmentSlot> fragments_;
-  std::vector<FragmentStackRows> stack_rows_;  ///< per world rank
+  /// Per slot: the fragment's first row in its rank's fragment stack (a
+  /// phase scales by m), the rows of the slots before it in the rank's
+  /// walk.
+  std::vector<index_t> offset_;
+  std::vector<index_t> stack_rows_;  ///< per world rank
   /// Prefix sums of pivot-block counts: block_base_[s] is the global id
   /// of supernode s's first pivot block.  Token tags are derived from
   /// global block ids so every in-flight token has a unique tag.

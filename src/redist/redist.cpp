@@ -16,26 +16,6 @@ namespace sparts::redist {
 
 namespace {
 
-/// Column indices of the trapezoid owned by grid column gc.
-std::vector<index_t> owned_cols(index_t t, index_t bf, index_t qc,
-                                index_t gc) {
-  std::vector<index_t> cols;
-  for (index_t k = 0; k < t; ++k) {
-    if ((k / bf) % qc == gc) cols.push_back(k);
-  }
-  return cols;
-}
-
-/// Position indices (trapezoid rows) owned by grid row gr.
-std::vector<index_t> owned_rows_2d(index_t ns, index_t bf, index_t qr,
-                                   index_t gr) {
-  std::vector<index_t> rows;
-  for (index_t i = 0; i < ns; ++i) {
-    if ((i / bf) % qr == gr) rows.push_back(i);
-  }
-  return rows;
-}
-
 /// The 2-D source and 1-D target distributions of every shared supernode
 /// must partition its trapezoid; validating the maps up front turns a
 /// misrouted-layout bug into a named diagnostic instead of a silently
@@ -111,31 +91,50 @@ void redistribute_supernode(exec::Process& proc,
 
   const mapping::BlockCyclic2d grid =
       mapping::BlockCyclic2d::near_square(q, options.block_2d);
+  // The 2-D map deals the trapezoid's positions block-cyclically over the
+  // grid's rows and its pivot columns over the grid's columns: one Layout
+  // each, as in parfact.
+  const partrisolve::Layout rows2d{grid.qr, options.block_2d, ns, t};
+  const partrisolve::Layout cols2d{grid.qc, options.block_2d, t, t};
   const partrisolve::Layout lay1d{q, options.block_1d, ns, t};
   const index_t gr = r / grid.qc;
   const index_t gc = r % grid.qc;
+  // Calls f(k) for each pivot column k of grid column c, ascending.
+  auto for_cols = [&](index_t c, auto&& f) {
+    cols2d.for_owned_runs(c, 0, t, [&](index_t k0, index_t k1) {
+      for (index_t k = k0; k < k1; ++k) f(k);
+    });
+  };
 
-  // My 2-D piece: rows owned by my grid row, columns by my grid column.
-  const std::vector<index_t> my_rows =
-      owned_rows_2d(ns, options.block_2d, grid.qr, gr);
-  const std::vector<index_t> my_cols =
-      owned_cols(t, options.block_2d, grid.qc, gc);
-
-  // Outgoing: for each of my rows, all my columns' values go to the
-  // row's 1-D owner.  Canonical order: rows ascending, columns
-  // ascending — the receiver reproduces it exactly.
+  // Outgoing: my 2-D piece is my grid row's positions by my grid column's
+  // columns.  For each of my rows, all my columns' values go to the row's
+  // 1-D owner.  Canonical order: rows ascending, columns ascending — the
+  // receiver reproduces it exactly.
+  const index_t my_cols = cols2d.local_count(gc);
+  std::vector<std::size_t> words(static_cast<std::size_t>(q), 0);
+  rows2d.for_owned_runs(gr, 0, ns, [&](index_t i0, index_t i1) {
+    for (index_t i = i0; i < i1; ++i) {
+      words[static_cast<std::size_t>(lay1d.owner_of(i))] +=
+          static_cast<std::size_t>(my_cols);
+    }
+  });
   std::vector<std::vector<real_t>> outgoing(static_cast<std::size_t>(q));
-  for (index_t i : my_rows) {
-    const index_t dst = lay1d.owner_of(i);
-    auto& payload = outgoing[static_cast<std::size_t>(dst)];
-    for (index_t k : my_cols) {
+  nnz_t pack_words = 0;
+  for (index_t d = 0; d < q; ++d) {
+    outgoing[static_cast<std::size_t>(d)].reserve(
+        words[static_cast<std::size_t>(d)]);
+    pack_words += static_cast<nnz_t>(words[static_cast<std::size_t>(d)]);
+  }
+  rows2d.for_owned_runs(gr, 0, ns, [&](index_t i0, index_t i1) {
+    for (index_t i = i0; i < i1; ++i) {
+      auto& payload = outgoing[static_cast<std::size_t>(lay1d.owner_of(i))];
       // Entries above the pivot diagonal are structural zeros of the
       // trapezoid; they still move (the storage is dense).
-      payload.push_back(block[static_cast<std::size_t>(k * ns + i)]);
+      for_cols(gc, [&](index_t k) {
+        payload.push_back(block[static_cast<std::size_t>(k * ns + i)]);
+      });
     }
-  }
-  nnz_t pack_words = 0;
-  for (const auto& o : outgoing) pack_words += static_cast<nnz_t>(o.size());
+  });
   proc.compute_at(static_cast<double>(pack_words), proc.cost().t_mem);
 
   auto incoming = exec::all_to_all_personalized(
@@ -145,27 +144,24 @@ void redistribute_supernode(exec::Process& proc,
   real_t* local = out != nullptr ? out->local_block(w, s).data() : nullptr;
   const index_t nloc = out != nullptr ? out->local_rows(w, s) : 0;
   for (index_t src = 0; src < q; ++src) {
-    const index_t src_gr = src / grid.qc;
-    const index_t src_gc = src % grid.qc;
-    const std::vector<index_t> src_cols =
-        owned_cols(t, options.block_2d, grid.qc, src_gc);
     std::size_t cursor = 0;
     const auto& in = incoming[static_cast<std::size_t>(src)];
-    for (index_t i = 0; i < ns; ++i) {
-      if ((i / options.block_2d) % grid.qr != src_gr) continue;
-      if (lay1d.owner_of(i) != r) continue;
-      for (index_t k : src_cols) {
-        SPARTS_CHECK(cursor < in.size(), "short redistribution payload");
-        const real_t expected = block[static_cast<std::size_t>(k * ns + i)];
-        SPARTS_CHECK(in[cursor] == expected,
-                     "misrouted entry at supernode "
-                         << s << " position (" << i << ", " << k << ")");
-        if (local != nullptr) {
-          local[k * nloc + lay1d.local_of(i)] = in[cursor];
-        }
-        ++cursor;
+    rows2d.for_owned_runs(src / grid.qc, 0, ns, [&](index_t i0, index_t i1) {
+      for (index_t i = i0; i < i1; ++i) {
+        if (lay1d.owner_of(i) != r) continue;
+        for_cols(src % grid.qc, [&](index_t k) {
+          SPARTS_CHECK(cursor < in.size(), "short redistribution payload");
+          const real_t expected = block[static_cast<std::size_t>(k * ns + i)];
+          SPARTS_CHECK(in[cursor] == expected,
+                       "misrouted entry at supernode "
+                           << s << " position (" << i << ", " << k << ")");
+          if (local != nullptr) {
+            local[k * nloc + lay1d.local_of(i)] = in[cursor];
+          }
+          ++cursor;
+        });
       }
-    }
+    });
     SPARTS_CHECK(cursor == in.size(), "long redistribution payload");
     proc.compute_at(static_cast<double>(cursor), proc.cost().t_mem);
   }

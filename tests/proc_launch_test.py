@@ -25,6 +25,11 @@ Legs:
   5. chaos-partition -- a partition held from t=0 past the suspicion
                      threshold must surface as exit 3 on every rank within
                      the launcher timeout (abort, not a hang).
+  6. logdir-created -- a --logdir naming a missing nested directory is
+                     created: rank 1's residual line lands in rank-1.log,
+                     and the launcher's own output holds rank 0's alone.
+  7. logdir-unusable -- a --logdir naming a regular file fails the launch
+                     with a message naming the path, before any rank runs.
 
 Usage: proc_launch_test.py <sparts_launch> <sparts_solve>
 """
@@ -62,6 +67,20 @@ def run(name, launch_args, solve_args, env_extra=None, timeout=240):
                 sys.stdout.write(f.read())
     finally:
         shutil.rmtree(logdir, ignore_errors=True)
+    return proc
+
+
+def launch(name, launch_args, solve_args, timeout=120):
+    """Run the launcher with exactly `launch_args` (no --logdir added)."""
+    env = dict(os.environ)
+    env.pop("SPARTS_CHAOS", None)
+    env.pop("SPARTS_TEST_KILL", None)
+    proc = subprocess.run(
+        [LAUNCH] + launch_args + ["--", SOLVE] + solve_args, env=env,
+        timeout=timeout, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    print(f"--- {name}: exit {proc.returncode}")
+    sys.stdout.write(proc.stdout)
     return proc
 
 
@@ -149,6 +168,44 @@ def leg_chaos(name, spec, want_exit):
               f"codes={codes}")
 
 
+def leg_logdir_created():
+    scratch = tempfile.mkdtemp(prefix="sparts_logs.")
+    try:
+        logdir = os.path.join(scratch, "nested", "deeper")
+        p = launch("logdir-created",
+                   ["--procs", "2", "--timeout", "120", "--logdir", logdir],
+                   ["--grid2d", "12", "--nrhs", "2"])
+        check("logdir-created.exit", p.returncode == 0, f"exit={p.returncode}")
+        check("logdir-created.dir", os.path.isdir(logdir))
+        log = os.path.join(logdir, "rank-1.log")
+        rank1 = open(log).read() if os.path.exists(log) else ""
+        check("logdir-created.rank1_log", "relative residual" in rank1,
+              f"rank-1.log={rank1!r}")
+        check("logdir-created.stdout_rank0_only",
+              p.stdout.count("relative residual") == 1,
+              f"residual lines={p.stdout.count('relative residual')}")
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def leg_logdir_unusable():
+    fd, path = tempfile.mkstemp(prefix="sparts_logdir_file.")
+    os.close(fd)
+    try:
+        p = launch("logdir-unusable",
+                   ["--procs", "2", "--timeout", "120", "--logdir", path],
+                   ["--grid2d", "12", "--nrhs", "2"])
+        check("logdir-unusable.exit", p.returncode != 0,
+              f"exit={p.returncode}")
+        check("logdir-unusable.names_path",
+              f"cannot create log directory {path}" in p.stdout)
+        check("logdir-unusable.no_rank_ran",
+              not rank_codes(p.stdout) and "relative residual" not in p.stdout,
+              f"codes={rank_codes(p.stdout)}")
+    finally:
+        os.unlink(path)
+
+
 def main():
     global LAUNCH, SOLVE
     if len(sys.argv) != 3:
@@ -165,6 +222,8 @@ def main():
     # A hard partition from t=0, held far longer than the suspicion
     # threshold, must abort (not hang) on all ranks.
     leg_chaos("partition", "seed=9,partition=0-2@0:60", 3)
+    leg_logdir_created()
+    leg_logdir_unusable()
 
     if FAILURES:
         print(f"{len(FAILURES)} leg check(s) FAILED: {FAILURES}")

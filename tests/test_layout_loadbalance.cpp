@@ -1,5 +1,5 @@
-// Distributed-layout arithmetic, RHS packet round-trips, the fragment-stack
-// planner, and the load-balance diagnostics.
+// Distributed-layout arithmetic, RHS packet round-trips and the
+// load-balance diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -7,11 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "mapping/load_balance.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "ordering/nested_dissection.hpp"
-#include "partrisolve/fragment_stack.hpp"
 #include "partrisolve/layout.hpp"
 #include "partrisolve/packets.hpp"
 #include "sparse/generators.hpp"
@@ -166,69 +164,6 @@ TEST(Layout, OwnedRunsMatchOwnerScan) {
             ASSERT_EQ(lay.owner_of(i), 0);
             ASSERT_EQ(lay.local_of(i), i);
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(FragmentStack, ReusesTheTopLastInFirstOut) {
-  partrisolve::FragmentStackPlanner st;
-  const auto a = st.open(3);
-  const auto b = st.open(5);
-  EXPECT_EQ(st.offset(a), 0);
-  EXPECT_EQ(st.offset(b), 3);
-  st.close(b);
-  const auto c = st.open(2);
-  EXPECT_EQ(st.offset(c), 3);
-  st.close(c);
-  st.close(a);
-  EXPECT_EQ(st.top(), 0);
-  EXPECT_EQ(st.peak(), 8);
-}
-
-TEST(FragmentStack, DeadFragmentBelowTheTopIsReclaimedWithIt) {
-  partrisolve::FragmentStackPlanner st;
-  const auto child = st.open(4);
-  const auto parent = st.open(6);
-  st.close(child);  // a hole under the live parent: nothing moves
-  EXPECT_EQ(st.top(), 10);
-  EXPECT_EQ(st.offset(parent), 4);
-  st.close(parent);  // pops the parent and the hole beneath it
-  EXPECT_EQ(st.top(), 0);
-  EXPECT_THROW(st.close(parent), Error);
-}
-
-TEST(FragmentStack, LiveFragmentsNeverOverlap) {
-  // Random open/close sequences: every live fragment keeps its rows, no
-  // two live fragments share a row, and the top never exceeds the peak.
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    Rng rng(seed);
-    partrisolve::FragmentStackPlanner st;
-    struct Live {
-      partrisolve::FragmentStackPlanner::Handle h;
-      index_t offset, rows;
-    };
-    std::vector<Live> live;
-    for (int step = 0; step < 200; ++step) {
-      if (live.empty() || rng.next_below(3) != 0) {
-        const auto rows = static_cast<index_t>(rng.next_below(6));
-        const auto h = st.open(rows);
-        live.push_back({h, st.offset(h), rows});
-      } else {
-        const std::size_t k = rng.next_below(live.size());
-        st.close(live[k].h);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-      }
-      EXPECT_LE(st.top(), st.peak());
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        ASSERT_EQ(st.offset(live[i].h), live[i].offset) << "seed " << seed;
-        ASSERT_LE(live[i].offset + live[i].rows, st.top());
-        for (std::size_t j = i + 1; j < live.size(); ++j) {
-          const bool disjoint =
-              live[i].offset + live[i].rows <= live[j].offset ||
-              live[j].offset + live[j].rows <= live[i].offset;
-          ASSERT_TRUE(disjoint) << "seed " << seed << " step " << step;
         }
       }
     }

@@ -1,18 +1,23 @@
 // Parallel multifrontal factorization must reproduce the sequential
 // factor; redistribution must route every entry correctly and cost a
 // fraction of the solve (the paper's §4 claim).  A shared supernode that
-// fits in one block sends no message in any phase.
+// fits in one block sends no message in any phase, and only its group's
+// first rank visits it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
+#include "obs/trace.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "parfact/parfact.hpp"
 #include "partrisolve/partrisolve.hpp"
@@ -378,6 +383,117 @@ TEST(SingleBlockSupernodes, MultiBlockSupernodesKeepTheirMessages) {
     EXPECT_EQ(runs[k].x, runs[0].x) << backend[k];
   }
   EXPECT_LE(backward_error(su.a, runs[0].x, rhs, m), 1e-12);
+}
+
+/// Begin events of the span `name` per exported track (rank r is track
+/// r + 1) in a Chrome trace, which the exporter writes one event a line.
+std::map<int, index_t> span_begins_per_track(const std::string& json,
+                                             const std::string& name) {
+  std::map<int, index_t> count;
+  std::istringstream lines(json);
+  std::string line;
+  const std::string key = "{\"name\": \"" + name + "\"";
+  const std::string tid = "\"tid\": ";
+  while (std::getline(lines, line)) {
+    if (line.rfind(key, 0) != 0 ||
+        line.find("\"ph\": \"B\"") == std::string::npos) {
+      continue;
+    }
+    ++count[std::stoi(line.substr(line.find(tid) + tid.size()))];
+  }
+  return count;
+}
+
+TEST(SingleBlockSupernodes, OnlyTheFirstRankVisitsThem) {
+  // Every supernode of a path in natural order fits in one block, so at
+  // p = 4 rank 0 computes all of them.  Ranks 1-3 own none of their rows
+  // and never visit one: their tracks carry no supernode span in either
+  // phase, and rank 0's carries one per supernode and phase.
+  const sparse::SymmetricCsc a = sparse::grid2d(300, 1);
+  const symbolic::SupernodePartition part =
+      symbolic::fundamental_supernodes(symbolic::symbolic_cholesky(a));
+  const numeric::SupernodalFactor l = numeric::multifrontal_cholesky(a, part);
+  const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, 4);
+  const partrisolve::DistributedTrisolver solver(l, map, {});
+  constexpr index_t m = 2;
+  Rng rng(47);
+  const std::vector<real_t> rhs = sparse::random_rhs(a.n(), m, rng);
+  std::vector<real_t> x(rhs.size(), 0.0);
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.enable(1 << 16);
+  simpar::Machine machine = make_machine(4);
+  solver.solve(machine, rhs, x, m);
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  tracer.clear();
+
+  const std::map<int, index_t> rank0_only{{1, part.num_supernodes()}};
+  EXPECT_EQ(span_begins_per_track(out.str(), "fw.supernode"), rank0_only);
+  EXPECT_EQ(span_begins_per_track(out.str(), "bw.supernode"), rank0_only);
+  EXPECT_LE(backward_error(a, x, rhs, m), 1e-12);
+}
+
+TEST(SingleBlockSupernodes, MultiBlockChildOfAOneBlockParent) {
+  // Under nested dissection this random matrix has, at p = 8 and b = 1, a
+  // shared supernode that spans several blocks below a parent that fits
+  // in one.  The parent's first rank alone computes the parent, so the
+  // child's other ranks lie outside its compute group and hand their
+  // below rows to it by message.  x matches the sequential solve and is
+  // bit-identical on every backend, for every pipelining.
+  Rng rng(133);
+  const sparse::SymmetricCsc a0 = sparse::random_spd(300, 3, rng);
+  const sparse::SymmetricCsc a =
+      sparse::permute_symmetric(a0, ordering::nested_dissection(a0));
+  const symbolic::SupernodePartition part =
+      symbolic::fundamental_supernodes(symbolic::symbolic_cholesky(a));
+  const numeric::SupernodalFactor l = numeric::multifrontal_cholesky(a, part);
+  constexpr index_t p = 8;
+  constexpr index_t b = 1;
+  const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+  bool found = false;
+  for (index_t s = 0; s < part.num_supernodes(); ++s) {
+    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+    found = found || (parent != -1 && map.is_parallel(s) &&
+                      part.height(s) > b && part.height(parent) <= b);
+  }
+  ASSERT_TRUE(found);
+
+  constexpr index_t m = 2;
+  const std::vector<real_t> rhs = sparse::random_rhs(a.n(), m, rng);
+  std::vector<real_t> ref = rhs;
+  trisolve::full_solve(l, ref.data(), m);
+  for (const auto variant :
+       {partrisolve::Pipelining::column_priority,
+        partrisolve::Pipelining::row_priority,
+        partrisolve::Pipelining::fan_out}) {
+    partrisolve::Options opt;
+    opt.block_size = b;
+    opt.pipelining = variant;
+    const partrisolve::DistributedTrisolver solver(l, map, opt);
+    simpar::Machine machine = make_machine(p);
+    exec::ThreadBackend::Config thread_cfg;
+    thread_cfg.nprocs = p;
+    exec::ThreadBackend threads(thread_cfg);
+    exec::TaskBackend::Config task_cfg;
+    task_cfg.nprocs = p;
+    exec::TaskBackend tasks(task_cfg);
+    std::vector<std::vector<real_t>> xs;
+    for (exec::Comm* comm : {static_cast<exec::Comm*>(&machine),
+                             static_cast<exec::Comm*>(&threads),
+                             static_cast<exec::Comm*>(&tasks)}) {
+      xs.emplace_back(rhs.size(), 0.0);
+      solver.solve(*comm, rhs, xs.back(), m);
+    }
+    const int v = static_cast<int>(variant);
+    EXPECT_EQ(xs[1], xs[0]) << "threads, pipelining " << v;
+    EXPECT_EQ(xs[2], xs[0]) << "tasks, pipelining " << v;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_NEAR(xs[0][i], ref[i], 1e-9) << "pipelining " << v;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -205,45 +206,124 @@ TEST_P(RandomizedStrictSweep, StrictStorageMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedStrictSweep,
                          ::testing::Range<std::uint64_t>(2000, 2010));
 
-TEST(ParTrisolve, FragmentStackReusesRowsAcrossTheSweep) {
-  // A rank's stack holds its fragments of shared supernodes and the
-  // tails (below rows) of its subtree roots; the single-rank supernodes
-  // below a root work in place and take no rows.  The stack must fit the
-  // largest of those buffers and never more than all of them at once,
-  // and at p = 1 (no shared supernode, every tail empty) it is empty.
+TEST(ParTrisolve, FragmentStackHoldsEachFragmentOnce) {
+  // A rank's stack holds, each at rows of its own, the rank's fragment of
+  // every shared supernode it computes and the tail (below rows) of each
+  // of its subtree roots; the single-rank supernodes below a root work in
+  // place and take no rows.  A shared trapezoid that fits in one block is
+  // computed by its group's first rank alone, which holds all of it.  At
+  // p = 1 (no shared supernode, every tail empty) the stack is empty.
   Problem prob = make_grid_problem(31);
   const auto& part = prob.l.partition();
   for (const index_t p : {index_t{1}, index_t{4}, index_t{16}}) {
     const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
-    const DistributedTrisolver solver(prob.l, map, {});
-    for (index_t w = 0; w < p; ++w) {
-      index_t total = 0, largest = 0;
-      for (index_t s = 0; s < part.num_supernodes(); ++s) {
-        const exec::Group& g = map.group[static_cast<std::size_t>(s)];
-        if (!g.contains(w)) continue;
-        const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-        index_t rows = 0;
-        if (g.count > 1) {
-          const partrisolve::Layout lay{g.count, Options{}.block_size,
-                                        part.height(s), part.width(s)};
-          rows = lay.local_count(w - g.base);
-        } else if (parent == -1 || map.is_parallel(parent)) {
-          rows = part.height(s) - part.width(s);
+    for (const index_t b : {index_t{1}, index_t{3}, index_t{8}}) {
+      Options opt;
+      opt.block_size = b;
+      const DistributedTrisolver solver(prob.l, map, opt);
+      for (index_t w = 0; w < p; ++w) {
+        index_t total = 0;
+        for (index_t s = 0; s < part.num_supernodes(); ++s) {
+          const exec::Group& g = map.group[static_cast<std::size_t>(s)];
+          if (!g.contains(w)) continue;
+          const index_t parent =
+              part.stree.parent[static_cast<std::size_t>(s)];
+          if (g.count > 1 && part.height(s) <= b) {
+            if (w == g.base) total += part.height(s);
+          } else if (g.count > 1) {
+            const partrisolve::Layout lay{g.count, b, part.height(s),
+                                          part.width(s)};
+            total += lay.local_count(w - g.base);
+          } else if (parent == -1 || map.is_parallel(parent)) {
+            total += part.height(s) - part.width(s);
+          }
         }
-        total += rows;
-        largest = std::max(largest, rows);
-      }
-      const auto rows = solver.fragment_stack_rows(w);
-      for (const index_t height : {rows.forward, rows.backward}) {
-        EXPECT_GE(height, largest) << "p=" << p << " rank " << w;
-        EXPECT_LE(height, total) << "p=" << p << " rank " << w;
-        if (p == 1) EXPECT_EQ(height, 0);
+        EXPECT_EQ(solver.fragment_stack_rows(w), total)
+            << "p=" << p << " b=" << b << " rank " << w;
+        if (p == 1) EXPECT_EQ(total, 0);
       }
     }
   }
   const mapping::SubcubeMapping map2 = mapping::subtree_to_subcube(part, 2);
-  EXPECT_THROW(DistributedTrisolver(prob.l, map2, {}).fragment_stack_rows(2),
-               Error);
+  const DistributedTrisolver solver2(prob.l, map2, {});
+  EXPECT_THROW(solver2.fragment_stack_rows(2), Error);
+  EXPECT_THROW(solver2.fragment_stack_rows(-1), Error);
+}
+
+/// Problems for the one-phase tests: a nested-dissection grid, and a path
+/// in natural order, whose supernodes each fit in one block at b >= 2, so
+/// that the first rank computes them all and the others visit none.
+std::vector<Problem> phase_problems() {
+  std::vector<Problem> probs;
+  probs.push_back(make_grid_problem(31));
+  sparse::SymmetricCsc path = sparse::grid2d(300, 1);
+  numeric::SupernodalFactor l = numeric::multifrontal_cholesky(path);
+  probs.push_back(Problem{std::move(path), std::move(l)});
+  return probs;
+}
+
+/// Runs one phase alone, forward() or backward(), on `in` into an output
+/// that starts as NaN, at p = 4 and 16, b = 1, 3 and 8 and every
+/// pipelining, and compares the output with `ref`, the sequential sweep of
+/// `in`.  Each rank fills its fragments from `in` as the phase starts and
+/// reads no row of the output before it writes it, so no NaN survives.
+void expect_phase_matches(const Problem& prob, bool forward,
+                          const std::vector<real_t>& in,
+                          const std::vector<real_t>& ref, index_t m) {
+  const auto& part = prob.l.partition();
+  for (const index_t p : {index_t{4}, index_t{16}}) {
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+    for (const index_t b : {index_t{1}, index_t{3}, index_t{8}}) {
+      for (const Pipelining variant : {Pipelining::column_priority,
+                                       Pipelining::row_priority,
+                                       Pipelining::fan_out}) {
+        Options opt;
+        opt.block_size = b;
+        opt.pipelining = variant;
+        const DistributedTrisolver solver(prob.l, map, opt);
+        simpar::Machine machine = make_machine(p);
+        std::vector<real_t> out(in.size(),
+                                std::numeric_limits<real_t>::quiet_NaN());
+        if (forward) {
+          solver.forward(machine, in, out, m);
+        } else {
+          solver.backward(machine, in, out, m);
+        }
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          ASSERT_NEAR(out[i], ref[i], 1e-9)
+              << "n=" << prob.a.n() << " p=" << p << " b=" << b
+              << " pipelining " << static_cast<int>(variant) << " entry "
+              << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParTrisolve, ForwardPhaseMatchesSequentialForwardSweep) {
+  // forward() alone yields Y with L Y = B.
+  constexpr index_t m = 3;
+  for (const Problem& prob : phase_problems()) {
+    Rng rng(17);
+    const std::vector<real_t> rhs = sparse::random_rhs(prob.a.n(), m, rng);
+    std::vector<real_t> y = rhs;
+    trisolve::forward_solve(prob.l, y.data(), m);
+    expect_phase_matches(prob, /*forward=*/true, rhs, y, m);
+  }
+}
+
+TEST(ParTrisolve, BackwardPhaseMatchesSequentialBackwardSweep) {
+  // backward() alone yields X with L^T X = Y, from a Y that the
+  // sequential forward sweep computed.
+  constexpr index_t m = 3;
+  for (const Problem& prob : phase_problems()) {
+    Rng rng(19);
+    std::vector<real_t> y = sparse::random_rhs(prob.a.n(), m, rng);
+    trisolve::forward_solve(prob.l, y.data(), m);
+    std::vector<real_t> x = y;
+    trisolve::backward_solve(prob.l, x.data(), m);
+    expect_phase_matches(prob, /*forward=*/false, y, x, m);
+  }
 }
 
 TEST(ParTrisolve, Grid3dMatchesSequential) {

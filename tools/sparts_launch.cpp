@@ -11,6 +11,9 @@
 //     per-rank trace/flight/metrics paths work: --flight fl-{rank}.json.
 //   * rank 0 inherits the launcher's stdout/stderr; every other rank is
 //     redirected to <logdir>/rank-R.log (default: the rendezvous dir).
+//     The launcher creates the log directory and its parents and opens
+//     every rank log before it starts any rank; a log it cannot open
+//     fails the launch (exit 1) with a message naming the path.
 //   * the rendezvous dir is removed when the launcher exits, unless it
 //     holds the rank logs (no --logdir) of a cohort in which a rank
 //     failed; then its path is printed.
@@ -67,8 +70,9 @@ options:
   --rankfile FILE  use a RANK HOST:PORT rank file instead of a rendezvous
                    directory (multi-machine cohorts; this launcher still
                    only forks the local ranks listed for this machine)
-  --logdir DIR     where rank-R.log files go (default: rendezvous dir,
-                   removed on exit unless a rank failed)
+  --logdir DIR     where rank-R.log files go, created with its parents
+                   (default: rendezvous dir, removed on exit unless a
+                   rank failed)
   --kill R@SEC     SIGKILL rank R after SEC seconds (crash tests)
   --grace SEC      grace window after the first failure before the
                    survivors are SIGKILLed (default 10)
@@ -215,6 +219,34 @@ int main(int argc, char** argv) {
     return exit_code;
   };
 
+  // Open every rank log before any rank starts: a rank whose log cannot
+  // be opened would otherwise write into the launcher's own output.
+  std::error_code dir_error;
+  std::filesystem::create_directories(logdir, dir_error);
+  if (dir_error) {
+    std::cerr << "sparts_launch: cannot create log directory " << logdir
+              << ": " << dir_error.message() << "\n";
+    return finish(1, false);
+  }
+  std::vector<int> log_fd(static_cast<std::size_t>(procs), -1);
+  auto close_logs = [&] {
+    for (const int fd : log_fd) {
+      if (fd >= 0) close(fd);
+    }
+  };
+  for (int rank = 1; rank < procs; ++rank) {
+    const std::string log = logdir + "/rank-" + std::to_string(rank) + ".log";
+    const int fd =
+        open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) {
+      std::cerr << "sparts_launch: cannot open rank log " << log << ": "
+                << std::strerror(errno) << "\n";
+      close_logs();
+      return finish(1, false);
+    }
+    log_fd[static_cast<std::size_t>(rank)] = fd;
+  }
+
   std::vector<pid_t> pid(static_cast<std::size_t>(procs), -1);
   std::vector<int> code(static_cast<std::size_t>(procs), -1);  // -1: running
 
@@ -242,17 +274,15 @@ int main(int argc, char** argv) {
       std::cerr << "sparts_launch: fork failed: " << std::strerror(errno)
                 << "\n";
       for (int r = 0; r < rank; ++r) kill(pid[static_cast<std::size_t>(r)], SIGKILL);
+      close_logs();
       return finish(1, false);
     }
     if (child == 0) {
       if (rank != 0) {
-        const std::string log = logdir + "/rank-" + std::to_string(rank) + ".log";
-        const int fd = open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd >= 0) {
-          dup2(fd, STDOUT_FILENO);
-          dup2(fd, STDERR_FILENO);
-          if (fd > STDERR_FILENO) close(fd);
-        }
+        // The duplicates lose O_CLOEXEC; every other log closes on exec.
+        const int fd = log_fd[static_cast<std::size_t>(rank)];
+        dup2(fd, STDOUT_FILENO);
+        dup2(fd, STDERR_FILENO);
       }
       std::vector<char*> cargv;
       cargv.reserve(args.size() + 1);
@@ -266,6 +296,7 @@ int main(int argc, char** argv) {
     }
     pid[static_cast<std::size_t>(rank)] = child;
   }
+  close_logs();
 
   const double start = now_seconds();
   double first_failure_at = -1.0;
